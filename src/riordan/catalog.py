@@ -174,6 +174,17 @@ class CatalogError(LookupError):
     """Unknown catalog name."""
 
 
+class ParamError(CatalogError, ValueError):
+    """A catalog name's parameter does not parse as a number."""
+
+
+def _param(text: str, kind: type):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParamError(f"malformed parameter: {text!r}") from None
+
+
 def named_series(name: str, prec: int, param: str | None = None) -> Series:
     """Builtin series by name; 'fuss' and 'geometric' take a parameter."""
     if name == "catalan":
@@ -183,9 +194,9 @@ def named_series(name: str, prec: int, param: str | None = None) -> Series:
     if name == "fuss":
         if param is None:
             raise CatalogError("fuss needs a parameter, e.g. fuss:3")
-        return fuss_series(int(param), prec)
+        return fuss_series(_param(param, int), prec)
     if name == "geometric":
-        return Series.geometric(prec, Fraction(param) if param else 1)
+        return Series.geometric(prec, _param(param, Fraction) if param else 1)
     if name == "one":
         return Series.one(prec)
     if name == "t":
@@ -212,7 +223,7 @@ def named_riordan(name: str, prec: int, param: str | None = None) -> RiordanPair
         c = catalan_series(prec)
         return RiordanPair(c, c.shift_up().truncate(prec))
     if name == "fuss_bell":
-        f = fuss_series(int(param) if param else 3, prec)
+        f = fuss_series(_param(param, int) if param else 3, prec)
         return RiordanPair(f, f.shift_up().truncate(prec))
     if name == "appell":
         g = named_series(param, prec) if param else Series.geometric(prec)

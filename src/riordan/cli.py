@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: triangle, quasi, mul, inv, az, ctransform, verify, catalog.
-Exit codes: 0 success, 64 usage/parse error, 65 math-domain error; the
+Exit codes: 0 success, 64 usage/parse error (including a malformed
+RIORDAN_PREC or catalog parameter), 65 math-domain error; the
 verify subcommand instead uses the report contract (0 all verified,
 1 counterexample, 2 inconclusive).
 """
@@ -14,7 +15,13 @@ import sys
 from fractions import Fraction
 
 from . import harness
-from .catalog import CatalogError, named_riordan, named_series, catalog_names
+from .catalog import (
+    CatalogError,
+    ParamError,
+    catalog_names,
+    named_riordan,
+    named_series,
+)
 from .group import RiordanPair, RiordanError
 from .matrices import Triangle, format_rational
 from .quasi import QuasiRiordan
@@ -82,6 +89,8 @@ def parse_weight(text: str, n: int):
     if name == "power":
         if not param:
             raise UsageError("power weight needs a base, e.g. power:2")
+        if not _is_rational(param):
+            raise UsageError(f"malformed rational: {param!r}")
         return WeightSeq.power(Fraction(param), n)
     if name == "laguerre":
         return WeightTri.laguerre(n)
@@ -175,7 +184,11 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     prec = args.prec
     if prec is None:
-        prec = int(os.environ.get("RIORDAN_PREC", DEFAULT_PREC))
+        env = os.environ.get("RIORDAN_PREC", str(DEFAULT_PREC))
+        try:
+            prec = int(env)
+        except ValueError:
+            raise UsageError(f"RIORDAN_PREC must be an integer, got {env!r}") from None
     if prec < 1:
         raise UsageError("precision must be >= 1")
 
@@ -255,7 +268,7 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except UsageError as exc:
+    except (UsageError, ParamError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     except (SeriesError, RiordanError, WeightError, CatalogError, ValueError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import Triangle
-from .series import Series, SeriesError
+from .series import PrecisionError, Series, SeriesError
 
 
 class RiordanError(SeriesError):
@@ -234,25 +234,26 @@ def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     """Rebuild the triangle row by row from its A- and Z-sequences.
 
     d_{0,0} = 1; column 0 of each new row comes from the Z-sequence and
-    columns k >= 1 from the A-sequence.
+    columns k >= 1 from the A-sequence.  Row n - 1 reads A and Z up to
+    index n - 2; lower precision raises PrecisionError rather than reading
+    the missing coefficients as zero.
     """
     if n < 1:
         raise RiordanError("order must be >= 1")
     a, z = az.a, az.z
-
-    def a_at(j: int) -> Fraction:
-        return a[j] if j <= a.prec else Fraction(0)
-
-    def z_at(j: int) -> Fraction:
-        return z[j] if j <= z.prec else Fraction(0)
+    if min(a.prec, z.prec) < n - 2:
+        raise PrecisionError(
+            f"order {n} needs A and Z to precision {n - 2}, "
+            f"have {a.prec} and {z.prec}"
+        )
 
     rows: list[list[Fraction]] = [[Fraction(1)]]
     for r in range(n - 1):
         prev = rows[r]
-        row = [sum((z_at(j) * prev[j] for j in range(r + 1)), Fraction(0))]
+        row = [sum((z[j] * prev[j] for j in range(r + 1)), Fraction(0))]
         for k in range(r + 1):
             row.append(
-                sum((a_at(j) * prev[k + j] for j in range(r + 1 - k)), Fraction(0))
+                sum((a[j] * prev[k + j] for j in range(r + 1 - k)), Fraction(0))
             )
         rows.append(row)
     return Triangle(rows)

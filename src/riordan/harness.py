@@ -262,11 +262,7 @@ def _rook_horizontal_report(n_max: int = 30) -> VerificationReport:
         lambda n, k: n * (rook_entry(n - 1, k) if k <= n - 1 else Fraction(0))
         + Fraction(n, k) * rook_entry(n - 1, k - 1),
     )
-    return verify("rook-horizontal", lhs, rhs, n_max, _k_pos_lt_n, "1 <= k <= n, n >= 1")
-
-
-def _k_pos_lt_n(n: int) -> range:
-    return range(1, n + 1) if n >= 1 else range(0)
+    return verify("rook-horizontal", lhs, rhs, n_max, k_positive, "1 <= k <= n, n >= 1")
 
 
 def _k_pos_strict(n: int) -> range:
@@ -294,7 +290,7 @@ def _rook_vertical_report(n_max: int = 30) -> VerificationReport:
             Fraction(0),
         ),
     )
-    return verify("rook-vertical", lhs, rhs, n_max, _k_pos_lt_n, "1 <= k <= n, n >= 1")
+    return verify("rook-vertical", lhs, rhs, n_max, k_positive, "1 <= k <= n, n >= 1")
 
 
 def _laguerre_horizontal_report(n_max: int = 30) -> VerificationReport:
@@ -337,7 +333,7 @@ def _laguerre_vertical_report(n_max: int = 30) -> VerificationReport:
     rhs = EntryGenerator(
         "(1/(n-k)!) sum_j (-1)^(j-1) (n-k-j+1)! L_{n-j,k-1}", rhs_eval
     )
-    return verify("laguerre-vertical", lhs, rhs, n_max, _k_pos_lt_n, "1 <= k <= n, n >= 1")
+    return verify("laguerre-vertical", lhs, rhs, n_max, k_positive, "1 <= k <= n, n >= 1")
 
 
 def _rook_expansion_report(n_max: int = 12) -> VerificationReport:

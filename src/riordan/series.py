@@ -8,10 +8,22 @@ their operands, and asking for an index above prec is a hard error, so a
 
 Coefficients are ``fractions.Fraction`` throughout; there is no floating
 point anywhere in this package.
+
+Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
+work on integer numerators over one common denominator (the layout of
+FLINT's ``fmpq_poly``).  A product of two integer vectors is done by
+Kronecker substitution: each vector is packed into a single integer, one
+slot per coefficient, so one big-integer multiply does the whole
+convolution.  Chained products divide out the content, the gcd of the
+denominator and all numerators, after each step so the numbers stay
+small.  Results are converted back to reduced ``Fraction`` coefficients,
+so every public value is exactly what coefficient-by-coefficient rational
+arithmetic gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -42,6 +54,76 @@ def _rat(x: Rat) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+# -- integer kernel -----------------------------------------------------------
+
+def _to_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(nums: Iterable[int], den: int) -> "Series":
+    """The series with coefficients c / den, each a reduced Fraction."""
+    return Series([Fraction(c, den) for c in nums])
+
+
+def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
+    """Divide the numerators and the denominator by their common content."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [c // g for c in nums], den // g
+
+
+def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of two integer vectors.
+
+    Kronecker substitution: each vector is packed into one integer, a slot
+    per coefficient, and a single multiply does the convolution.  Each
+    coefficient of the product is a sum of at most n terms, so it fits in
+    a slot of bits(a) + bits(b) + log2(n) bits, plus one for the sign and
+    one to spare.  Adding half a slot to every coefficient makes every
+    slot nonnegative, so slots pack and unpack as plain bytes.
+    """
+    a, b = a[:n], b[:n]
+    width = (
+        max(c.bit_length() for c in a)
+        + max(c.bit_length() for c in b)
+        + n.bit_length()
+        + 2
+    )
+    nbytes = (width + 7) // 8
+    half = 1 << (8 * nbytes - 1)
+    bias = half.to_bytes(nbytes, "little")
+
+    def pack(v: Sequence[int]) -> int:
+        slots = b"".join((c + half).to_bytes(nbytes, "little") for c in v)
+        return int.from_bytes(slots, "little") - int.from_bytes(bias * len(v), "little")
+
+    z = pack(a) * pack(b) + int.from_bytes(bias * n, "little")
+    raw = (z & ((1 << (8 * nbytes * n)) - 1)).to_bytes(nbytes * n, "little")
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little") - half
+        for i in range(0, len(raw), nbytes)
+    ]
+
+
+def _krecip(a: Sequence[int], n: int) -> tuple[list[int], int]:
+    """(r, e) with r / e the first n coefficients of 1 / a; a[0] != 0.
+
+    Newton iteration r <- r (2 - a r), which doubles the number of correct
+    coefficients with two products per step.
+    """
+    r, e = [1], a[0]
+    m = 1
+    while m < n:
+        m = min(2 * m, n)
+        t = [-c for c in _kmul(a, r, m)]
+        t[0] += 2 * e
+        r, e = _reduce(_kmul(r, t, m), e * e)
+    return r, e
 
 
 class Series:
@@ -156,11 +238,9 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         p = min(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for n in range(p + 1):
-            out.append(sum((a[j] * b[n - j] for j in range(n + 1)), Fraction(0)))
-        return Series(out)
+        a, da = _to_ints(self.coeffs[: p + 1])
+        b, db = _to_ints(other.coeffs[: p + 1])
+        return _from_ints(_kmul(a, b, p + 1), da * db)
 
     def scale(self, c: Rat) -> "Series":
         c = _rat(c)
@@ -193,53 +273,49 @@ class Series:
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse; requires order 0."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        if self.coeffs[0] == 0:
             raise NotAUnitError("not a unit: constant term is zero")
-        inv0 = 1 / a0
-        out = [inv0]
-        for n in range(1, self.prec + 1):
-            s = sum(
-                (self.coeffs[j] * out[n - j] for j in range(1, n + 1)),
-                Fraction(0),
-            )
-            out.append(-inv0 * s)
-        return Series(out)
+        a, den = _to_ints(self.coeffs)
+        r, e = _krecip(a, self.prec + 1)  # 1 / (a / den) = den * r / e
+        return _from_ints([den * c for c in r], e)
 
     def compose(self, f: "Series") -> "Series":
-        """self(f(t)) by Horner evaluation; requires f(0) = 0."""
+        """self(f(t)) by Horner evaluation; requires f(0) = 0.
+
+        Before the step that adds h_n, the accumulator is still to be
+        multiplied by f n more times, and f has order 1, so only its first
+        p + 1 - n coefficients can reach the result.
+        """
         if f.coeffs[0] != 0:
             raise CompositionError("composition undefined: f(0) != 0")
         p = min(self.prec, f.prec)
-        ft = f if f.prec == p else f.truncate(p)
-        acc = Series.from_coeffs([self.coeffs[p]], p)
+        h, dh = _to_ints(self.coeffs[: p + 1])
+        fn, df = _to_ints(f.coeffs[: p + 1])
+        acc, den = [h[p]], 1
         for n in range(p - 1, -1, -1):
-            acc = acc * ft
-            acc = Series((self.coeffs[n] + acc.coeffs[0],) + acc.coeffs[1:])
-        return acc
+            acc = _kmul(acc, fn, p + 1 - n)
+            den *= df
+            acc[0] += h[n] * den
+            acc, den = _reduce(acc, den)
+        return _from_ints(acc, den * dh)
 
     def comp_inverse(self) -> "Series":
         """Compositional inverse fbar with fbar(f) = f(fbar) = t.
 
-        Solved one coefficient at a time from fbar(f(t)) = t: with the
-        powers f^j precomputed, comparing the t^n coefficient gives a
-        triangular system because f^j has order j.
+        Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n, with the
+        powers of t/f built one product at a time.
         """
         if self.order() != 1:
             raise NoCompositionalInverseError(
                 "no compositional inverse: order is not 1"
             )
         p = self.prec
-        powers = [None, self]  # powers[j] = f^j, order j
-        for j in range(2, p + 1):
-            powers.append(powers[-1] * self)
-        out = [Fraction(0)] * (p + 1)
-        f1 = self.coeffs[1]
+        a, da = _to_ints(self.coeffs[1:])
+        u, du = _krecip(a, p)
+        u = [da * c for c in u]  # t/f = u / du
+        out = [Fraction(0)]
+        pw, den = [1], 1  # (t/f)^n = pw / den
         for n in range(1, p + 1):
-            s = sum(
-                (out[j] * powers[j].coeffs[n] for j in range(1, n)),
-                Fraction(0),
-            )
-            target = Fraction(1) if n == 1 else Fraction(0)
-            out[n] = (target - s) / f1 ** n
+            pw, den = _reduce(_kmul(pw, u, p), den * du)
+            out.append(Fraction(pw[n - 1], n * den))
         return Series(out)

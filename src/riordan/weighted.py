@@ -22,7 +22,7 @@ from typing import Sequence, Union
 from .catalog import falling
 from .group import RiordanPair
 from .matrices import Triangle
-from .series import Rat
+from .series import Rat, Series
 
 
 class WeightError(ValueError):
@@ -187,18 +187,11 @@ def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
 # -- horizontal recursions (A/Z with weight ratios) ---------------------------
 
 @lru_cache(maxsize=64)
-def _az_of(base: RiordanPair):
-    # pairs are immutable and hashable; the recursions call this per entry
+def _az_of(base: RiordanPair) -> tuple[Series, Series]:
+    # pairs are immutable and hashable; the recursions call this per entry.
+    # Indexing the series raises PrecisionError past their precision.
     az = base.extract_az()
-    a, z = az.a, az.z
-
-    def a_at(j: int) -> Fraction:
-        return a[j] if j <= a.prec else Fraction(0)
-
-    def z_at(j: int) -> Fraction:
-        return z[j] if j <= z.prec else Fraction(0)
-
-    return a_at, z_at
+    return az.a, az.z
 
 
 def horiz_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
@@ -213,13 +206,13 @@ def horiz_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
     if n < 1 or not 0 <= k <= n:
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
     c: WeightSeq = x.weight
-    a_at, z_at = _az_of(x.base)
+    a, z = _az_of(x.base)
     prev = x.entries.rows[n - 1]
     if k == 0:
-        s = sum((z_at(j) * c[j] * prev[j] for j in range(n)), Fraction(0))
+        s = sum((z[j] * c[j] * prev[j] for j in range(n)), Fraction(0))
         return c[n] / c[n - 1] * s
     s = sum(
-        (a_at(j) * c[k - 1 + j] * prev[k - 1 + j] for j in range(n - k + 1)),
+        (a[j] * c[k - 1 + j] * prev[k - 1 + j] for j in range(n - k + 1)),
         Fraction(0),
     )
     return c[n] / (c[n - 1] * c[k]) * s
@@ -232,15 +225,15 @@ def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     if n < 1 or not 0 <= k <= n:
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
     C: WeightTri = x.weight
-    a_at, z_at = _az_of(x.base)
+    a, z = _az_of(x.base)
     prev = x.entries.rows[n - 1]
     ratio = C.at(n, n) / C.at(n - 1, n - 1)
     if k == 0:
-        s = sum((z_at(j) * C.at(n - 1, j) * prev[j] for j in range(n)), Fraction(0))
+        s = sum((z[j] * C.at(n - 1, j) * prev[j] for j in range(n)), Fraction(0))
         return ratio * s
     s = sum(
         (
-            a_at(j) * C.at(n - 1, k - 1 + j) * prev[k - 1 + j]
+            a[j] * C.at(n - 1, k - 1 + j) * prev[k - 1 + j]
             for j in range(n - k + 1)
         ),
         Fraction(0),

@@ -211,6 +211,24 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "--name", "fuss_bell:x", "--order", "4"),
+            ("triangle", "--g", "fuss:x", "--f", "0,1", "--order", "4"),
+            ("triangle", "--g", "geometric:1/0", "--f", "0,1", "--order", "4"),
+            ("ctransform", "--name", "pascal", "--weight", "power:x", "--order", "4"),
+        ],
+    )
+    def test_malformed_parameter_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert "malformed" in err
+
+    def test_parameter_out_of_domain_is_math_error(self, capsys):
+        code, _, _ = run_cli(capsys, "triangle", "--name", "fuss_bell:0", "--order", "4")
+        assert code == 65
+
 
 class TestPrecEnv:
     def test_env_var_sets_prec(self, capsys, monkeypatch):
@@ -229,6 +247,12 @@ class TestPrecEnv:
         monkeypatch.setenv("RIORDAN_PREC", "0")
         code, _, _ = run_cli(capsys, "az", "--name", "pascal")
         assert code == 64
+
+    def test_malformed_env_value_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIORDAN_PREC", "abc")
+        code, _, err = run_cli(capsys, "az", "--name", "pascal")
+        assert code == 64
+        assert "RIORDAN_PREC" in err
 
 
 class TestParsers:

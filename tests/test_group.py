@@ -6,6 +6,7 @@ import pytest
 
 from riordan import (
     AZSequences,
+    PrecisionError,
     RiordanError,
     RiordanPair,
     Series,
@@ -171,12 +172,20 @@ class TestAZSequences:
             assert solved == list(az.a.coeffs[:12]), name
 
     def test_reconstruct_pascal(self):
-        az = AZSequences(Series([1, 1]), Series([1]))
+        az = AZSequences(Series.from_coeffs([1, 1], 3), Series.from_coeffs([1], 3))
         assert reconstruct_from_az(az, 5) == PASCAL_5
 
     def test_reconstruct_identity(self):
-        az = AZSequences(Series([1]), Series([0]))
+        az = AZSequences(Series.from_coeffs([1], 4), Series.from_coeffs([0], 4))
         assert reconstruct_from_az(az, 6) == Triangle.identity(6)
+
+    def test_reconstruct_past_precision_raises(self):
+        ra = named_riordan("catalan_bell", 6)
+        az = ra.extract_az()
+        assert az.a.prec == az.z.prec == 5
+        assert reconstruct_from_az(az, 7) == ra.triangle(7)
+        with pytest.raises(PrecisionError):
+            reconstruct_from_az(az, 12)
 
     def test_round_trip(self, ten_pairs):
         for name, ra in ten_pairs.items():

@@ -1,0 +1,185 @@
+"""The series kernel against oracles that share no code with it.
+
+Each of ``Series.__mul__``, ``reciprocal``, ``compose`` and
+``comp_inverse`` is compared with a schoolbook ``Fraction`` computation
+written out below, one coefficient at a time, and with sympy's
+``ring_series`` (``rs_series_inversion``, ``rs_subs``,
+``rs_series_reversion``).  Denominators up to 3 and t-coefficients other
+than +-1 make the kernel's common denominators and content reduction do
+real work.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.ring_series import rs_series_inversion, rs_series_reversion, rs_subs
+from sympy.polys.rings import ring
+
+from riordan import NoCompositionalInverseError, Series
+
+R, X, Y = ring("x,y", QQ)
+
+coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+nonzero = coeff.filter(lambda c: c != 0)
+precs = st.integers(min_value=0, max_value=9)
+
+
+# -- oracles ------------------------------------------------------------------
+
+def conv(a, b, n):
+    """First n coefficients of the product, by the convolution sum."""
+    out = []
+    for m in range(n):
+        s = Fraction(0)
+        for j in range(m + 1):
+            if j < len(a) and m - j < len(b):
+                s += a[j] * b[m - j]
+        out.append(s)
+    return out
+
+
+def recip(a):
+    """1/a from a * r = 1, solved for r_0, r_1, ... in turn."""
+    r = [1 / a[0]]
+    for m in range(1, len(a)):
+        s = sum((a[j] * r[m - j] for j in range(1, m + 1)), Fraction(0))
+        r.append(-s / a[0])
+    return r
+
+
+def compose(h, f):
+    """sum_n h_n f^n, with the powers of f built by convolution."""
+    n = min(len(h), len(f))
+    out = [Fraction(0)] * n
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for hn in h[:n]:
+        out = [o + hn * c for o, c in zip(out, power)]
+        power = conv(power, f, n)
+    return out
+
+
+def comp_inverse(f):
+    """fbar from f(fbar(t)) = t, solved for fbar_1, fbar_2, ... in turn.
+
+    With fbar known through t^(m-1), the t^m coefficient of f(fbar) is
+    f_1 * fbar_m plus terms in the known coefficients.
+    """
+    n = len(f)
+    fbar = [Fraction(0)] * n
+    if n > 1:
+        fbar[1] = 1 / f[1]
+    for m in range(2, n):
+        known = compose(f, fbar[:m] + [Fraction(0)] * (n - m))
+        fbar[m] = -known[m] / f[1]
+    return fbar
+
+
+# -- sympy --------------------------------------------------------------------
+
+def to_ring(coeffs, var):
+    return sum(
+        (QQ(c.numerator, c.denominator) * var**i for i, c in enumerate(coeffs)),
+        R.zero,
+    )
+
+
+def from_ring(poly, var_index, n):
+    out = [Fraction(0)] * n
+    for monom, c in poly.items():
+        assert sum(monom) == monom[var_index] < n
+        out[monom[var_index]] = Fraction(int(c.numerator), int(c.denominator))
+    return out
+
+
+# -- strategies ---------------------------------------------------------------
+
+@st.composite
+def series(draw, prec=None, first=coeff):
+    p = draw(precs) if prec is None else prec
+    return [draw(first)] + draw(st.lists(coeff, min_size=p, max_size=p))
+
+
+@st.composite
+def order_one(draw):
+    p = draw(st.integers(min_value=1, max_value=9))
+    return [Fraction(0), draw(nonzero)] + draw(
+        st.lists(coeff, min_size=p - 1, max_size=p - 1)
+    )
+
+
+no_constant = precs.flatmap(lambda p: series(prec=p, first=st.just(Fraction(0))))
+
+
+def catalan_like(rng, n, den):
+    """Unit series with mixed signs and denominators dividing den."""
+    return [Fraction(1)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(n - 1)
+    ]
+
+
+# -- properties ---------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(series(), series())
+def test_mul(a, b):
+    n = min(len(a), len(b))
+    assert list((Series(a) * Series(b)).coeffs) == conv(a, b, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(first=nonzero))
+def test_reciprocal(a):
+    got = list(Series(a).reciprocal().coeffs)
+    assert got == recip(a)
+    assert got == from_ring(rs_series_inversion(to_ring(a, X), X, len(a)), 0, len(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(), no_constant)
+def test_compose(h, f):
+    n = min(len(h), len(f))
+    got = list(Series(h).compose(Series(f)).coeffs)
+    assert got == compose(h, f)
+    assert got == from_ring(rs_subs(to_ring(h, X), {X: to_ring(f, X)}, X, n), 0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_one())
+def test_comp_inverse(f):
+    n = len(f)
+    got = list(Series(f).comp_inverse().coeffs)
+    assert got == comp_inverse(f)
+    assert got == from_ring(rs_series_reversion(to_ring(f, X), X, n, Y), 1, n)
+
+
+def test_precision_zero_and_one():
+    a = [Fraction(-2, 3)]
+    assert list((Series(a) * Series(a)).coeffs) == [Fraction(4, 9)]
+    assert list(Series(a).reciprocal().coeffs) == [Fraction(-3, 2)]
+    assert list(Series(a).compose(Series([0])).coeffs) == a
+    with pytest.raises(NoCompositionalInverseError):
+        Series([0]).comp_inverse()
+    f = [Fraction(0), Fraction(-3, 2)]
+    assert list(Series(f).comp_inverse().coeffs) == [0, Fraction(-2, 3)]
+    assert list(Series([1, 5]).compose(Series(f)).coeffs) == [1, Fraction(-15, 2)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_precision_48(seed):
+    rng = random.Random(seed)
+    n = 49
+    g = catalan_like(rng, n, 3)
+    h = catalan_like(rng, n, 3)
+    f = [Fraction(0), Fraction(rng.choice([-3, -2, 2, 3]), 3)] + catalan_like(
+        rng, n - 2, 3
+    )
+    assert list((Series(g) * Series(h)).coeffs) == conv(g, h, n)
+    assert list(Series(g).reciprocal().coeffs) == recip(g)
+    assert list(Series(g).compose(Series(f)).coeffs) == compose(g, f)
+    fbar = list(Series(f).comp_inverse().coeffs)
+    assert fbar == from_ring(rs_series_reversion(to_ring(f, X), X, n, Y), 1, n)
+    assert compose(f, fbar) == [0, 1] + [0] * (n - 2)

@@ -7,9 +7,11 @@ import pytest
 
 from riordan import (
     C_transform,
+    PrecisionError,
     WeightError,
     WeightSeq,
     WeightTri,
+    WeightedTriangle,
     c_group_mul,
     c_transform,
     generalized_laguerre,
@@ -162,6 +164,16 @@ class TestRecursions:
             horiz_recursion_c(x, 0, 0)
         with pytest.raises(WeightError):
             vert_recursion_c(x, 3, 0)
+
+    def test_az_past_precision_raises(self):
+        # catalan_bell has A = Z = 1/(1-t); reading them as zero past
+        # their precision would give a wrong entry, not an error
+        x = generalized_rook(named_riordan("catalan_bell", 11), 12)
+        short = WeightedTriangle(named_riordan("catalan_bell", 6), x.weight, x.entries)
+        for n in range(1, 7):
+            assert horiz_recursion_c(short, n, 0) == x.entries.rows[n][0]
+        with pytest.raises(PrecisionError):
+            horiz_recursion_c(short, 11, 0)
 
 
 class TestCGroup:
