@@ -8,7 +8,7 @@ from .series import (
     NoCompositionalInverseError,
     PrecisionError,
 )
-from .matrices import Triangle, direct_sum_one, format_rational
+from .matrices import Triangle, direct_sum_one
 from .group import (
     AZSequences,
     RiordanError,
@@ -58,7 +58,6 @@ __all__ = [
     "catalog",
     "direct_sum_one",
     "factorization_check",
-    "format_rational",
     "generalized_laguerre",
     "generalized_rook",
     "harness",

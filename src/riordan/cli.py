@@ -23,7 +23,7 @@ from .catalog import (
     named_series,
 )
 from .group import RiordanPair, RiordanError
-from .matrices import Triangle, format_rational
+from .matrices import Triangle
 from .quasi import QuasiRiordan
 from .series import Series, SeriesError
 from .weighted import WeightSeq, WeightTri, WeightError, c_transform, C_transform
@@ -101,7 +101,7 @@ def _series_line(s: Series) -> str:
     coeffs = list(s.coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return ", ".join(format_rational(c) for c in coeffs)
+    return ", ".join(str(c) for c in coeffs)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -191,17 +191,15 @@ def run(argv: list[str] | None = None) -> int:
             raise UsageError(f"RIORDAN_PREC must be an integer, got {env!r}") from None
     if prec < 1:
         raise UsageError("precision must be >= 1")
+    if getattr(args, "order", None) is not None and args.order < 1:
+        raise UsageError("order must be >= 1")
 
     if args.command == "triangle":
-        if args.order < 1:
-            raise UsageError("order must be >= 1")
         ra = parse_pair(args, max(prec, args.order - 1))
         _emit_triangle(ra.triangle(args.order), args.format, args.out)
         return 0
 
     if args.command == "quasi":
-        if args.order < 1:
-            raise UsageError("order must be >= 1")
         ra = parse_pair(args, max(prec, args.order - 1))
         q = QuasiRiordan.of_pair(ra)
         _emit_triangle(q.matrix(args.order), args.format, args.out)
@@ -209,7 +207,7 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.command == "mul":
         product = _pair_from_spec(args.a, prec) * _pair_from_spec(args.b, prec)
-        if args.order:
+        if args.order is not None:
             _emit_triangle(product.triangle(args.order), args.format, args.out)
         else:
             _emit(f"g: {_series_line(product.g)}\nf: {_series_line(product.f)}\n", args.out)
@@ -217,7 +215,7 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.command == "inv":
         inv = parse_pair(args, prec).inverse()
-        if args.order:
+        if args.order is not None:
             _emit_triangle(inv.triangle(args.order), args.format, args.out)
         else:
             _emit(f"g: {_series_line(inv.g)}\nf: {_series_line(inv.f)}\n", args.out)
@@ -229,8 +227,6 @@ def run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "ctransform":
-        if args.order < 1:
-            raise UsageError("order must be >= 1")
         ra = parse_pair(args, max(prec, args.order - 1))
         weight = parse_weight(args.weight, args.order - 1)
         if isinstance(weight, WeightSeq):

@@ -22,8 +22,12 @@ class RiordanError(SeriesError):
     """Invalid Riordan pair or out-of-range entry request."""
 
 
-class RiordanPair:
-    """A proper, normalized Riordan pair (g, f)."""
+class _Pair:
+    """Validation and value semantics shared by the Riordan and quasi pairs.
+
+    Both are built from (g, f) with g(0) = 1 and f of order exactly 1;
+    equality holds only between pairs of the same class.
+    """
 
     __slots__ = ("g", "f")
 
@@ -38,29 +42,42 @@ class RiordanPair:
         object.__setattr__(self, "f", f)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RiordanPair is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def prec(self) -> int:
         return min(self.g.prec, self.f.prec)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RiordanPair):
+        if type(other) is not type(self):
             return NotImplemented
         return self.g == other.g and self.f == other.f
 
     def __hash__(self) -> int:
         return hash((self.g, self.f))
 
-    def agrees_with(self, other: "RiordanPair") -> bool:
+    def agrees_with(self, other: "_Pair") -> bool:
         return self.g.agrees_with(other.g) and self.f.agrees_with(other.f)
 
     def __repr__(self) -> str:
-        return f"RiordanPair(g={self.g!r}, f={self.f!r})"
+        return f"{type(self).__name__}(g={self.g!r}, f={self.f!r})"
 
     @classmethod
-    def identity(cls, prec: int) -> "RiordanPair":
+    def identity(cls, prec: int):
         return cls(Series.one(prec), Series.t(prec))
+
+    def _check_order(self, n: int) -> None:
+        """An n x n section needs n >= 1 and coefficients up to t^(n-1)."""
+        if n < 1:
+            raise RiordanError("order must be >= 1")
+        if n - 1 > self.prec:
+            raise RiordanError(f"order {n} needs precision {n - 1}, have {self.prec}")
+
+
+class RiordanPair(_Pair):
+    """A proper, normalized Riordan pair (g, f)."""
+
+    __slots__ = ()
 
     # -- entries, three independent ways --------------------------------------
 
@@ -71,33 +88,18 @@ class RiordanPair:
             raise RiordanError(f"entry row {n} beyond precision {self.prec}")
 
     def entry_closed(self, n: int, k: int) -> Fraction:
-        """d_{n,k} = [t^n] g*f^k, by repeated multiplication."""
+        """d_{n,k} = [t^n] g*f^k, read from triangle_closed."""
         self._check_range(n, k)
-        col = self.g
-        for _ in range(k):
-            col = col * self.f
-        return col[n]
+        return self.triangle_closed(n + 1).rows[n][k]
 
     def entry_vertical(self, n: int, k: int) -> Fraction:
         """d_{n,k} from column k-1 through the coefficients of f.
 
-        Column 0 is read directly from g; columns k >= 1 use
-        d_{n,k} = sum_{j=1}^{n-k+1} f_j d_{n-j,k-1}, filled in column
-        by column.
+        Read from triangle, which fills d_{n,k} = sum_{j=1}^{n-k+1} f_j
+        d_{n-j,k-1} column by column from column 0 = g.
         """
         self._check_range(n, k)
-        prev = list(self.g.coeffs[: n + 1])
-        for col in range(1, k + 1):
-            prev = [
-                sum(
-                    (self.f[j] * prev[m - j] for j in range(1, m - col + 2)),
-                    Fraction(0),
-                )
-                if m >= col
-                else Fraction(0)
-                for m in range(n + 1)
-            ]
-        return prev[n]
+        return self.triangle(n + 1).rows[n][k]
 
     def entry_nested(self, n: int, k: int) -> Fraction:
         """The k-fold nested sum over f-indices, by direct recursion.
@@ -114,10 +116,7 @@ class RiordanPair:
 
     def triangle(self, n: int) -> Triangle:
         """The n x n leading principal submatrix, via the vertical recursion."""
-        if n < 1:
-            raise RiordanError("order must be >= 1")
-        if n - 1 > self.prec:
-            raise RiordanError(f"order {n} needs precision {n - 1}, have {self.prec}")
+        self._check_order(n)
         cols: list[list[Fraction]] = [list(self.g.coeffs[:n])]
         for k in range(1, n):
             prev = cols[k - 1]
@@ -137,10 +136,7 @@ class RiordanPair:
 
     def triangle_closed(self, n: int) -> Triangle:
         """Same submatrix built from the column generating functions g*f^k."""
-        if n < 1:
-            raise RiordanError("order must be >= 1")
-        if n - 1 > self.prec:
-            raise RiordanError(f"order {n} needs precision {n - 1}, have {self.prec}")
+        self._check_order(n)
         col = self.g.truncate(n - 1)
         f = self.f.truncate(n - 1)
         cols = [col]

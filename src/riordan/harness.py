@@ -6,6 +6,10 @@ range.  The engine walks the range in lexicographic (n, k) order, stops
 at the first mismatch, and turns generator exceptions into an
 "inconclusive" report rather than a silent pass.  There is no tolerance
 parameter: over the rationals equality is equality.
+
+The builtin suite is a table of identities: each row names an identity,
+gives its two described entry routes, the range n_max and the k-policy
+with its report label, and one helper runs every row through verify.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from . import catalog
 from .catalog import (
@@ -25,7 +30,6 @@ from .catalog import (
     remainder_entry,
     rook_entry,
 )
-from .group import RiordanPair
 from .quasi import factorization_check
 from .series import Series
 from .weighted import (
@@ -89,12 +93,7 @@ class VerificationReport:
             "seconds": round(self.seconds, 4),
         }
         if self.counterexample is not None:
-            d["counterexample"] = {
-                "n": self.counterexample.n,
-                "k": self.counterexample.k,
-                "lhs": self.counterexample.lhs,
-                "rhs": self.counterexample.rhs,
-            }
+            d["counterexample"] = asdict(self.counterexample)
         if self.detail:
             d["detail"] = self.detail
         return d
@@ -116,32 +115,24 @@ def verify(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     start = time.perf_counter()
+
+    def report(status: str, counterexample=None, detail: str = ""):
+        seconds = time.perf_counter() - start
+        return VerificationReport(
+            name, n_max, k_policy_name, status, counterexample, detail, seconds
+        )
+
     for n in range(n_max + 1):
         for k in k_policy(n):
             try:
                 left = lhs.eval(n, k)
                 right = rhs.eval(n, k)
             except Exception as exc:  # noqa: BLE001 - reported, never swallowed
-                return VerificationReport(
-                    name,
-                    n_max,
-                    k_policy_name,
-                    "inconclusive",
-                    detail=f"at ({n},{k}): {exc!r}",
-                    seconds=time.perf_counter() - start,
-                )
+                return report("inconclusive", detail=f"at ({n},{k}): {exc!r}")
             if left != right:
-                return VerificationReport(
-                    name,
-                    n_max,
-                    k_policy_name,
-                    "counterexample",
-                    Counterexample(n, k, str(left), str(right)),
-                    seconds=time.perf_counter() - start,
-                )
-    return VerificationReport(
-        name, n_max, k_policy_name, "verified", seconds=time.perf_counter() - start
-    )
+                ce = Counterexample(n, k, str(left), str(right))
+                return report("counterexample", ce)
+    return report("verified")
 
 
 def exit_code(reports: list[VerificationReport]) -> int:
@@ -154,225 +145,62 @@ def exit_code(reports: list[VerificationReport]) -> int:
 
 
 # -- builtin identity suite ---------------------------------------------------
+#
+# Each identity is one row (name, lhs, rhs, n_max, (k_policy, label)), where
+# lhs and rhs are (description, eval) pairs: two independent routes to the
+# same entries.  The labels are part of the report format.
 
-def _tri_gen(tri, description: str) -> EntryGenerator:
-    return EntryGenerator(description, lambda n, k: tri.entry(n, k))
-
-
-def _pascal_vertical_report(n_max: int = 50) -> VerificationReport:
-    lhs = EntryGenerator(
-        "binomial(n,k)", lambda n, k: Fraction(catalog.binomial(n, k))
-    )
-    rhs = EntryGenerator(
-        "sum_{j=1}^{n-k+1} binomial(n-j,k-1)",
-        lambda n, k: Fraction(
-            sum(catalog.binomial(n - j, k - 1) for j in range(1, n - k + 2))
-        ),
-    )
-    return verify(
-        "pascal-vertical-recursion",
-        lhs,
-        rhs,
-        n_max,
-        k_positive,
-        "1 <= k <= n",
-    )
+_FULL = (k_full, "0 <= k <= n")
+_POS = (k_positive, "1 <= k <= n")
+_POS_N1 = (k_positive, "1 <= k <= n, n >= 1")
+_ZERO = (k_zero_only, "k = 0")
+_EXPECTED = ("expected", lambda n, k: Fraction(1))
 
 
-def _fuss_convolution_report(m: int, n_max: int = 25) -> VerificationReport:
-    lhs = EntryGenerator(
+def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
+    """[t^(n-k)] F_m^(k+1) by closed form, by convolution and by series."""
+    fm = catalog.fuss_series(m, n_max)
+    powers = [Series.one(n_max)]
+    for _ in range(n_max + 1):
+        powers.append(powers[-1] * fm)
+    closed = (
         "[t^(n-k)] F_m^(k+1), closed form",
         lambda n, k: fuss_power_coeff(m, n - k, k + 1),
     )
-    rhs = EntryGenerator(
+    convolution = (
         "convolution of F_m coefficients against [t^.] F_m^k",
         lambda n, k: sum(
-            (
-                fuss_power_coeff(m, j, 1) * fuss_power_coeff(m, n - j - k, k)
-                for j in range(n - k + 1)
-            ),
-            Fraction(0),
+            fuss_power_coeff(m, j, 1) * fuss_power_coeff(m, n - j - k, k)
+            for j in range(n - k + 1)
         ),
     )
-    return verify(
-        f"fuss-convolution-m{m}", lhs, rhs, n_max, k_positive, "1 <= k <= n"
-    )
-
-
-def _fuss_triple_report(m: int, n_max: int = 25) -> VerificationReport:
-    """Third route: the same coefficients read from the series F_m^(k+1)."""
-    fm = catalog.fuss_series(m, n_max)
-    powers = {0: Series.one(n_max)}
-    for k in range(1, n_max + 2):
-        powers[k] = powers[k - 1] * fm
-    lhs = EntryGenerator(
-        "[t^(n-k)] F_m^(k+1), closed form",
-        lambda n, k: fuss_power_coeff(m, n - k, k + 1),
-    )
-    rhs = EntryGenerator(
+    series = (
         "[t^(n-k)] of the multiplied-out series F_m^(k+1)",
         lambda n, k: powers[k + 1][n - k],
     )
-    return verify(
-        f"fuss-series-coefficients-m{m}", lhs, rhs, n_max, k_full, "0 <= k <= n"
-    )
+    return [
+        (f"fuss-convolution-m{m}", closed, convolution, n_max, _POS),
+        (f"fuss-series-coefficients-m{m}", closed, series, n_max, _FULL),
+    ]
 
 
-def _catalan_convolution_report(n_max: int = 40) -> VerificationReport:
-    lhs = EntryGenerator(
-        "C(n-k, k+1)", lambda n, k: catalan_power_coeff(n - k, k + 1)
-    )
-    rhs = EntryGenerator(
-        "sum_j C(j,1) C(n-j-k, k)",
-        lambda n, k: sum(
-            (
-                catalan_power_coeff(j, 1) * catalan_power_coeff(n - j - k, k)
-                for j in range(n - k + 1)
-            ),
-            Fraction(0),
-        ),
-    )
-    return verify("catalan-convolution", lhs, rhs, n_max, k_full, "0 <= k <= n")
-
-
-def _fuss_functional_report(m: int, prec: int = 40) -> VerificationReport:
+def _fuss_functional_row(m: int, prec: int = 40) -> tuple:
+    """F_m = 1 + t F_m^m, coefficient by coefficient."""
     fm = catalog.fuss_series(m, prec)
     power = Series.one(prec)
     for _ in range(m):
         power = power * fm
-    rhs_series = Series.one(prec) + power.shift_up().truncate(prec)
-    lhs = EntryGenerator("coefficients of F_m", lambda n, k: fm[n])
-    rhs = EntryGenerator("coefficients of 1 + t F_m^m", lambda n, k: rhs_series[n])
-    return verify(
-        f"fuss-functional-equation-m{m}", lhs, rhs, prec, k_zero_only, "k = 0"
+    rhs = Series.one(prec) + power.shift_up().truncate(prec)
+    return (
+        f"fuss-functional-equation-m{m}",
+        ("coefficients of F_m", lambda n, k: fm[n]),
+        ("coefficients of 1 + t F_m^m", lambda n, k: rhs[n]),
+        prec,
+        _ZERO,
     )
 
 
-def _factorization_report(name: str, ra: RiordanPair, n: int = 24) -> VerificationReport:
-    ok = factorization_check(ra, n)
-    lhs = EntryGenerator("factorization holds", lambda _n, _k: Fraction(int(ok)))
-    rhs = EntryGenerator("expected", lambda _n, _k: Fraction(1))
-    return verify(f"quasi-factorization-{name}", lhs, rhs, 0, k_zero_only, "k = 0")
-
-
-def _rook_horizontal_report(n_max: int = 30) -> VerificationReport:
-    lhs = EntryGenerator("rook entry r_{n,k}", lambda n, k: rook_entry(n, k))
-    rhs = EntryGenerator(
-        "n r_{n-1,k} + (n/k) r_{n-1,k-1}",
-        lambda n, k: n * (rook_entry(n - 1, k) if k <= n - 1 else Fraction(0))
-        + Fraction(n, k) * rook_entry(n - 1, k - 1),
-    )
-    return verify("rook-horizontal", lhs, rhs, n_max, k_positive, "1 <= k <= n, n >= 1")
-
-
-def _k_pos_strict(n: int) -> range:
-    return range(1, n) if n >= 2 else range(0)
-
-
-def _rook_column0_report(n_max: int = 30) -> VerificationReport:
-    lhs = EntryGenerator("r_{n,0}", lambda n, k: rook_entry(n, 0))
-    rhs = EntryGenerator(
-        "n r_{n-1,0}",
-        lambda n, k: Fraction(n) * rook_entry(n - 1, 0) if n >= 1 else Fraction(1),
-    )
-    return verify("rook-column0", lhs, rhs, n_max, k_zero_only, "k = 0")
-
-
-def _rook_vertical_report(n_max: int = 30) -> VerificationReport:
-    lhs = EntryGenerator("rook entry r_{n,k}", lambda n, k: rook_entry(n, k))
-    rhs = EntryGenerator(
-        "sum_j ((n)_j / k) r_{n-j,k-1}",
-        lambda n, k: sum(
-            (
-                Fraction(catalog.falling(n, j), k) * rook_entry(n - j, k - 1)
-                for j in range(1, n - k + 2)
-            ),
-            Fraction(0),
-        ),
-    )
-    return verify("rook-vertical", lhs, rhs, n_max, k_positive, "1 <= k <= n, n >= 1")
-
-
-def _laguerre_horizontal_report(n_max: int = 30) -> VerificationReport:
-    lhs = EntryGenerator("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
-    rhs = EntryGenerator(
-        "L_{n-1,k-1} - (1/(n-k)) L_{n-1,k}",
-        lambda n, k: laguerre_entry(n - 1, k - 1)
-        - Fraction(1, n - k) * laguerre_entry(n - 1, k),
-    )
-    return verify(
-        "laguerre-horizontal", lhs, rhs, n_max, _k_pos_strict, "1 <= k <= n-1"
-    )
-
-
-def _laguerre_column0_report(n_max: int = 30) -> VerificationReport:
-    lhs = EntryGenerator("L_{n,0}", lambda n, k: laguerre_entry(n, 0))
-    rhs = EntryGenerator(
-        "-(1/n) L_{n-1,0}",
-        lambda n, k: -Fraction(1, n) * laguerre_entry(n - 1, 0)
-        if n >= 1
-        else Fraction(1),
-    )
-    return verify("laguerre-column0", lhs, rhs, n_max, k_zero_only, "k = 0")
-
-
-def _laguerre_vertical_report(n_max: int = 30) -> VerificationReport:
-    lhs = EntryGenerator("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
-
-    def rhs_eval(n: int, k: int) -> Fraction:
-        s = sum(
-            (
-                Fraction((-1) ** (j - 1) * math.factorial(n - k - j + 1))
-                * laguerre_entry(n - j, k - 1)
-                for j in range(1, n - k + 2)
-            ),
-            Fraction(0),
-        )
-        return s / math.factorial(n - k)
-
-    rhs = EntryGenerator(
-        "(1/(n-k)!) sum_j (-1)^(j-1) (n-k-j+1)! L_{n-j,k-1}", rhs_eval
-    )
-    return verify("laguerre-vertical", lhs, rhs, n_max, k_positive, "1 <= k <= n, n >= 1")
-
-
-def _rook_expansion_report(n_max: int = 12) -> VerificationReport:
-    lhs = EntryGenerator(
-        "rook expansion checks (coefficientwise, matrix form, telescoped)",
-        lambda n, k: Fraction(int(catalog.rook_poly_expansion_check(n))),
-    )
-    rhs = EntryGenerator("expected", lambda n, k: Fraction(1))
-    return verify("rook-expansion", lhs, rhs, n_max, k_zero_only, "k = 0")
-
-
-def _rook_remainder_consistency_report(n_max: int = 12) -> VerificationReport:
-    lhs = EntryGenerator("r_{n+1,k}", lambda n, k: rook_entry(n + 1, k))
-    rhs = EntryGenerator(
-        "r_{n,k} + E_{n,k}",
-        lambda n, k: (rook_entry(n, k) if k <= n else Fraction(0))
-        + remainder_entry(n, k),
-    )
-    return verify(
-        "rook-remainder-consistency",
-        lhs,
-        rhs,
-        n_max,
-        lambda n: range(0, n + 2),
-        "0 <= k <= n+1",
-    )
-
-
-def _rook_laguerre_classical_report(n_max: int = 12) -> VerificationReport:
-    lhs = EntryGenerator("r_{n,n-k}", lambda n, k: rook_entry(n, n - k))
-    rhs = EntryGenerator(
-        "(-1)^(n-k) n! L_{n,k}",
-        lambda n, k: Fraction((-1) ** (n - k)) * math.factorial(n)
-        * laguerre_entry(n, k),
-    )
-    return verify("rook-laguerre-duality-classical", lhs, rhs, n_max)
-
-
-def _weighted_equivalence_reports(n_max: int = 20) -> list[VerificationReport]:
+def _weighted_rows(n_max: int = 20) -> Iterator[tuple]:
     """Recursion-vs-transform equivalence for each weighted recursion."""
     prec = n_max + 2
     bases = {
@@ -380,97 +208,134 @@ def _weighted_equivalence_reports(n_max: int = 20) -> list[VerificationReport]:
         "catalan_bell": catalog.named_riordan("catalan_bell", prec),
         "fuss_bell3": catalog.named_riordan("fuss_bell", prec, "3"),
     }
-    seq_weights = {
-        "factorial": WeightSeq.factorial(n_max),
-        "power2": WeightSeq.power(2, n_max),
+    c = (c_transform, horiz_recursion_c, vert_recursion_c)
+    C = (C_transform, horiz_recursion_C, vert_recursion_C)
+    weights = {
+        "factorial": (WeightSeq.factorial(n_max), *c),
+        "power2": (WeightSeq.power(2, n_max), *c),
+        "laguerre": (WeightTri.laguerre(n_max), *C),
     }
-    reports = []
+    rows_from_1 = (lambda n: range(n + 1 if n >= 1 else 0), "0 <= k <= n, n >= 1")
     for bname, ra in bases.items():
-        for wname, w in seq_weights.items():
-            x = c_transform(ra, w, n_max + 1)
-            direct = _tri_gen(x.entries, "c-transform entries")
-            reports.append(
-                verify(
-                    f"c-horizontal-{bname}-{wname}",
-                    direct,
-                    EntryGenerator(
-                        "weighted A/Z recursion",
-                        lambda n, k, x=x: horiz_recursion_c(x, n, k),
-                    ),
-                    n_max,
-                    _n_from_1,
-                    "0 <= k <= n, n >= 1",
-                )
-            )
-            reports.append(
-                verify(
-                    f"c-vertical-{bname}-{wname}",
-                    direct,
-                    EntryGenerator(
-                        "weighted vertical recursion",
-                        lambda n, k, x=x: vert_recursion_c(x, n, k),
-                    ),
-                    n_max,
-                    k_positive,
-                    "1 <= k <= n",
-                )
-            )
-        lag = WeightTri.laguerre(n_max)
-        x = C_transform(ra, lag, n_max + 1)
-        direct = _tri_gen(x.entries, "C-transform entries")
-        reports.append(
-            verify(
-                f"C-horizontal-{bname}-laguerre",
-                direct,
-                EntryGenerator(
-                    "weighted A/Z recursion",
-                    lambda n, k, x=x: horiz_recursion_C(x, n, k),
-                ),
-                n_max,
-                _n_from_1,
-                "0 <= k <= n, n >= 1",
-            )
-        )
-        reports.append(
-            verify(
-                f"C-vertical-{bname}-laguerre",
-                direct,
-                EntryGenerator(
-                    "weighted vertical recursion",
-                    lambda n, k, x=x: vert_recursion_C(x, n, k),
-                ),
-                n_max,
-                k_positive,
-                "1 <= k <= n",
-            )
-        )
-    return reports
+        for wname, (w, transform, horiz, vert) in weights.items():
+            x = transform(ra, w, n_max + 1)
+            direct = (f"{x.kind}-transform entries", x.entries.entry)
+            tag = f"{bname}-{wname}"
+            horiz_route = ("weighted A/Z recursion", partial(horiz, x))
+            vert_route = ("weighted vertical recursion", partial(vert, x))
+            yield f"{x.kind}-horizontal-{tag}", direct, horiz_route, n_max, rows_from_1
+            yield f"{x.kind}-vertical-{tag}", direct, vert_route, n_max, _POS
 
 
-def _n_from_1(n: int) -> range:
-    return range(0, n + 1) if n >= 1 else range(0)
+def _rows() -> Iterator[tuple]:
+    """The builtin identities in report order, each built just before use."""
+    binomial = ("binomial(n,k)", lambda n, k: Fraction(catalog.binomial(n, k)))
+    binomial_vertical = (
+        "sum_{j=1}^{n-k+1} binomial(n-j,k-1)",
+        lambda n, k: Fraction(
+            sum(catalog.binomial(n - j, k - 1) for j in range(1, n - k + 2))
+        ),
+    )
+    yield "pascal-vertical-recursion", binomial, binomial_vertical, 50, _POS
+    for m in range(1, 6):
+        yield from _fuss_rows(m)
+    catalan = ("C(n-k, k+1)", lambda n, k: catalan_power_coeff(n - k, k + 1))
+    catalan_convolution = (
+        "sum_j C(j,1) C(n-j-k, k)",
+        lambda n, k: sum(
+            catalan_power_coeff(j, 1) * catalan_power_coeff(n - j - k, k)
+            for j in range(n - k + 1)
+        ),
+    )
+    yield "catalan-convolution", catalan, catalan_convolution, 40, _FULL
+    for m in range(1, 6):
+        yield _fuss_functional_row(m)
+    for name, ra in catalog.corpus(prec=32).items():
+        holds = Fraction(int(factorization_check(ra, 24)))
+        lhs = ("factorization holds", lambda n, k, holds=holds: holds)
+        yield f"quasi-factorization-{name}", lhs, _EXPECTED, 0, _ZERO
+    yield from _closed_form_rows()
+    yield from _weighted_rows()
+
+
+def _closed_form_rows() -> list[tuple]:
+    """The rook and Laguerre recursions against their closed forms."""
+    rook = ("rook entry r_{n,k}", lambda n, k: rook_entry(n, k))
+    rook_horizontal = (
+        "n r_{n-1,k} + (n/k) r_{n-1,k-1}",
+        lambda n, k: n * (rook_entry(n - 1, k) if k <= n - 1 else Fraction(0))
+        + Fraction(n, k) * rook_entry(n - 1, k - 1),
+    )
+    rook0 = ("r_{n,0}", lambda n, k: rook_entry(n, 0))
+    rook0_recursion = (
+        "n r_{n-1,0}",
+        lambda n, k: Fraction(n) * rook_entry(n - 1, 0) if n >= 1 else Fraction(1),
+    )
+    rook_vertical = (
+        "sum_j ((n)_j / k) r_{n-j,k-1}",
+        lambda n, k: sum(
+            Fraction(catalog.falling(n, j), k) * rook_entry(n - j, k - 1)
+            for j in range(1, n - k + 2)
+        ),
+    )
+    lag = ("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
+    lag_horizontal = (
+        "L_{n-1,k-1} - (1/(n-k)) L_{n-1,k}",
+        lambda n, k: laguerre_entry(n - 1, k - 1)
+        - Fraction(1, n - k) * laguerre_entry(n - 1, k),
+    )
+    lag0 = ("L_{n,0}", lambda n, k: laguerre_entry(n, 0))
+    lag0_recursion = (
+        "-(1/n) L_{n-1,0}",
+        lambda n, k: -Fraction(1, n) * laguerre_entry(n - 1, 0)
+        if n >= 1
+        else Fraction(1),
+    )
+    lag_vertical = (
+        "(1/(n-k)!) sum_j (-1)^(j-1) (n-k-j+1)! L_{n-j,k-1}",
+        lambda n, k: sum(
+            Fraction((-1) ** (j - 1) * math.factorial(n - k - j + 1))
+            * laguerre_entry(n - j, k - 1)
+            for j in range(1, n - k + 2)
+        )
+        / math.factorial(n - k),
+    )
+    expansion = (
+        "rook expansion checks (coefficientwise, matrix form, telescoped)",
+        lambda n, k: Fraction(int(catalog.rook_poly_expansion_check(n))),
+    )
+    rook_next = ("r_{n+1,k}", lambda n, k: rook_entry(n + 1, k))
+    rook_plus_remainder = (
+        "r_{n,k} + E_{n,k}",
+        lambda n, k: (rook_entry(n, k) if k <= n else Fraction(0))
+        + remainder_entry(n, k),
+    )
+    rook_reversed = ("r_{n,n-k}", lambda n, k: rook_entry(n, n - k))
+    lag_scaled = (
+        "(-1)^(n-k) n! L_{n,k}",
+        lambda n, k: Fraction((-1) ** (n - k))
+        * math.factorial(n)
+        * laguerre_entry(n, k),
+    )
+    strict = (lambda n: range(1, n), "1 <= k <= n-1")
+    past_diag = (lambda n: range(0, n + 2), "0 <= k <= n+1")
+    return [
+        ("rook-horizontal", rook, rook_horizontal, 30, _POS_N1),
+        ("rook-column0", rook0, rook0_recursion, 30, _ZERO),
+        ("rook-vertical", rook, rook_vertical, 30, _POS_N1),
+        ("laguerre-horizontal", lag, lag_horizontal, 30, strict),
+        ("laguerre-column0", lag0, lag0_recursion, 30, _ZERO),
+        ("laguerre-vertical", lag, lag_vertical, 30, _POS_N1),
+        ("rook-expansion", expansion, _EXPECTED, 12, _ZERO),
+        ("rook-remainder-consistency", rook_next, rook_plus_remainder, 12, past_diag),
+        ("rook-laguerre-duality-classical", rook_reversed, lag_scaled, 12, _FULL),
+    ]
+
+
+def _check(name, lhs, rhs, n_max: int, policy) -> VerificationReport:
+    return verify(name, EntryGenerator(*lhs), EntryGenerator(*rhs), n_max, *policy)
 
 
 def builtin_suite() -> list[VerificationReport]:
     """One report per numbered identity, at the documented default ranges."""
-    reports: list[VerificationReport] = []
-    reports.append(_pascal_vertical_report())
-    for m in range(1, 6):
-        reports.append(_fuss_convolution_report(m))
-        reports.append(_fuss_triple_report(m))
-    reports.append(_catalan_convolution_report())
-    for m in range(1, 6):
-        reports.append(_fuss_functional_report(m))
-    for name, ra in catalog.corpus(prec=32).items():
-        reports.append(_factorization_report(name, ra, n=24))
-    reports.append(_rook_horizontal_report())
-    reports.append(_rook_column0_report())
-    reports.append(_rook_vertical_report())
-    reports.append(_laguerre_horizontal_report())
-    reports.append(_laguerre_column0_report())
-    reports.append(_laguerre_vertical_report())
-    reports.append(_rook_expansion_report())
-    reports.append(_rook_remainder_consistency_report())
-    reports.append(_rook_laguerre_classical_report())
-    reports.extend(_weighted_equivalence_reports())
-    return reports
+    return [_check(*row) for row in _rows()]

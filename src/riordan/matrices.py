@@ -13,11 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-def format_rational(x: Fraction) -> str:
-    """p/q with /1 suppressed (Fraction's own str does exactly this)."""
-    return str(x)
-
-
 class Triangle:
     """An n x n lower-triangular matrix, stored as ragged rows."""
 
@@ -112,12 +107,10 @@ class Triangle:
     # -- serialization (stable: row-major, row 0 first) -----------------------
 
     def to_csv(self) -> str:
-        return "\n".join(
-            ",".join(format_rational(x) for x in row) for row in self.rows
-        ) + "\n"
+        return "\n".join(",".join(str(x) for x in row) for row in self.rows) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps([[format_rational(x) for x in row] for row in self.rows])
+        return json.dumps([[str(x) for x in row] for row in self.rows])
 
     @classmethod
     def from_csv(cls, text: str) -> "Triangle":

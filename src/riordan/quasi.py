@@ -10,50 +10,15 @@ component.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .group import RiordanError, RiordanPair
+from .group import RiordanPair, _Pair
 from .matrices import Triangle, direct_sum_one
 from .series import Series
 
 
-class QuasiRiordan:
+class QuasiRiordan(_Pair):
     """A quasi-Riordan pair [g, f]: g(0) = 1, f of order exactly 1."""
 
-    __slots__ = ("g", "f")
-
-    def __init__(self, g: Series, f: Series):
-        if g.coeffs[0] != 1:
-            raise RiordanError("g(0) must be 1")
-        if f.order() != 1:
-            raise RiordanError("f must have order exactly 1")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiRiordan is immutable")
-
-    @property
-    def prec(self) -> int:
-        return min(self.g.prec, self.f.prec)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuasiRiordan):
-            return NotImplemented
-        return self.g == other.g and self.f == other.f
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.f))
-
-    def agrees_with(self, other: "QuasiRiordan") -> bool:
-        return self.g.agrees_with(other.g) and self.f.agrees_with(other.f)
-
-    def __repr__(self) -> str:
-        return f"QuasiRiordan(g={self.g!r}, f={self.f!r})"
-
-    @classmethod
-    def identity(cls, prec: int) -> "QuasiRiordan":
-        return cls(Series.one(prec), Series.t(prec))
+    __slots__ = ()
 
     @classmethod
     def of_pair(cls, ra: RiordanPair) -> "QuasiRiordan":
@@ -61,10 +26,7 @@ class QuasiRiordan:
 
     def matrix(self, n: int) -> Triangle:
         """The n x n section: column 0 is g, column j >= 1 is t^{j-1} f."""
-        if n < 1:
-            raise RiordanError("order must be >= 1")
-        if n - 1 > self.prec:
-            raise RiordanError(f"order {n} needs precision {n - 1}, have {self.prec}")
+        self._check_order(n)
         rows = []
         for i in range(n):
             row = [self.g[i]]
@@ -102,8 +64,6 @@ class QuasiRiordan:
 
 def factorization_check(ra: RiordanPair, n: int) -> bool:
     """Does (g,f)_n = [g,f]_n ([1] (+) (g,f)_{n-1}) hold exactly?"""
-    if n < 1:
-        raise RiordanError("order must be >= 1")
     left = ra.triangle(n)
     quasi = QuasiRiordan.of_pair(ra).matrix(n)
     if n == 1:

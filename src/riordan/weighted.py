@@ -2,13 +2,16 @@
 
 A weight sequence c (c_0 = 1, all c_k nonzero) rescales a Riordan array's
 entries to (c_n/c_k) d_{n,k}; a weight triangle C rescales them to
-(c_{n,n}/c_{n,k}) d_{n,k}.  The (c)-weighted arrays again form a group
-under matrix multiplication; the (C)-class does not, so the group law
-here rejects C-weighted inputs.  The horizontal recursions reuse the base
-array's A/Z-sequences and the vertical recursions reuse the coefficients
-of f, in both cases with weight-ratio corrections, which is what turns
-the linear Riordan recursions into nonlinear recursions like those of the
-rook and Laguerre triangles.
+(c_{n,n}/c_{n,k}) d_{n,k}.  A (c)-weight is handled as the (C)-weight
+c_{n,k} = c_k, for which c_{n,n}/c_{n,k} = c_n/c_k: one transform and one
+pair of recursions, over a weight accessor w(n, k), serve both kinds.
+The (c)-weighted arrays again form a group under matrix multiplication;
+the (C)-class does not, so the group law here rejects C-weighted inputs.
+The horizontal recursions reuse the base array's A/Z-sequences and the
+vertical recursions reuse the coefficients of f, in both cases with
+weight-ratio corrections, which is what turns the linear Riordan
+recursions into nonlinear recursions like those of the rook and Laguerre
+triangles.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .catalog import falling
 from .group import RiordanPair
@@ -150,27 +153,40 @@ class WeightedTriangle:
         return self.entries.n
 
 
+def _weight_fn(weight: Weight) -> Callable[[int, int], Fraction]:
+    """The weight as w(n, k): c_k for a (c)-weight, c_{n,k} for a (C)-weight."""
+    if isinstance(weight, WeightSeq):
+        return lambda n, k: weight[k]
+    return weight.at
+
+
+def _expect(x: WeightedTriangle, kind: str) -> None:
+    if x.kind != kind:
+        raise WeightError(f"expected a ({kind})-weighted triangle")
+
+
+def _transform(ra: RiordanPair, weight: Weight, n: int) -> WeightedTriangle:
+    """Entries (w(i, i) / w(i, j)) d_{i,j} for the first n rows."""
+    w = _weight_fn(weight)
+    tri = ra.triangle(n)
+    rows = [
+        [w(i, i) / w(i, j) * tri.rows[i][j] for j in range(i + 1)] for i in range(n)
+    ]
+    return WeightedTriangle(ra, weight, Triangle(rows))
+
+
 def c_transform(ra: RiordanPair, c: WeightSeq, n: int) -> WeightedTriangle:
     """Entries (c_n / c_k) d_{n,k} from the first n rows of (g, f)."""
     if len(c) < n:
         raise WeightError(f"weight sequence too short: {len(c)} < {n}")
-    tri = ra.triangle(n)
-    rows = [
-        [c[i] / c[j] * tri.rows[i][j] for j in range(i + 1)] for i in range(n)
-    ]
-    return WeightedTriangle(ra, c, Triangle(rows))
+    return _transform(ra, c, n)
 
 
 def C_transform(ra: RiordanPair, C: WeightTri, n: int) -> WeightedTriangle:
     """Entries (c_{n,n} / c_{n,k}) d_{n,k}."""
     if len(C) < n:
         raise WeightError(f"weight triangle too short: {len(C)} < {n}")
-    tri = ra.triangle(n)
-    rows = [
-        [C.at(i, i) / C.at(i, j) * tri.rows[i][j] for j in range(i + 1)]
-        for i in range(n)
-    ]
-    return WeightedTriangle(ra, C, Triangle(rows))
+    return _transform(ra, C, n)
 
 
 def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
@@ -194,92 +210,75 @@ def _az_of(base: RiordanPair) -> tuple[Series, Series]:
     return az.a, az.z
 
 
-def horiz_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k) of a (c)-weighted triangle from row n-1.
+def _horiz(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k) from row n-1, for either weight kind.
 
     Column 0 uses the Z-sequence, columns k >= 1 the A-sequence, each
-    weighted by the appropriate c-ratios.  The A/Z sequences are always
-    recomputed from the base pair, never supplied by the caller.
+    weighted by the appropriate weight ratios.  The A/Z sequences are
+    always recomputed from the base pair, never supplied by the caller.
     """
-    if x.kind != "c":
-        raise WeightError("expected a (c)-weighted triangle")
     if n < 1 or not 0 <= k <= n:
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    c: WeightSeq = x.weight
+    w = _weight_fn(x.weight)
     a, z = _az_of(x.base)
     prev = x.entries.rows[n - 1]
+    ratio = w(n, n) / w(n - 1, n - 1)
     if k == 0:
-        s = sum((z[j] * c[j] * prev[j] for j in range(n)), Fraction(0))
-        return c[n] / c[n - 1] * s
-    s = sum(
-        (a[j] * c[k - 1 + j] * prev[k - 1 + j] for j in range(n - k + 1)),
-        Fraction(0),
-    )
-    return c[n] / (c[n - 1] * c[k]) * s
-
-
-def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k) of a (C)-weighted triangle from row n-1."""
-    if x.kind != "C":
-        raise WeightError("expected a (C)-weighted triangle")
-    if n < 1 or not 0 <= k <= n:
-        raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    C: WeightTri = x.weight
-    a, z = _az_of(x.base)
-    prev = x.entries.rows[n - 1]
-    ratio = C.at(n, n) / C.at(n - 1, n - 1)
-    if k == 0:
-        s = sum((z[j] * C.at(n - 1, j) * prev[j] for j in range(n)), Fraction(0))
+        s = sum((z[j] * w(n - 1, j) * prev[j] for j in range(n)), Fraction(0))
         return ratio * s
     s = sum(
         (
-            a[j] * C.at(n - 1, k - 1 + j) * prev[k - 1 + j]
+            a[j] * w(n - 1, k - 1 + j) * prev[k - 1 + j]
             for j in range(n - k + 1)
         ),
         Fraction(0),
     )
-    return ratio / C.at(n, k) * s
+    return ratio / w(n, k) * s
+
+
+def horiz_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k) of a (c)-weighted triangle from row n-1."""
+    _expect(x, "c")
+    return _horiz(x, n, k)
+
+
+def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k) of a (C)-weighted triangle from row n-1."""
+    _expect(x, "C")
+    return _horiz(x, n, k)
 
 
 # -- vertical recursions (f-coefficients with weight ratios) ------------------
 
-def vert_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k), k >= 1, of a (c)-weighted triangle from column k-1."""
-    if x.kind != "c":
-        raise WeightError("expected a (c)-weighted triangle")
+def _vert(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k), k >= 1, from column k-1, for either weight kind."""
     if not 1 <= k <= n:
         raise WeightError(f"vertical recursion needs 1 <= k <= n, got ({n},{k})")
-    c: WeightSeq = x.weight
-    f = x.base.f
-    s = sum(
-        (
-            f[j] * c[k - 1] / c[n - j] * x.entries.rows[n - j][k - 1]
-            for j in range(1, n - k + 2)
-        ),
-        Fraction(0),
-    )
-    return c[n] / c[k] * s
-
-
-def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k), k >= 1, of a (C)-weighted triangle from column k-1."""
-    if x.kind != "C":
-        raise WeightError("expected a (C)-weighted triangle")
-    if not 1 <= k <= n:
-        raise WeightError(f"vertical recursion needs 1 <= k <= n, got ({n},{k})")
-    C: WeightTri = x.weight
+    w = _weight_fn(x.weight)
     f = x.base.f
     s = sum(
         (
             f[j]
-            * C.at(n - j, k - 1)
-            / C.at(n - j, n - j)
+            * w(n - j, k - 1)
+            / w(n - j, n - j)
             * x.entries.rows[n - j][k - 1]
             for j in range(1, n - k + 2)
         ),
         Fraction(0),
     )
-    return C.at(n, n) / C.at(n, k) * s
+    return w(n, n) / w(n, k) * s
+
+
+def vert_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k), k >= 1, of a (c)-weighted triangle from column k-1."""
+    _expect(x, "c")
+    return _vert(x, n, k)
+
+
+def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k), k >= 1, of a (C)-weighted triangle from column k-1."""
+    _expect(x, "C")
+    return _vert(x, n, k)
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

@@ -200,6 +200,23 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")
         assert code == 64
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "--name", "pascal"),
+            ("quasi", "--name", "pascal"),
+            ("mul", "--a", "pascal", "--b", "pascal"),
+            ("inv", "--name", "pascal"),
+            ("ctransform", "--name", "pascal", "--weight", "factorial"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_nonpositive_order_is_usage_error(self, capsys, argv, order):
+        code, _, err = run_cli(capsys, *argv, "--order", order)
+        assert code == 64
+        assert "order" in err
+
     def test_invalid_pair_is_math_error(self, capsys):
         # g(0) != 1 is rejected by the constructor
         code, _, _ = run_cli(

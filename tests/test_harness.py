@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +145,13 @@ class TestBuiltinSuite:
     def test_report_names_unique(self):
         names = [r.name for r in builtin_suite()]
         assert len(names) == len(set(names))
+
+    def test_reports_match_reference(self):
+        # names, order, ranges, labels and statuses are the report format
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "bench/reference/verify_builtin.json", encoding="utf-8") as fh:
+            reference = json.load(fh)
+        reports = [r.to_dict() for r in builtin_suite()]
+        for d in reports:
+            del d["seconds"]
+        assert reports == reference

@@ -50,6 +50,13 @@ class TestMatrixLayout:
         appell = RiordanPair(g, Series.t(16))
         assert q.matrix(10) == appell.triangle(10)
 
+    def test_equality_needs_the_same_class(self):
+        # [g, f] and (g, f) are different arrays built from the same data
+        ra = named_riordan("pascal", 8)
+        q = QuasiRiordan.of_pair(ra)
+        assert q == QuasiRiordan(ra.g, ra.f)
+        assert q != ra and ra != q
+
 
 class TestAction:
     def test_identity_action(self):

@@ -82,6 +82,17 @@ class TestWeights:
         for n in range(5):
             for k in range(n + 1):
                 assert C.at(n, k) == c[k]
+        # the (c) and (C) paths agree on the embedded weight
+        ra = named_riordan("catalan_bell", 16)
+        c = WeightSeq.factorial(12)
+        x = c_transform(ra, c, 12)
+        y = C_transform(ra, WeightTri.from_seq(c), 12)
+        assert x.entries == y.entries
+        for n in range(1, 12):
+            for k in range(n + 1):
+                assert horiz_recursion_c(x, n, k) == horiz_recursion_C(y, n, k), (n, k)
+            for k in range(1, n + 1):
+                assert vert_recursion_c(x, n, k) == vert_recursion_C(y, n, k), (n, k)
 
 
 class TestTransforms:
