@@ -1,0 +1,49 @@
+"""Value semantics shared by the library's immutable types.
+
+Series, sections, weights and pairs are values: they cannot be changed
+after construction, and two of them are equal, hash equal and interchange
+as dict keys exactly when their class and contents agree.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from riordan import QuasiRiordan, Series, Triangle, WeightSeq, WeightTri
+from riordan.catalog import named_riordan
+
+ROWS = [[1], [1, 2], [1, Fraction(1, 3), 4]]
+
+# (constructor, the attributes it stores)
+VALUES = {
+    "Series": (lambda: Series([1, Fraction(1, 2), 3]), ("coeffs",)),
+    "Triangle": (lambda: Triangle(ROWS), ("rows",)),
+    "WeightSeq": (lambda: WeightSeq([1, 2, Fraction(1, 6)]), ("c",)),
+    "WeightTri": (lambda: WeightTri(ROWS), ("rows",)),
+    "RiordanPair": (lambda: named_riordan("pascal", 6), ("g", "f")),
+    "QuasiRiordan": (
+        lambda: QuasiRiordan.of_pair(named_riordan("catalan_bell", 6)),
+        ("g", "f"),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, fields", VALUES.values(), ids=VALUES.keys())
+def test_value_semantics(make, fields):
+    a, b = make(), make()
+    assert a is not b
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name, None))
+    assert a == b
+    assert not a != b
+    assert hash(a) == hash(b)
+    table = {a: "first"}
+    table[b] = "second"
+    assert len(table) == 1
+    assert table[a] == "second"
+
+
+def test_equality_needs_the_same_class():
+    assert Triangle(ROWS) != WeightTri(ROWS)
+    assert WeightTri(ROWS) != Triangle(ROWS)

@@ -66,6 +66,15 @@ class TestWeights:
         with pytest.raises(WeightError):
             WeightSeq([1, 0, 1])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[1], [1]], [[1], [1, 2, 3]], [[1], [2, 1]], [[1], [1, 0]]],
+        ids=["empty", "short-row", "long-row", "bad-start", "zero-entry"],
+    )
+    def test_tri_rejects_bad_table(self, rows):
+        with pytest.raises(WeightError):
+            WeightTri(rows)
+
     def test_laguerre_triangle_weights(self):
         C = WeightTri.laguerre(4)
         # c_{n,k} = (-1)^k / (n)_k with (n)_0 = 1
