@@ -134,11 +134,14 @@ def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
 
 
 def rook_poly_expansion_check(n: int) -> bool:
-    """The three expansion facts tying r_n, r_{n+1}, and r(E_n, x) together.
+    """The two expansion facts tying r_n, r_{n+1}, and r(E_n, x) together.
 
-    (i)   r_{n+1}(x) = x r_n(x) + r(E_n, x), coefficientwise;
-    (ii)  r_{n+1,k} = r_{n,k} + E_{n,k} for 0 <= k <= n+1;
-    (iii) r_{n+1}(x) = sum_{k=0}^{n} x^{n-k} r(E_k, x) + x^{n+1}.
+    (i)  r_{n+1}(x) = x r_n(x) + r(E_n, x), coefficientwise;
+    (ii) r_{n+1}(x) = sum_{k=0}^{n} x^{n-k} r(E_k, x) + x^{n+1}.
+
+    The entrywise form r_{n+1,k} = r_{n,k} + E_{n,k} is (i) read at the
+    coefficient of x^(n+1-k); the builtin suite's rook-remainder-consistency
+    row checks it entry by entry.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -148,11 +151,6 @@ def rook_poly_expansion_check(n: int) -> bool:
     rem = remainder_poly(n)
     if [a + b for a, b in zip(shifted, rem)] != target:
         return False
-
-    for k in range(n + 2):
-        r_old = rook_entry(n, k) if k <= n else Fraction(0)
-        if rook_entry(n + 1, k) != r_old + remainder_entry(n, k):
-            return False
 
     acc = [Fraction(0)] * (n + 2)
     acc[n + 1] = Fraction(1)
@@ -225,12 +223,13 @@ def named_riordan(name: str, prec: int, param: str | None = None) -> RiordanPair
     if name == "fuss_bell":
         f = fuss_series(_param(param, int) if param else 3, prec)
         return RiordanPair(f, f.shift_up().truncate(prec))
-    if name == "appell":
-        g = named_series(param, prec) if param else Series.geometric(prec)
-        return RiordanPair(g, Series.t(prec))
-    if name == "lagrange":
-        u = named_series(param, prec) if param else Series.geometric(prec)
-        return RiordanPair(Series.one(prec), u.shift_up().truncate(prec))
+    if name in ("appell", "lagrange"):
+        # the series spec may carry its own parameter, e.g. appell:fuss:3
+        series_name, _, series_param = (param or "geometric").partition(":")
+        s = named_series(series_name, prec, series_param or None)
+        if name == "appell":
+            return RiordanPair(s, Series.t(prec))
+        return RiordanPair(Series.one(prec), s.shift_up().truncate(prec))
     raise CatalogError(f"unknown Riordan pair name: {name!r}")
 
 

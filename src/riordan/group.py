@@ -22,6 +22,7 @@ class RiordanError(SeriesError):
     """Invalid Riordan pair or out-of-range entry request."""
 
 
+@dataclass(frozen=True)
 class _Pair:
     """Validation and value semantics shared by the Riordan and quasi pairs.
 
@@ -31,36 +32,23 @@ class _Pair:
 
     __slots__ = ("g", "f")
 
-    def __init__(self, g: Series, f: Series):
-        if g.coeffs[0] != 1:
+    g: Series
+    f: Series
+
+    def __post_init__(self):
+        if self.g.coeffs[0] != 1:
             # The Z-sequence formula assumes the g(0) = 1 normalization;
             # rescaling silently would change the array, so reject.
             raise RiordanError("g(0) must be 1")
-        if f.order() != 1:
+        if self.f.order() != 1:
             raise RiordanError("f must have order exactly 1")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def prec(self) -> int:
         return min(self.g.prec, self.f.prec)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.g == other.g and self.f == other.f
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.f))
-
     def agrees_with(self, other: "_Pair") -> bool:
         return self.g.agrees_with(other.g) and self.f.agrees_with(other.f)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(g={self.g!r}, f={self.f!r})"
 
     @classmethod
     def identity(cls, prec: int):
@@ -182,11 +170,12 @@ class RiordanPair(_Pair):
             RiordanPair(Series.one(p), self.f),
         )
 
-    def subgroups(self, bell_max: int = 8) -> set[str]:
+    def subgroups(self) -> set[str]:
         """Labels of the named subgroups this pair sits in.
 
         Decided by exact series comparison at the working precision, so a
         label means "holds up to prec", not a proof for the infinite array.
+        The k-Bell subgroups f = t g^k are tried for k = 1..8.
         """
         labels: set[str] = set()
         p = self.prec
@@ -197,7 +186,7 @@ class RiordanPair(_Pair):
         if self.g.agrees_with(one):
             labels.add("lagrange")
         gk = self.g
-        for k in range(1, bell_max + 1):
+        for k in range(1, 9):
             if self.f.agrees_with(gk.shift_up()):
                 labels.add(f"{k}-bell")
             gk = gk * self.g
@@ -255,15 +244,14 @@ def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     return Triangle(rows)
 
 
-def a_sequence_by_solve(ra: RiordanPair, length: int, order: int | None = None) -> list[Fraction]:
+def a_sequence_by_solve(ra: RiordanPair, length: int) -> list[Fraction]:
     """The A-sequence from the linear system d_{n+1,k+1} = sum a_j d_{n,k+j}.
 
     Independent of the (f/t)(fbar) closed form; used as its oracle.  The
-    system from rows of triangle(order) is triangular in the a_j because
-    the diagonal entries are nonzero.
+    system from the rows of triangle(length + 2) is triangular in the a_j
+    because the diagonal entries are nonzero.
     """
-    m = order if order is not None else length + 2
-    tri = ra.triangle(m)
+    tri = ra.triangle(length + 2)
     a: list[Fraction] = []
     # Take equations along the top diagonal band: the equation at
     # (n+1, k+1) = (j+1, 1) with row n = j introduces a_j with the

@@ -301,7 +301,7 @@ def _closed_form_rows() -> list[tuple]:
         / math.factorial(n - k),
     )
     expansion = (
-        "rook expansion checks (coefficientwise, matrix form, telescoped)",
+        "rook expansion checks (coefficientwise, telescoped)",
         lambda n, k: Fraction(int(catalog.rook_poly_expansion_check(n))),
     )
     rook_next = ("r_{n+1,k}", lambda n, k: rook_entry(n + 1, k))

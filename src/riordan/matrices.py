@@ -9,10 +9,12 @@ two is documentary.  Rows are ragged: row i holds entries for columns
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+@dataclass(frozen=True)
 class Triangle:
     """An n x n lower-triangular matrix, stored as ragged rows."""
 
@@ -30,9 +32,6 @@ class Triangle:
         if not self.rows:
             raise ValueError("empty triangle")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Triangle is immutable")
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -43,14 +42,6 @@ class Triangle:
         if j > i:
             return Fraction(0)
         return self.rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"Triangle(n={self.n})"

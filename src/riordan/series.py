@@ -24,6 +24,7 @@ arithmetic gives.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -126,9 +127,13 @@ def _krecip(a: Sequence[int], n: int) -> tuple[list[int], int]:
     return r, e
 
 
+@dataclass(frozen=True)
 class Series:
     """An immutable truncated power series: coefficients 0..prec."""
 
+    # The value classes list __slots__ by hand rather than pass slots=True:
+    # on Python 3.11 the generated __setattr__ of a slots=True copy raises
+    # TypeError, not AttributeError, for a name that is not a field.
     __slots__ = ("coeffs",)
 
     coeffs: tuple[Fraction, ...]
@@ -137,9 +142,6 @@ class Series:
         object.__setattr__(self, "coeffs", tuple(_rat(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     # -- construction helpers -------------------------------------------------
 
@@ -200,14 +202,6 @@ class Series:
 
     def is_zero(self) -> bool:
         return self.order() is None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def agrees_with(self, other: "Series") -> bool:
         """Exact coefficient equality up to the shared precision."""

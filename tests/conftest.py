@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from riordan import RiordanPair, Series
 from riordan.catalog import corpus, named_riordan, random_pair
+from riordan.harness import builtin_suite
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -40,6 +41,12 @@ def catalan_bell():
 @pytest.fixture(scope="session")
 def ten_pairs():
     return corpus(prec=48)
+
+
+@pytest.fixture(scope="session")
+def builtin_reports():
+    """The builtin suite's reports, computed once per test session."""
+    return tuple(builtin_suite())
 
 
 def random_pairs(count: int, prec: int, seed: int = 7) -> list[RiordanPair]:

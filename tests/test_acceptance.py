@@ -31,7 +31,7 @@ from riordan.catalog import (
     rook_entry,
 )
 from riordan.cli import main
-from riordan.harness import EntryGenerator, builtin_suite, exit_code, verify
+from riordan.harness import EntryGenerator, exit_code, verify
 
 F = Fraction
 
@@ -134,8 +134,8 @@ def test_05b_generalized_duality_on_catalan_base():
     check("rook/Laguerre duality on the Catalan Bell base", ok)
 
 
-def test_06_identity_suite_and_fault_injection():
-    reports = builtin_suite()
+def test_06_identity_suite_and_fault_injection(builtin_reports):
+    reports = builtin_reports
     ok = exit_code(reports) == 0 and all(r.status == "verified" for r in reports)
 
     def bad(n, k):

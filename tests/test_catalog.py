@@ -162,6 +162,12 @@ class TestRegistry:
         tri = ra.triangle(6)
         assert [tri.entry(i, 0) for i in range(6)] == [1, 1, 3, 12, 55, 273]
 
+    def test_named_riordan_nested_series_spec(self):
+        assert named_riordan("appell", 8, "fuss:3").g == fuss_series(3, 8)
+        lagrange = named_riordan("lagrange", 8, "geometric:2")
+        assert lagrange.f == Series.geometric(8, 2).shift_up().truncate(8)
+        assert named_riordan("appell", 8) == named_riordan("appell", 8, "geometric")
+
     def test_named_riordan_pascal(self):
         tri = named_riordan("pascal", 8).triangle(5)
         assert list(tri.rows[4]) == [1, 4, 6, 4, 1]

@@ -53,6 +53,21 @@ class TestTriangle:
         assert code == 0
         assert out.splitlines()[1] == "1,1"
 
+    @pytest.mark.parametrize(
+        "name, g, f",
+        [
+            ("appell:fuss:3", "fuss:3", "0,1"),
+            ("lagrange:geometric:2", "1", "0,1,2,4,8"),
+        ],
+    )
+    def test_nested_series_spec(self, capsys, name, g, f):
+        code, out, _ = run_cli(capsys, "triangle", "--name", name, "--order", "4")
+        assert code == 0
+        _, explicit, _ = run_cli(
+            capsys, "triangle", "--g", g, "--f", f, "--order", "4"
+        )
+        assert out == explicit
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "tri.csv"
         code, out, _ = run_cli(
@@ -232,6 +247,7 @@ class TestErrors:
         "argv",
         [
             ("triangle", "--name", "fuss_bell:x", "--order", "4"),
+            ("triangle", "--name", "appell:fuss:x", "--order", "4"),
             ("triangle", "--g", "fuss:x", "--f", "0,1", "--order", "4"),
             ("triangle", "--g", "geometric:1/0", "--f", "0,1", "--order", "4"),
             ("ctransform", "--name", "pascal", "--weight", "power:x", "--order", "4"),

@@ -9,7 +9,6 @@ import pytest
 from riordan.harness import (
     Counterexample,
     EntryGenerator,
-    builtin_suite,
     exit_code,
     k_full,
     k_positive,
@@ -136,22 +135,21 @@ class TestJson:
 
 
 class TestBuiltinSuite:
-    def test_all_verified(self):
-        reports = builtin_suite()
-        failed = [r.name for r in reports if r.status != "verified"]
+    def test_all_verified(self, builtin_reports):
+        failed = [r.name for r in builtin_reports if r.status != "verified"]
         assert failed == []
-        assert exit_code(reports) == 0
+        assert exit_code(builtin_reports) == 0
 
-    def test_report_names_unique(self):
-        names = [r.name for r in builtin_suite()]
+    def test_report_names_unique(self, builtin_reports):
+        names = [r.name for r in builtin_reports]
         assert len(names) == len(set(names))
 
-    def test_reports_match_reference(self):
+    def test_reports_match_reference(self, builtin_reports):
         # names, order, ranges, labels and statuses are the report format
         root = Path(__file__).resolve().parents[1]
         with open(root / "bench/reference/verify_builtin.json", encoding="utf-8") as fh:
             reference = json.load(fh)
-        reports = [r.to_dict() for r in builtin_suite()]
+        reports = [r.to_dict() for r in builtin_reports]
         for d in reports:
             del d["seconds"]
         assert reports == reference
