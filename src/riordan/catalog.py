@@ -1,8 +1,12 @@
-"""Named sequences, series, triangles, and polynomials.
+"""Named sequences, series, triangles, and polynomials, and the spec grammar.
 
 Closed forms for Catalan powers, Fuss-Catalan numbers, and the rook,
 remainder, and Laguerre triangles, plus the registry of named Riordan
-pairs, series, and weight tables used by the CLI and the test corpus.
+pairs, series, and weights used by the CLI and the test corpus.  The
+registry is one table per kind; the spec functions (series_spec,
+pair_spec, weight_spec) and catalog_names() all read from it.  Spec text
+that is malformed, or has a missing or unexpected parameter, raises
+SpecError; a name not in the tables raises CatalogError.
 
 The rook triangle's r_{5,4} and the remainder triangle's E_{4,4} follow
 the closed formulas (25 and 24); the two values cross-check each other
@@ -17,6 +21,7 @@ from fractions import Fraction
 
 from .group import RiordanPair
 from .series import Series
+from .weighted import WeightSeq, WeightTri
 
 
 def binomial(top: int, k: int) -> int:
@@ -126,13 +131,6 @@ def remainder_poly(n: int) -> list[Fraction]:
     return out
 
 
-def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def rook_poly_expansion_check(n: int) -> bool:
     """The two expansion facts tying r_n, r_{n+1}, and r(E_n, x) together.
 
@@ -161,45 +159,96 @@ def rook_poly_expansion_check(n: int) -> bool:
     return acc == target
 
 
-# -- registry ----------------------------------------------------------------
-
-_SERIES_NAMES = ("catalan", "fuss", "geometric", "one", "t", "ternary")
-_PAIR_NAMES = ("appell", "catalan_bell", "fuss_bell", "identity", "lagrange", "pascal")
-_WEIGHT_NAMES = ("factorial", "laguerre", "power")
+# -- registry and spec grammar -----------------------------------------------
 
 
 class CatalogError(LookupError):
     """Unknown catalog name."""
 
 
-class ParamError(CatalogError, ValueError):
-    """A catalog name's parameter does not parse as a number."""
+class SpecError(ValueError):
+    """Malformed input text: a bad number, or a missing or unexpected parameter."""
 
 
-def _param(text: str, kind: type):
+def _number(text: str, kind: type = Fraction):
     try:
         return kind(text)
     except (ValueError, ZeroDivisionError):
-        raise ParamError(f"malformed parameter: {text!r}") from None
+        raise SpecError(f"malformed number: {text.strip()!r}") from None
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [_number(tok) for tok in text.split(",")]
+
+
+def _build(table: dict, kind: str, name: str, param: str | None, size: int):
+    """Build table[name] at size; param is None when the spec gave none."""
+    if name not in table:
+        raise CatalogError(f"unknown {kind} name: {name!r}")
+    build, default = table[name]
+    if param == "":
+        raise SpecError(f"malformed {kind} spec: empty parameter after {name}:")
+    if default is None:
+        if param is not None:
+            raise SpecError(f"malformed {kind} spec: {name} takes no parameter")
+        return build(size)
+    if param is None and not default:
+        raise SpecError(f"malformed {kind} spec: {name} needs a parameter")
+    return build(size, param or default)
+
+
+def _is_name(text: str) -> bool:
+    return text.strip()[:1].isalpha()
+
+
+def _split(text: str) -> tuple[str, str | None]:
+    """NAME[:PARAM] -> (NAME, PARAM), with PARAM None when there is no colon."""
+    name, colon, param = text.strip().partition(":")
+    return name, param if colon else None
+
+
+def _bell(s: Series) -> RiordanPair:
+    """The Bell pair (s, t s)."""
+    return RiordanPair(s, s.shift_up().truncate(s.prec))
+
+
+def _appell(prec: int, spec: str) -> RiordanPair:
+    return RiordanPair(series_spec(spec, prec), Series.t(prec))
+
+
+def _lagrange(prec: int, spec: str) -> RiordanPair:
+    s = series_spec(spec, prec)
+    return RiordanPair(Series.one(prec), s.shift_up().truncate(prec))
+
+
+# name -> (builder, parameter): parameter None means the name takes none,
+# "" that one must be given, anything else is the default when left out.
+_SERIES = {
+    "catalan": (catalan_series, None),
+    "fuss": (lambda prec, m: fuss_series(_number(m, int), prec), ""),
+    "geometric": (lambda prec, r: Series.geometric(prec, _number(r)), "1"),
+    "one": (Series.one, None),
+    "t": (Series.t, None),
+    "ternary": (lambda prec: fuss_series(3, prec), None),
+}
+_PAIRS = {
+    "appell": (_appell, "geometric"),
+    "catalan_bell": (lambda prec: _bell(catalan_series(prec)), None),
+    "fuss_bell": (lambda prec, m: _bell(fuss_series(_number(m, int), prec)), "3"),
+    "identity": (RiordanPair.identity, None),
+    "lagrange": (_lagrange, "geometric"),
+    "pascal": (lambda prec: _bell(Series.geometric(prec)), None),
+}
+_WEIGHTS = {
+    "factorial": (WeightSeq.factorial, None),
+    "laguerre": (WeightTri.laguerre, None),
+    "power": (lambda n, base: WeightSeq.power(_number(base), n), ""),
+}
 
 
 def named_series(name: str, prec: int, param: str | None = None) -> Series:
-    """Builtin series by name; 'fuss' and 'geometric' take a parameter."""
-    if name == "catalan":
-        return catalan_series(prec)
-    if name == "ternary":
-        return fuss_series(3, prec)
-    if name == "fuss":
-        if param is None:
-            raise CatalogError("fuss needs a parameter, e.g. fuss:3")
-        return fuss_series(_param(param, int), prec)
-    if name == "geometric":
-        return Series.geometric(prec, _param(param, Fraction) if param else 1)
-    if name == "one":
-        return Series.one(prec)
-    if name == "t":
-        return Series.t(prec)
-    raise CatalogError(f"unknown series name: {name!r}")
+    """Builtin series by name; 'fuss' needs a parameter, 'geometric' takes one."""
+    return _build(_SERIES, "series", name, param, prec)
 
 
 def named_riordan(name: str, prec: int, param: str | None = None) -> RiordanPair:
@@ -208,37 +257,45 @@ def named_riordan(name: str, prec: int, param: str | None = None) -> RiordanPair
     pascal           (1/(1-t), t/(1-t))
     identity         (1, t)
     catalan_bell     (C, tC)
-    fuss_bell:m      (F_m, t F_m)
-    appell:SERIES    (g, t)
-    lagrange:SERIES  (1, t*SERIES) with SERIES a unit
+    fuss_bell:m      (F_m, t F_m), m = 3 by default
+    appell:SERIES    (g, t), with g the series spec (geometric by default)
+    lagrange:SERIES  (1, t*SERIES) with SERIES a unit (geometric by default)
     """
-    if name == "pascal":
-        geo = Series.geometric(prec)
-        return RiordanPair(geo, geo.shift_up().truncate(prec))
-    if name == "identity":
-        return RiordanPair.identity(prec)
-    if name == "catalan_bell":
-        c = catalan_series(prec)
-        return RiordanPair(c, c.shift_up().truncate(prec))
-    if name == "fuss_bell":
-        f = fuss_series(_param(param, int) if param else 3, prec)
-        return RiordanPair(f, f.shift_up().truncate(prec))
-    if name in ("appell", "lagrange"):
-        # the series spec may carry its own parameter, e.g. appell:fuss:3
-        series_name, _, series_param = (param or "geometric").partition(":")
-        s = named_series(series_name, prec, series_param or None)
-        if name == "appell":
-            return RiordanPair(s, Series.t(prec))
-        return RiordanPair(Series.one(prec), s.shift_up().truncate(prec))
-    raise CatalogError(f"unknown Riordan pair name: {name!r}")
+    return _build(_PAIRS, "Riordan pair", name, param, prec)
+
+
+def series_spec(text: str, prec: int) -> Series:
+    """A rational list such as '1,1/2,-3', or NAME[:PARAM] such as 'fuss:4'."""
+    if not _is_name(text):
+        return Series.from_coeffs(_rationals(text), prec)
+    name, param = _split(text)
+    return named_series(name, prec, param)
+
+
+def pair_spec(text: str, prec: int) -> RiordanPair:
+    """NAME[:PARAM] such as 'fuss_bell:3', or GSPEC;FSPEC such as '1;0,1,1'."""
+    gtext, semi, ftext = text.partition(";")
+    if semi:
+        return RiordanPair(series_spec(gtext, prec), series_spec(ftext, prec))
+    if not _is_name(text):
+        raise SpecError(f"malformed pair spec: {text!r} is neither NAME nor G;F")
+    name, param = _split(text)
+    return named_riordan(name, prec, param)
+
+
+def weight_spec(text: str, n: int) -> WeightSeq | WeightTri:
+    """Weights up to index n: a rational list, factorial, power:K or laguerre."""
+    if not _is_name(text):
+        return WeightSeq(_rationals(text))
+    return _build(_WEIGHTS, "weight", *_split(text), n)
 
 
 def catalog_names() -> dict[str, list[str]]:
     """Stable sorted listing of every registry name."""
     return {
-        "pairs": sorted(_PAIR_NAMES),
-        "series": sorted(_SERIES_NAMES),
-        "weights": sorted(_WEIGHT_NAMES),
+        "pairs": sorted(_PAIRS),
+        "series": sorted(_SERIES),
+        "weights": sorted(_WEIGHTS),
     }
 
 

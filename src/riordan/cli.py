@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: triangle, quasi, mul, inv, az, ctransform, verify, catalog.
-Exit codes: 0 success, 64 usage/parse error (including a malformed
-RIORDAN_PREC or catalog parameter), 65 math-domain error; the
-verify subcommand instead uses the report contract (0 all verified,
-1 counterexample, 2 inconclusive).
+Pair, series and weight specs are parsed by riordan.catalog (series_spec,
+pair_spec, weight_spec); this module only reads flags and maps errors to
+exit codes: 0 success, 64 usage error (a bad flag, a malformed spec or
+RIORDAN_PREC, a missing or unexpected parameter), 65 an unknown catalog
+name or a value the maths rejects.  The verify subcommand instead uses
+the report contract (0 all verified, 1 counterexample, 2 inconclusive).
 """
 
 from __future__ import annotations
@@ -12,89 +14,39 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import harness
 from .catalog import (
     CatalogError,
-    ParamError,
+    SpecError,
     catalog_names,
-    named_riordan,
-    named_series,
+    pair_spec,
+    series_spec,
+    weight_spec,
 )
-from .group import RiordanPair, RiordanError
+from .group import RiordanPair
 from .matrices import Triangle
 from .quasi import QuasiRiordan
 from .series import Series, SeriesError
-from .weighted import WeightSeq, WeightTri, WeightError, c_transform, C_transform
+from .weighted import WeightSeq, c_transform, C_transform
 
 DEFAULT_PREC = 64
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        raise UsageError(message)
+        raise SpecError(message)
 
 
-def parse_series(text: str, prec: int) -> Series:
-    """A comma-separated rational literal or a builtin name[:param]."""
-    text = text.strip()
-    if "," in text or _is_rational(text):
-        coeffs = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if not _is_rational(tok):
-                raise UsageError(f"malformed rational: {tok!r}")
-            coeffs.append(Fraction(tok))
-        return Series.from_coeffs(coeffs, prec)
-    name, _, param = text.partition(":")
-    return named_series(name, prec, param or None)
-
-
-def _is_rational(tok: str) -> bool:
-    try:
-        Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
-def parse_pair(args: argparse.Namespace, prec: int, attr: str = "name") -> RiordanPair:
-    """Pair from --name NAME[:param], or from --g/--f series specs."""
-    name = getattr(args, attr, None)
-    if name:
-        pair_name, _, param = name.partition(":")
-        return named_riordan(pair_name, prec, param or None)
-    if getattr(args, "g", None) and getattr(args, "f", None):
-        return RiordanPair(parse_series(args.g, prec), parse_series(args.f, prec))
-    raise UsageError("specify a pair with --name or with --g and --f")
-
-
-def parse_weight(text: str, n: int):
-    """Named weight (factorial, power:K, laguerre) or a rational list."""
-    text = text.strip()
-    if "," in text or _is_rational(text):
-        values = [tok.strip() for tok in text.split(",")]
-        for tok in values:
-            if not _is_rational(tok):
-                raise UsageError(f"malformed rational: {tok!r}")
-        return WeightSeq(values)
-    name, _, param = text.partition(":")
-    if name == "factorial":
-        return WeightSeq.factorial(n)
-    if name == "power":
-        if not param:
-            raise UsageError("power weight needs a base, e.g. power:2")
-        if not _is_rational(param):
-            raise UsageError(f"malformed rational: {param!r}")
-        return WeightSeq.power(Fraction(param), n)
-    if name == "laguerre":
-        return WeightTri.laguerre(n)
-    raise UsageError(f"unknown weight: {text!r}")
+def _pair(args: argparse.Namespace, prec: int) -> RiordanPair:
+    """The pair given by --name, or by --g and --f."""
+    if args.name and (args.g or args.f):
+        raise SpecError("give a pair with --name or with --g/--f, not both")
+    if args.name:
+        return pair_spec(args.name, prec)
+    if args.g and args.f:
+        return RiordanPair(series_spec(args.g, prec), series_spec(args.f, prec))
+    raise SpecError("specify a pair with --name or with --g and --f")
 
 
 def _series_line(s: Series) -> str:
@@ -122,7 +74,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pair_opts(p):
-        p.add_argument("--name", help="builtin pair name, e.g. pascal or fuss_bell:3")
+        p.add_argument("--name", help="pair spec, e.g. fuss_bell:3 or '1;0,1,1'")
         p.add_argument("--g", help="series spec for g")
         p.add_argument("--f", help="series spec for f")
 
@@ -141,7 +93,7 @@ def build_parser() -> _Parser:
     add_output_opts(p)
 
     p = sub.add_parser("mul", help="product of two Riordan pairs")
-    p.add_argument("--a", required=True, help="pair name or 'GSPEC;FSPEC'")
+    p.add_argument("--a", required=True, help="pair spec, e.g. pascal or '1;0,1,1'")
     p.add_argument("--b", required=True)
     p.add_argument("--order", type=int, help="also print the product triangle")
     add_output_opts(p)
@@ -171,14 +123,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pair_from_spec(spec: str, prec: int) -> RiordanPair:
-    if ";" in spec:
-        gtext, _, ftext = spec.partition(";")
-        return RiordanPair(parse_series(gtext, prec), parse_series(ftext, prec))
-    name, _, param = spec.partition(":")
-    return named_riordan(name, prec, param or None)
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -188,47 +132,45 @@ def run(argv: list[str] | None = None) -> int:
         try:
             prec = int(env)
         except ValueError:
-            raise UsageError(f"RIORDAN_PREC must be an integer, got {env!r}") from None
+            raise SpecError(f"RIORDAN_PREC must be an integer, got {env!r}") from None
     if prec < 1:
-        raise UsageError("precision must be >= 1")
-    if getattr(args, "order", None) is not None and args.order < 1:
-        raise UsageError("order must be >= 1")
+        raise SpecError("precision must be >= 1")
+    order = getattr(args, "order", None)
+    if order is not None:
+        if order < 1:
+            raise SpecError("order must be >= 1")
+        prec = max(prec, order - 1)  # a section of order n reads t^(n-1)
 
     if args.command == "triangle":
-        ra = parse_pair(args, max(prec, args.order - 1))
+        ra = _pair(args, prec)
         _emit_triangle(ra.triangle(args.order), args.format, args.out)
         return 0
 
     if args.command == "quasi":
-        ra = parse_pair(args, max(prec, args.order - 1))
+        ra = _pair(args, prec)
         q = QuasiRiordan.of_pair(ra)
         _emit_triangle(q.matrix(args.order), args.format, args.out)
         return 0
 
-    if args.command == "mul":
-        product = _pair_from_spec(args.a, prec) * _pair_from_spec(args.b, prec)
-        if args.order is not None:
-            _emit_triangle(product.triangle(args.order), args.format, args.out)
+    if args.command in ("mul", "inv"):
+        if args.command == "mul":
+            ra = pair_spec(args.a, prec) * pair_spec(args.b, prec)
         else:
-            _emit(f"g: {_series_line(product.g)}\nf: {_series_line(product.f)}\n", args.out)
-        return 0
-
-    if args.command == "inv":
-        inv = parse_pair(args, prec).inverse()
+            ra = _pair(args, prec).inverse()
         if args.order is not None:
-            _emit_triangle(inv.triangle(args.order), args.format, args.out)
+            _emit_triangle(ra.triangle(args.order), args.format, args.out)
         else:
-            _emit(f"g: {_series_line(inv.g)}\nf: {_series_line(inv.f)}\n", args.out)
+            _emit(f"g: {_series_line(ra.g)}\nf: {_series_line(ra.f)}\n", args.out)
         return 0
 
     if args.command == "az":
-        az = parse_pair(args, prec).extract_az()
+        az = _pair(args, prec).extract_az()
         _emit(f"A: {_series_line(az.a)}\nZ: {_series_line(az.z)}\n", args.out)
         return 0
 
     if args.command == "ctransform":
-        ra = parse_pair(args, max(prec, args.order - 1))
-        weight = parse_weight(args.weight, args.order - 1)
+        ra = _pair(args, prec)
+        weight = weight_spec(args.weight, args.order - 1)
         if isinstance(weight, WeightSeq):
             wt = c_transform(ra, weight, args.order)
         else:
@@ -244,30 +186,24 @@ def run(argv: list[str] | None = None) -> int:
                 c = r.counterexample
                 line += f"  at ({c.n},{c.k}): {c.lhs} != {c.rhs}"
             print(line)
-        payload = harness.reports_to_json(reports) + "\n"
-        if args.out:
-            _emit(payload, args.out)
-        else:
-            sys.stdout.write(payload)
+        _emit(harness.reports_to_json(reports) + "\n", args.out)
         return harness.exit_code(reports)
 
-    if args.command == "catalog":
-        names = catalog_names()
-        for kind in sorted(names):
-            for name in names[kind]:
-                print(f"{kind}: {name}")
-        return 0
-
-    raise UsageError(f"unknown command {args.command!r}")
+    names = catalog_names()  # the catalog subcommand
+    for kind in sorted(names):
+        for name in names[kind]:
+            print(f"{kind}: {name}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except (UsageError, ParamError) as exc:
+    except SpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except (SeriesError, RiordanError, WeightError, CatalogError, ValueError) as exc:
+    # RiordanError is a SeriesError, WeightError a ValueError
+    except (CatalogError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
-from .catalog import falling
 from .group import RiordanPair
 from .matrices import Triangle
 from .series import Rat, Series
@@ -111,7 +110,7 @@ class WeightTri:
         """c_{n,k} = (-1)^k / (n)_k, the weight behind the Laguerre triangle."""
         return cls(
             [
-                [Fraction((-1) ** k, falling(i, k)) for k in range(i + 1)]
+                [Fraction((-1) ** k, math.perm(i, k)) for k in range(i + 1)]
                 for i in range(n + 1)
             ]
         )
@@ -135,6 +134,12 @@ class WeightedTriangle:
     @property
     def n(self) -> int:
         return self.entries.n
+
+    @cached_property
+    def _az(self) -> tuple[Series, Series]:
+        # Indexing the series raises PrecisionError past their precision.
+        az = self.base.extract_az()
+        return az.a, az.z
 
 
 def _weight_fn(weight: Weight) -> Callable[[int, int], Fraction]:
@@ -186,14 +191,6 @@ def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
 
 # -- horizontal recursions (A/Z with weight ratios) ---------------------------
 
-@lru_cache(maxsize=64)
-def _az_of(base: RiordanPair) -> tuple[Series, Series]:
-    # pairs are immutable and hashable; the recursions call this per entry.
-    # Indexing the series raises PrecisionError past their precision.
-    az = base.extract_az()
-    return az.a, az.z
-
-
 def _horiz(x: WeightedTriangle, n: int, k: int) -> Fraction:
     """Entry (n, k) from row n-1, for either weight kind.
 
@@ -204,7 +201,7 @@ def _horiz(x: WeightedTriangle, n: int, k: int) -> Fraction:
     if n < 1 or not 0 <= k <= n:
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
     w = _weight_fn(x.weight)
-    a, z = _az_of(x.base)
+    a, z = x._az
     prev = x.entries.rows[n - 1]
     ratio = w(n, n) / w(n - 1, n - 1)
     if k == 0:

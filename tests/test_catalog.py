@@ -18,11 +18,13 @@ from riordan.catalog import (
     laguerre_entry,
     named_riordan,
     named_series,
-    poly_eval,
+    pair_spec,
     remainder_entry,
     rook_entry,
     rook_poly,
     rook_poly_expansion_check,
+    series_spec,
+    weight_spec,
 )
 
 F = Fraction
@@ -137,7 +139,6 @@ class TestRookAndFriends:
     def test_rook_poly_layout(self):
         # r_2(x) = 2x^2 + 4x + 1, stored ascending
         assert rook_poly(2) == [1, 4, 2]
-        assert poly_eval(rook_poly(2), 1) == 7
 
     def test_rook_expansion_checks(self):
         for n in range(13):
@@ -151,6 +152,18 @@ class TestRegistry:
         assert "catalan" in names["series"]
         for group in names.values():
             assert group == sorted(group)
+
+    def test_every_listed_name_builds(self):
+        samples = {"fuss": "fuss:4", "power": "power:2"}  # names that need one
+        build = {"pairs": pair_spec, "series": series_spec, "weights": weight_spec}
+        for kind, names in catalog_names().items():
+            for name in names:
+                assert build[kind](samples.get(name, name), 6) is not None, name
+
+    def test_pair_spec_forms(self):
+        assert pair_spec("1;0,1", 6) == RiordanPair.identity(6)
+        assert pair_spec("geometric; 0,1,1,1,1,1,1", 6) == named_riordan("pascal", 6)
+        assert pair_spec("fuss_bell", 6) == pair_spec("fuss_bell:3", 6)
 
     def test_named_series_values(self):
         assert list(named_series("catalan", 6).coeffs) == [1, 1, 2, 5, 14, 42, 132]

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from riordan import Triangle
-from riordan.catalog import named_riordan
-from riordan.cli import main, parse_series, parse_weight, UsageError
+from riordan.catalog import CatalogError, named_riordan, series_spec, weight_spec
+from riordan.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +114,19 @@ class TestMulInv:
         tri = Triangle.from_csv(out)
         assert tri @ named_riordan("pascal", 8).triangle(6) == Triangle.identity(6)
 
+    def test_order_raises_precision(self, capsys):
+        # an order past the working precision raises it, as for triangle
+        code, out, _ = run_cli(
+            capsys, "mul", "--a", "pascal", "--b", "pascal", "--order", "70"
+        )
+        assert code == 0
+        pascal = named_riordan("pascal", 69)
+        assert Triangle.from_csv(out) == (pascal * pascal).triangle(70)
+        code, out, _ = run_cli(capsys, "inv", "--name", "catalan_bell", "--order", "70")
+        assert code == 0
+        inverse = named_riordan("catalan_bell", 69).inverse()
+        assert Triangle.from_csv(out) == inverse.triangle(70)
+
 
 class TestAz:
     def test_pascal(self, capsys):
@@ -211,6 +224,39 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "triangle", "--order", "4")
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "--g", "bogus", "--f", "0,1", "--order", "4"),
+            ("mul", "--a", "pascal", "--b", "bogus"),
+            ("ctransform", "--name", "pascal", "--weight", "bogus", "--order", "4"),
+        ],
+        ids=["series", "pair", "weight"],
+    )
+    def test_unknown_name_of_any_kind_is_math_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 65
+        assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "--g", "1/0", "--f", "0,1", "--order", "4"),
+            ("mul", "--a", "1,1", "--b", "pascal"),
+        ],
+        ids=["zero-denominator", "pair-literal"],
+    )
+    def test_malformed_literal_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert "malformed" in err
+
+    def test_name_with_g_f_is_usage_error(self, capsys):
+        argv = ("triangle", "--name", "pascal", "--g", "1", "--f", "0,1")
+        code, _, err = run_cli(capsys, *argv, "--order", "4")
+        assert code == 64
+        assert "--name" in err
+
     def test_bad_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")
         assert code == 64
@@ -251,6 +297,19 @@ class TestErrors:
             ("triangle", "--g", "fuss:x", "--f", "0,1", "--order", "4"),
             ("triangle", "--g", "geometric:1/0", "--f", "0,1", "--order", "4"),
             ("ctransform", "--name", "pascal", "--weight", "power:x", "--order", "4"),
+            ("triangle", "--name", "pascal:7", "--order", "4"),
+            ("triangle", "--name", "catalan_bell:zzz", "--order", "4"),
+            ("triangle", "--g", "catalan:9", "--f", "0,1", "--order", "4"),
+            (
+                "ctransform", "--name", "pascal", "--weight", "factorial:9", "--order", "4"
+            ),
+            (
+                "ctransform", "--name", "pascal", "--weight", "laguerre:q", "--order", "4"
+            ),
+            ("triangle", "--name", "lagrange:catalan:4", "--order", "4"),
+            ("triangle", "--name", "fuss_bell:", "--order", "4"),
+            ("triangle", "--g", "fuss", "--f", "0,1", "--order", "4"),
+            ("ctransform", "--name", "pascal", "--weight", "power", "--order", "4"),
         ],
     )
     def test_malformed_parameter_is_usage_error(self, capsys, argv):
@@ -290,18 +349,18 @@ class TestPrecEnv:
 
 class TestParsers:
     def test_parse_series_literal(self):
-        s = parse_series("1, 1/2, -3", 8)
+        s = series_spec("1, 1/2, -3", 8)
         assert str(s[1]) == "1/2"
         assert s.prec == 8
 
     def test_parse_series_named(self):
-        s = parse_series("geometric:2", 4)
+        s = series_spec("geometric:2", 4)
         assert list(s.coeffs) == [1, 2, 4, 8, 16]
 
     def test_parse_weight_power(self):
-        w = parse_weight("power:3", 4)
+        w = weight_spec("power:3", 4)
         assert w[2] == 9
 
     def test_parse_weight_unknown(self):
-        with pytest.raises(UsageError):
-            parse_weight("bogus", 4)
+        with pytest.raises(CatalogError):
+            weight_spec("bogus", 4)
