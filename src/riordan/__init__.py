@@ -28,10 +28,8 @@ from .weighted import (
     generalized_laguerre,
     generalized_rook,
     horiz_recursion_C,
-    horiz_recursion_c,
     rook_laguerre_duality,
     vert_recursion_C,
-    vert_recursion_c,
 )
 from . import catalog, harness
 
@@ -62,11 +60,9 @@ __all__ = [
     "generalized_rook",
     "harness",
     "horiz_recursion_C",
-    "horiz_recursion_c",
     "reconstruct_from_az",
     "rook_laguerre_duality",
     "vert_recursion_C",
-    "vert_recursion_c",
 ]
 
 __version__ = "0.1.0"

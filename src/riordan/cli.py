@@ -5,8 +5,9 @@ Pair, series and weight specs are parsed by riordan.catalog (series_spec,
 pair_spec, weight_spec); this module only reads flags and maps errors to
 exit codes: 0 success, 64 usage error (a bad flag, a malformed spec or
 RIORDAN_PREC, a missing or unexpected parameter), 65 an unknown catalog
-name or a value the maths rejects.  The verify subcommand instead uses
-the report contract (0 all verified, 1 counterexample, 2 inconclusive).
+name or a value the maths rejects, 73 an --out file that cannot be
+written.  The verify subcommand instead uses the report contract (0 all
+verified, 1 counterexample, 2 inconclusive), and 73 as above.
 """
 
 from __future__ import annotations
@@ -206,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CatalogError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 73
 
 
 if __name__ == "__main__":

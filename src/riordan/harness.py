@@ -38,9 +38,7 @@ from .weighted import (
     WeightTri,
     c_transform,
     horiz_recursion_C,
-    horiz_recursion_c,
     vert_recursion_C,
-    vert_recursion_c,
 )
 
 KPolicy = Callable[[int], Iterable[int]]
@@ -208,21 +206,19 @@ def _weighted_rows(n_max: int = 20) -> Iterator[tuple]:
         "catalan_bell": catalog.named_riordan("catalan_bell", prec),
         "fuss_bell3": catalog.named_riordan("fuss_bell", prec, "3"),
     }
-    c = (c_transform, horiz_recursion_c, vert_recursion_c)
-    C = (C_transform, horiz_recursion_C, vert_recursion_C)
     weights = {
-        "factorial": (WeightSeq.factorial(n_max), *c),
-        "power2": (WeightSeq.power(2, n_max), *c),
-        "laguerre": (WeightTri.laguerre(n_max), *C),
+        "factorial": (WeightSeq.factorial(n_max), c_transform),
+        "power2": (WeightSeq.power(2, n_max), c_transform),
+        "laguerre": (WeightTri.laguerre(n_max), C_transform),
     }
     rows_from_1 = (lambda n: range(n + 1 if n >= 1 else 0), "0 <= k <= n, n >= 1")
     for bname, ra in bases.items():
-        for wname, (w, transform, horiz, vert) in weights.items():
+        for wname, (w, transform) in weights.items():
             x = transform(ra, w, n_max + 1)
             direct = (f"{x.kind}-transform entries", x.entries.entry)
             tag = f"{bname}-{wname}"
-            horiz_route = ("weighted A/Z recursion", partial(horiz, x))
-            vert_route = ("weighted vertical recursion", partial(vert, x))
+            horiz_route = ("weighted A/Z recursion", partial(horiz_recursion_C, x))
+            vert_route = ("weighted vertical recursion", partial(vert_recursion_C, x))
             yield f"{x.kind}-horizontal-{tag}", direct, horiz_route, n_max, rows_from_1
             yield f"{x.kind}-vertical-{tag}", direct, vert_route, n_max, _POS
 

@@ -68,5 +68,5 @@ def factorization_check(ra: RiordanPair, n: int) -> bool:
     quasi = QuasiRiordan.of_pair(ra).matrix(n)
     if n == 1:
         return left == quasi
-    right = quasi @ direct_sum_one(ra.triangle(n - 1))
+    right = quasi @ direct_sum_one(Triangle(left.rows[:-1]))
     return left == right

@@ -2,16 +2,16 @@
 
 A weight sequence c (c_0 = 1, all c_k nonzero) rescales a Riordan array's
 entries to (c_n/c_k) d_{n,k}; a weight triangle C rescales them to
-(c_{n,n}/c_{n,k}) d_{n,k}.  A (c)-weight is handled as the (C)-weight
-c_{n,k} = c_k, for which c_{n,n}/c_{n,k} = c_n/c_k: one transform and one
-pair of recursions, over a weight accessor w(n, k), serve both kinds.
-The (c)-weighted arrays again form a group under matrix multiplication;
-the (C)-class does not, so the group law here rejects C-weighted inputs.
-The horizontal recursions reuse the base array's A/Z-sequences and the
-vertical recursions reuse the coefficients of f, in both cases with
-weight-ratio corrections, which is what turns the linear Riordan
-recursions into nonlinear recursions like those of the rook and Laguerre
-triangles.
+(c_{n,n}/c_{n,k}) d_{n,k}.  A (c)-weight is read as the (C)-weight
+c_{n,k} = c_k, for which c_{n,n}/c_{n,k} = c_n/c_k, so one transform and
+one recursion per direction serve both kinds: horiz_recursion_C (row n
+from row n-1, through the base array's A/Z-sequences) and
+vert_recursion_C (column k from column k-1, through the coefficients of
+f), each with weight-ratio corrections, which is what turns the linear
+Riordan recursions into nonlinear recursions like those of the rook and
+Laguerre triangles.  The (c)-weighted arrays again form a group under
+matrix multiplication; the (C)-class does not, so the group law here
+rejects C-weighted inputs.
 """
 
 from __future__ import annotations
@@ -149,13 +149,10 @@ def _weight_fn(weight: Weight) -> Callable[[int, int], Fraction]:
     return weight.at
 
 
-def _expect(x: WeightedTriangle, kind: str) -> None:
-    if x.kind != kind:
-        raise WeightError(f"expected a ({kind})-weighted triangle")
-
-
 def _transform(ra: RiordanPair, weight: Weight, n: int) -> WeightedTriangle:
     """Entries (w(i, i) / w(i, j)) d_{i,j} for the first n rows."""
+    if len(weight) < n:
+        raise WeightError(f"weight table too short: {len(weight)} < {n}")
     w = _weight_fn(weight)
     tri = ra.triangle(n)
     rows = [
@@ -166,15 +163,11 @@ def _transform(ra: RiordanPair, weight: Weight, n: int) -> WeightedTriangle:
 
 def c_transform(ra: RiordanPair, c: WeightSeq, n: int) -> WeightedTriangle:
     """Entries (c_n / c_k) d_{n,k} from the first n rows of (g, f)."""
-    if len(c) < n:
-        raise WeightError(f"weight sequence too short: {len(c)} < {n}")
     return _transform(ra, c, n)
 
 
 def C_transform(ra: RiordanPair, C: WeightTri, n: int) -> WeightedTriangle:
     """Entries (c_{n,n} / c_{n,k}) d_{n,k}."""
-    if len(C) < n:
-        raise WeightError(f"weight triangle too short: {len(C)} < {n}")
     return _transform(ra, C, n)
 
 
@@ -189,14 +182,15 @@ def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
     return WeightedTriangle(x.base * y.base, x.weight, x.entries @ y.entries)
 
 
-# -- horizontal recursions (A/Z with weight ratios) ---------------------------
+# -- the recursions, one per direction, for either weight kind ---------------
 
-def _horiz(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k) from row n-1, for either weight kind.
+def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k) of a (c)- or (C)-weighted triangle from row n-1.
 
-    Column 0 uses the Z-sequence, columns k >= 1 the A-sequence, each
-    weighted by the appropriate weight ratios.  The A/Z sequences are
-    always recomputed from the base pair, never supplied by the caller.
+    A (c)-weight is read as c_{n,k} = c_k.  Column 0 uses the Z-sequence,
+    columns k >= 1 the A-sequence, each weighted by the weight ratios.
+    The A/Z sequences are always recomputed from the base pair, never
+    supplied by the caller.
     """
     if n < 1 or not 0 <= k <= n:
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
@@ -217,22 +211,11 @@ def _horiz(x: WeightedTriangle, n: int, k: int) -> Fraction:
     return ratio / w(n, k) * s
 
 
-def horiz_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k) of a (c)-weighted triangle from row n-1."""
-    _expect(x, "c")
-    return _horiz(x, n, k)
+def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
+    """Entry (n, k), k >= 1, of a weighted triangle from column k-1.
 
-
-def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k) of a (C)-weighted triangle from row n-1."""
-    _expect(x, "C")
-    return _horiz(x, n, k)
-
-
-# -- vertical recursions (f-coefficients with weight ratios) ------------------
-
-def _vert(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k), k >= 1, from column k-1, for either weight kind."""
+    A (c)-weight is read as c_{n,k} = c_k, as in horiz_recursion_C.
+    """
     if not 1 <= k <= n:
         raise WeightError(f"vertical recursion needs 1 <= k <= n, got ({n},{k})")
     w = _weight_fn(x.weight)
@@ -248,18 +231,6 @@ def _vert(x: WeightedTriangle, n: int, k: int) -> Fraction:
         Fraction(0),
     )
     return w(n, n) / w(n, k) * s
-
-
-def vert_recursion_c(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k), k >= 1, of a (c)-weighted triangle from column k-1."""
-    _expect(x, "c")
-    return _vert(x, n, k)
-
-
-def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k), k >= 1, of a (C)-weighted triangle from column k-1."""
-    _expect(x, "C")
-    return _vert(x, n, k)
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

@@ -162,22 +162,17 @@ def test_07_triple_oracle_agreement():
                 ok = ok and tri.entry(n, k) == ra.entry_nested(n, k)
         if not ok:
             break
-    from riordan import (
-        horiz_recursion_C,
-        horiz_recursion_c,
-        vert_recursion_C,
-        vert_recursion_c,
-    )
+    from riordan import horiz_recursion_C, vert_recursion_C
 
     base = named_riordan("catalan_bell", 32)
     xc = c_transform(base, WeightSeq.factorial(20), 20)
     xC = C_transform(base, WeightTri.laguerre(20), 20)
     for n in range(1, 20):
         for k in range(n + 1):
-            ok = ok and horiz_recursion_c(xc, n, k) == xc.entries.rows[n][k]
+            ok = ok and horiz_recursion_C(xc, n, k) == xc.entries.rows[n][k]
             ok = ok and horiz_recursion_C(xC, n, k) == xC.entries.rows[n][k]
         for k in range(1, n + 1):
-            ok = ok and vert_recursion_c(xc, n, k) == xc.entries.rows[n][k]
+            ok = ok and vert_recursion_C(xc, n, k) == xc.entries.rows[n][k]
             ok = ok and vert_recursion_C(xC, n, k) == xC.entries.rows[n][k]
     check("closed/vertical/nested entries agree; weighted recursions agree", ok)
 

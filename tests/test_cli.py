@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from riordan import Triangle
+from riordan import Triangle, harness
 from riordan.catalog import CatalogError, named_riordan, series_spec, weight_spec
 from riordan.cli import main
 
@@ -320,6 +320,24 @@ class TestErrors:
     def test_parameter_out_of_domain_is_math_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "fuss_bell:0", "--order", "4")
         assert code == 65
+
+    def test_unwritable_out_on_triangle_is_cantcreat(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "t.csv")
+        argv = ("triangle", "--name", "pascal", "--order", "4", "--out", out)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 73
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t.csv" in err
+
+    def test_unwritable_out_on_verify_is_cantcreat(self, capsys, tmp_path, monkeypatch):
+        one = harness.VerificationReport("one", 0, "k = 0", "verified")
+        monkeypatch.setattr(harness, "builtin_suite", lambda: [one])
+        out = str(tmp_path / "missing" / "r.json")
+        code, stdout, err = run_cli(capsys, "verify", "--out", out)
+        assert code == 73
+        assert "verified  one" in stdout
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "r.json" in err
 
 
 class TestPrecEnv:

@@ -17,10 +17,8 @@ from riordan import (
     generalized_laguerre,
     generalized_rook,
     horiz_recursion_C,
-    horiz_recursion_c,
     rook_laguerre_duality,
     vert_recursion_C,
-    vert_recursion_c,
 )
 from riordan.catalog import corpus, named_riordan, random_pair
 
@@ -91,7 +89,7 @@ class TestWeights:
         for n in range(5):
             for k in range(n + 1):
                 assert C.at(n, k) == c[k]
-        # the (c) and (C) paths agree on the embedded weight
+        # the recursions read a (c)-weight as its embedding c_{n,k} = c_k
         ra = named_riordan("catalan_bell", 16)
         c = WeightSeq.factorial(12)
         x = c_transform(ra, c, 12)
@@ -99,9 +97,9 @@ class TestWeights:
         assert x.entries == y.entries
         for n in range(1, 12):
             for k in range(n + 1):
-                assert horiz_recursion_c(x, n, k) == horiz_recursion_C(y, n, k), (n, k)
+                assert horiz_recursion_C(x, n, k) == horiz_recursion_C(y, n, k), (n, k)
             for k in range(1, n + 1):
-                assert vert_recursion_c(x, n, k) == vert_recursion_C(y, n, k), (n, k)
+                assert vert_recursion_C(x, n, k) == vert_recursion_C(y, n, k), (n, k)
 
 
 class TestTransforms:
@@ -137,13 +135,13 @@ class TestTransforms:
 class TestRecursions:
     def test_rook_horizontal_spot(self):
         x = generalized_rook(named_riordan("pascal", 16), 6)
-        assert horiz_recursion_c(x, 4, 2) == 72
-        assert horiz_recursion_c(x, 5, 0) == 120
+        assert horiz_recursion_C(x, 4, 2) == 72
+        assert horiz_recursion_C(x, 5, 0) == 120
 
     def test_rook_vertical_spot(self):
         x = generalized_rook(named_riordan("pascal", 16), 6)
-        assert vert_recursion_c(x, 2, 1) == 4
-        assert vert_recursion_c(x, 5, 3) == 200
+        assert vert_recursion_C(x, 2, 1) == 4
+        assert vert_recursion_C(x, 5, 3) == 200
 
     def test_laguerre_horizontal_spot(self):
         x = generalized_laguerre(named_riordan("pascal", 16), 6)
@@ -165,9 +163,9 @@ class TestRecursions:
         x = c_transform(named_riordan(name, 32, param), weight, 20)
         for n in range(1, 20):
             for k in range(n + 1):
-                assert horiz_recursion_c(x, n, k) == x.entries.rows[n][k], (n, k)
+                assert horiz_recursion_C(x, n, k) == x.entries.rows[n][k], (n, k)
             for k in range(1, n + 1):
-                assert vert_recursion_c(x, n, k) == x.entries.rows[n][k], (n, k)
+                assert vert_recursion_C(x, n, k) == x.entries.rows[n][k], (n, k)
 
     @pytest.mark.parametrize("name", ["pascal", "catalan_bell"])
     def test_C_recursions_match_transform(self, name):
@@ -181,9 +179,9 @@ class TestRecursions:
     def test_row_zero_not_defined(self):
         x = generalized_rook(named_riordan("pascal", 8), 4)
         with pytest.raises(WeightError):
-            horiz_recursion_c(x, 0, 0)
+            horiz_recursion_C(x, 0, 0)
         with pytest.raises(WeightError):
-            vert_recursion_c(x, 3, 0)
+            vert_recursion_C(x, 3, 0)
 
     def test_az_past_precision_raises(self):
         # catalan_bell has A = Z = 1/(1-t); reading them as zero past
@@ -191,9 +189,9 @@ class TestRecursions:
         x = generalized_rook(named_riordan("catalan_bell", 11), 12)
         short = WeightedTriangle(named_riordan("catalan_bell", 6), x.weight, x.entries)
         for n in range(1, 7):
-            assert horiz_recursion_c(short, n, 0) == x.entries.rows[n][0]
+            assert horiz_recursion_C(short, n, 0) == x.entries.rows[n][0]
         with pytest.raises(PrecisionError):
-            horiz_recursion_c(short, 11, 0)
+            horiz_recursion_C(short, 11, 0)
 
 
 class TestCGroup:
