@@ -36,14 +36,6 @@ def binomial(top: int, k: int) -> int:
     return num // math.factorial(k)
 
 
-def falling(n: int, j: int) -> int:
-    """(n)_j = n (n-1) ... (n-j+1)."""
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
-
-
 # -- Catalan and Fuss-Catalan ------------------------------------------------
 
 def catalan_power_coeff(n: int, k: int) -> Fraction:

@@ -29,7 +29,7 @@ from .group import RiordanPair
 from .matrices import Triangle
 from .quasi import QuasiRiordan
 from .series import Series, SeriesError
-from .weighted import WeightSeq, c_transform, C_transform
+from .weighted import c_transform
 
 DEFAULT_PREC = 64
 
@@ -96,12 +96,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mul", help="product of two Riordan pairs")
     p.add_argument("--a", required=True, help="pair spec, e.g. pascal or '1;0,1,1'")
     p.add_argument("--b", required=True)
-    p.add_argument("--order", type=int, help="also print the product triangle")
+    p.add_argument("--order", type=int, help="print the product triangle, not g and f")
     add_output_opts(p)
 
     p = sub.add_parser("inv", help="inverse of a Riordan pair")
     add_pair_opts(p)
-    p.add_argument("--order", type=int, help="also print the inverse triangle")
+    p.add_argument("--order", type=int, help="print the inverse triangle, not g and f")
     add_output_opts(p)
 
     p = sub.add_parser("az", help="A- and Z-sequences of a Riordan pair")
@@ -171,11 +171,7 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.command == "ctransform":
         ra = _pair(args, prec)
-        weight = weight_spec(args.weight, args.order - 1)
-        if isinstance(weight, WeightSeq):
-            wt = c_transform(ra, weight, args.order)
-        else:
-            wt = C_transform(ra, weight, args.order)
+        wt = c_transform(ra, weight_spec(args.weight, args.order - 1), args.order)
         _emit_triangle(wt.entries, args.format, args.out)
         return 0
 

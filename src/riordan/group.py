@@ -40,6 +40,8 @@ class _Pair:
             # The Z-sequence formula assumes the g(0) = 1 normalization;
             # rescaling silently would change the array, so reject.
             raise RiordanError("g(0) must be 1")
+        if self.f.prec < 1:
+            raise PrecisionError("f needs precision >= 1 to have order exactly 1")
         if self.f.order() != 1:
             raise RiordanError("f must have order exactly 1")
 

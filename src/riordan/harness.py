@@ -8,8 +8,10 @@ at the first mismatch, and turns generator exceptions into an
 parameter: over the rationals equality is equality.
 
 The builtin suite is a table of identities: each row names an identity,
-gives its two described entry routes, the range n_max and the k-policy
-with its report label, and one helper runs every row through verify.
+gives its two described entry routes, the range n_max and the label of
+its k-policy (a key of K_POLICIES), and one helper runs every row through
+verify.  Boolean checks such as factorization_check run inside a route,
+hence inside verify, so one that raises makes only its row inconclusive.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import catalog
 from .catalog import (
@@ -33,7 +35,6 @@ from .catalog import (
 from .quasi import factorization_check
 from .series import Series
 from .weighted import (
-    C_transform,
     WeightSeq,
     WeightTri,
     c_transform,
@@ -41,19 +42,16 @@ from .weighted import (
     vert_recursion_C,
 )
 
-KPolicy = Callable[[int], Iterable[int]]
-
-
-def k_full(n: int) -> range:
-    return range(0, n + 1)
-
-
-def k_positive(n: int) -> range:
-    return range(1, n + 1)
-
-
-def k_zero_only(n: int) -> range:
-    return range(0, 1)
+# The k-range walked in row n, by the label that reports name it.
+K_POLICIES: dict[str, Callable[[int], range]] = {
+    "0 <= k <= n": lambda n: range(n + 1),
+    "0 <= k <= n, n >= 1": lambda n: range(n + 1 if n >= 1 else 0),
+    "0 <= k <= n+1": lambda n: range(n + 2),
+    "1 <= k <= n": lambda n: range(1, n + 1),
+    "1 <= k <= n, n >= 1": lambda n: range(1, n + 1),
+    "1 <= k <= n-1": lambda n: range(1, n),
+    "k = 0": lambda n: range(1),
+}
 
 
 @dataclass(frozen=True)
@@ -106,22 +104,22 @@ def verify(
     lhs: EntryGenerator,
     rhs: EntryGenerator,
     n_max: int,
-    k_policy: KPolicy = k_full,
-    k_policy_name: str = "0 <= k <= n",
+    k_policy: str = "0 <= k <= n",
 ) -> VerificationReport:
-    """Exact comparison over 0 <= n <= n_max, k per policy."""
+    """Exact comparison over 0 <= n <= n_max, k per the labelled policy."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    k_range = K_POLICIES[k_policy]
     start = time.perf_counter()
 
     def report(status: str, counterexample=None, detail: str = ""):
         seconds = time.perf_counter() - start
         return VerificationReport(
-            name, n_max, k_policy_name, status, counterexample, detail, seconds
+            name, n_max, k_policy, status, counterexample, detail, seconds
         )
 
     for n in range(n_max + 1):
-        for k in k_policy(n):
+        for k in k_range(n):
             try:
                 left = lhs.eval(n, k)
                 right = rhs.eval(n, k)
@@ -144,15 +142,21 @@ def exit_code(reports: list[VerificationReport]) -> int:
 
 # -- builtin identity suite ---------------------------------------------------
 #
-# Each identity is one row (name, lhs, rhs, n_max, (k_policy, label)), where
-# lhs and rhs are (description, eval) pairs: two independent routes to the
-# same entries.  The labels are part of the report format.
+# Each identity is one row (name, lhs, rhs, n_max, k_policy), where lhs and
+# rhs are (description, eval) pairs: two independent routes to the same
+# entries.  The k_policy labels are part of the report format.
 
-_FULL = (k_full, "0 <= k <= n")
-_POS = (k_positive, "1 <= k <= n")
-_POS_N1 = (k_positive, "1 <= k <= n, n >= 1")
-_ZERO = (k_zero_only, "k = 0")
 _EXPECTED = ("expected", lambda n, k: Fraction(1))
+
+
+def _convolution(name: str, coeff: Callable[[int, int], Fraction]) -> tuple:
+    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k."""
+    return (
+        f"sum_j [t^j] {name} [t^(n-j-k)] {name}^k",
+        lambda n, k: sum(
+            coeff(j, 1) * coeff(n - j - k, k) for j in range(n - k + 1)
+        ),
+    )
 
 
 def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
@@ -165,20 +169,14 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
         "[t^(n-k)] F_m^(k+1), closed form",
         lambda n, k: fuss_power_coeff(m, n - k, k + 1),
     )
-    convolution = (
-        "convolution of F_m coefficients against [t^.] F_m^k",
-        lambda n, k: sum(
-            fuss_power_coeff(m, j, 1) * fuss_power_coeff(m, n - j - k, k)
-            for j in range(n - k + 1)
-        ),
-    )
+    convolution = _convolution("F_m", partial(fuss_power_coeff, m))
     series = (
         "[t^(n-k)] of the multiplied-out series F_m^(k+1)",
         lambda n, k: powers[k + 1][n - k],
     )
     return [
-        (f"fuss-convolution-m{m}", closed, convolution, n_max, _POS),
-        (f"fuss-series-coefficients-m{m}", closed, series, n_max, _FULL),
+        (f"fuss-convolution-m{m}", closed, convolution, n_max, "1 <= k <= n"),
+        (f"fuss-series-coefficients-m{m}", closed, series, n_max, "0 <= k <= n"),
     ]
 
 
@@ -194,7 +192,7 @@ def _fuss_functional_row(m: int, prec: int = 40) -> tuple:
         ("coefficients of F_m", lambda n, k: fm[n]),
         ("coefficients of 1 + t F_m^m", lambda n, k: rhs[n]),
         prec,
-        _ZERO,
+        "k = 0",
     )
 
 
@@ -207,20 +205,20 @@ def _weighted_rows(n_max: int = 20) -> Iterator[tuple]:
         "fuss_bell3": catalog.named_riordan("fuss_bell", prec, "3"),
     }
     weights = {
-        "factorial": (WeightSeq.factorial(n_max), c_transform),
-        "power2": (WeightSeq.power(2, n_max), c_transform),
-        "laguerre": (WeightTri.laguerre(n_max), C_transform),
+        "factorial": WeightSeq.factorial(n_max),
+        "power2": WeightSeq.power(2, n_max),
+        "laguerre": WeightTri.laguerre(n_max),
     }
-    rows_from_1 = (lambda n: range(n + 1 if n >= 1 else 0), "0 <= k <= n, n >= 1")
+    from_row1 = "0 <= k <= n, n >= 1"
     for bname, ra in bases.items():
-        for wname, (w, transform) in weights.items():
-            x = transform(ra, w, n_max + 1)
+        for wname, w in weights.items():
+            x = c_transform(ra, w, n_max + 1)
             direct = (f"{x.kind}-transform entries", x.entries.entry)
             tag = f"{bname}-{wname}"
-            horiz_route = ("weighted A/Z recursion", partial(horiz_recursion_C, x))
-            vert_route = ("weighted vertical recursion", partial(vert_recursion_C, x))
-            yield f"{x.kind}-horizontal-{tag}", direct, horiz_route, n_max, rows_from_1
-            yield f"{x.kind}-vertical-{tag}", direct, vert_route, n_max, _POS
+            horiz = ("weighted A/Z recursion", partial(horiz_recursion_C, x))
+            vert = ("weighted vertical recursion", partial(vert_recursion_C, x))
+            yield f"{x.kind}-horizontal-{tag}", direct, horiz, n_max, from_row1
+            yield f"{x.kind}-vertical-{tag}", direct, vert, n_max, "1 <= k <= n"
 
 
 def _rows() -> Iterator[tuple]:
@@ -232,24 +230,20 @@ def _rows() -> Iterator[tuple]:
             sum(catalog.binomial(n - j, k - 1) for j in range(1, n - k + 2))
         ),
     )
-    yield "pascal-vertical-recursion", binomial, binomial_vertical, 50, _POS
+    yield "pascal-vertical-recursion", binomial, binomial_vertical, 50, "1 <= k <= n"
     for m in range(1, 6):
         yield from _fuss_rows(m)
     catalan = ("C(n-k, k+1)", lambda n, k: catalan_power_coeff(n - k, k + 1))
-    catalan_convolution = (
-        "sum_j C(j,1) C(n-j-k, k)",
-        lambda n, k: sum(
-            catalan_power_coeff(j, 1) * catalan_power_coeff(n - j - k, k)
-            for j in range(n - k + 1)
-        ),
-    )
-    yield "catalan-convolution", catalan, catalan_convolution, 40, _FULL
+    convolution = _convolution("C", catalan_power_coeff)
+    yield "catalan-convolution", catalan, convolution, 40, "0 <= k <= n"
     for m in range(1, 6):
         yield _fuss_functional_row(m)
     for name, ra in catalog.corpus(prec=32).items():
-        holds = Fraction(int(factorization_check(ra, 24)))
-        lhs = ("factorization holds", lambda n, k, holds=holds: holds)
-        yield f"quasi-factorization-{name}", lhs, _EXPECTED, 0, _ZERO
+        holds = (
+            "factorization holds",
+            lambda n, k, ra=ra: Fraction(int(factorization_check(ra, 24))),
+        )
+        yield f"quasi-factorization-{name}", holds, _EXPECTED, 0, "k = 0"
     yield from _closed_form_rows()
     yield from _weighted_rows()
 
@@ -270,7 +264,7 @@ def _closed_form_rows() -> list[tuple]:
     rook_vertical = (
         "sum_j ((n)_j / k) r_{n-j,k-1}",
         lambda n, k: sum(
-            Fraction(catalog.falling(n, j), k) * rook_entry(n - j, k - 1)
+            Fraction(math.perm(n, j), k) * rook_entry(n - j, k - 1)
             for j in range(1, n - k + 2)
         ),
     )
@@ -313,23 +307,22 @@ def _closed_form_rows() -> list[tuple]:
         * math.factorial(n)
         * laguerre_entry(n, k),
     )
-    strict = (lambda n: range(1, n), "1 <= k <= n-1")
-    past_diag = (lambda n: range(0, n + 2), "0 <= k <= n+1")
+    positive, full, past_diag = "1 <= k <= n, n >= 1", "0 <= k <= n", "0 <= k <= n+1"
     return [
-        ("rook-horizontal", rook, rook_horizontal, 30, _POS_N1),
-        ("rook-column0", rook0, rook0_recursion, 30, _ZERO),
-        ("rook-vertical", rook, rook_vertical, 30, _POS_N1),
-        ("laguerre-horizontal", lag, lag_horizontal, 30, strict),
-        ("laguerre-column0", lag0, lag0_recursion, 30, _ZERO),
-        ("laguerre-vertical", lag, lag_vertical, 30, _POS_N1),
-        ("rook-expansion", expansion, _EXPECTED, 12, _ZERO),
+        ("rook-horizontal", rook, rook_horizontal, 30, positive),
+        ("rook-column0", rook0, rook0_recursion, 30, "k = 0"),
+        ("rook-vertical", rook, rook_vertical, 30, positive),
+        ("laguerre-horizontal", lag, lag_horizontal, 30, "1 <= k <= n-1"),
+        ("laguerre-column0", lag0, lag0_recursion, 30, "k = 0"),
+        ("laguerre-vertical", lag, lag_vertical, 30, positive),
+        ("rook-expansion", expansion, _EXPECTED, 12, "k = 0"),
         ("rook-remainder-consistency", rook_next, rook_plus_remainder, 12, past_diag),
-        ("rook-laguerre-duality-classical", rook_reversed, lag_scaled, 12, _FULL),
+        ("rook-laguerre-duality-classical", rook_reversed, lag_scaled, 12, full),
     ]
 
 
-def _check(name, lhs, rhs, n_max: int, policy) -> VerificationReport:
-    return verify(name, EntryGenerator(*lhs), EntryGenerator(*rhs), n_max, *policy)
+def _check(name, lhs, rhs, n_max: int, k_policy: str) -> VerificationReport:
+    return verify(name, EntryGenerator(*lhs), EntryGenerator(*rhs), n_max, k_policy)
 
 
 def builtin_suite() -> list[VerificationReport]:

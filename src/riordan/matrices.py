@@ -105,15 +105,11 @@ class Triangle:
 
     @classmethod
     def from_csv(cls, text: str) -> "Triangle":
-        rows = [
-            [Fraction(tok.strip()) for tok in line.split(",")]
-            for line in text.strip().splitlines()
-        ]
-        return cls(rows)
+        return cls([line.split(",") for line in text.strip().splitlines()])
 
     @classmethod
     def from_json(cls, text: str) -> "Triangle":
-        return cls([[Fraction(x) for x in row] for row in json.loads(text)])
+        return cls(json.loads(text))
 
 
 def direct_sum_one(m: Triangle) -> Triangle:

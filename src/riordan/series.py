@@ -299,6 +299,8 @@ class Series:
         Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n, with the
         powers of t/f built one product at a time.
         """
+        if self.prec < 1:
+            raise PrecisionError("comp_inverse: order unknown at precision 0")
         if self.order() != 1:
             raise NoCompositionalInverseError(
                 "no compositional inverse: order is not 1"

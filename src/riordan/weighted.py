@@ -3,15 +3,16 @@
 A weight sequence c (c_0 = 1, all c_k nonzero) rescales a Riordan array's
 entries to (c_n/c_k) d_{n,k}; a weight triangle C rescales them to
 (c_{n,n}/c_{n,k}) d_{n,k}.  A (c)-weight is read as the (C)-weight
-c_{n,k} = c_k, for which c_{n,n}/c_{n,k} = c_n/c_k, so one transform and
-one recursion per direction serve both kinds: horiz_recursion_C (row n
-from row n-1, through the base array's A/Z-sequences) and
-vert_recursion_C (column k from column k-1, through the coefficients of
-f), each with weight-ratio corrections, which is what turns the linear
-Riordan recursions into nonlinear recursions like those of the rook and
-Laguerre triangles.  The (c)-weighted arrays again form a group under
-matrix multiplication; the (C)-class does not, so the group law here
-rejects C-weighted inputs.
+c_{n,k} = c_k, for which c_{n,n}/c_{n,k} = c_n/c_k, so one transform
+(c_transform takes either kind; C_transform is the same map under the
+paper's name) and one recursion per direction serve both kinds:
+horiz_recursion_C (row n from row n-1, through the base array's
+A/Z-sequences) and vert_recursion_C (column k from column k-1, through
+the coefficients of f), each with weight-ratio corrections, which is
+what turns the linear Riordan recursions into nonlinear recursions like
+those of the rook and Laguerre triangles.  The (c)-weighted arrays again
+form a group under matrix multiplication; the (C)-class does not, so the
+group law here rejects C-weighted inputs.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ def _transform(ra: RiordanPair, weight: Weight, n: int) -> WeightedTriangle:
     return WeightedTriangle(ra, weight, Triangle(rows))
 
 
-def c_transform(ra: RiordanPair, c: WeightSeq, n: int) -> WeightedTriangle:
-    """Entries (c_n / c_k) d_{n,k} from the first n rows of (g, f)."""
+def c_transform(ra: RiordanPair, c: Weight, n: int) -> WeightedTriangle:
+    """Entries (c_n / c_k) d_{n,k}, or (c_{n,n} / c_{n,k}) d_{n,k} for a (C)-weight."""
     return _transform(ra, c, n)
 
 

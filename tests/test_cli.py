@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, environment knobs."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -45,6 +46,22 @@ class TestTriangle:
             "json",
         )
         assert Triangle.from_csv(out_csv) == Triangle.from_json(out_json)
+
+    def test_csv_reader_strips_whitespace(self):
+        tri = Triangle.from_csv(" 1\n -1/2 , 3 \n")
+        assert tri == Triangle([[1], [Fraction(-1, 2), 3]])
+
+    @pytest.mark.parametrize("text", ["1\n2,x\n", "1\n2\n"], ids=["token", "ragged"])
+    def test_csv_reader_rejects_malformed_input(self, text):
+        with pytest.raises(ValueError):
+            Triangle.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "text", ['[["1"], ["2", "x"]]', '[["1"], ["2"]]'], ids=["token", "ragged"]
+    )
+    def test_json_reader_rejects_malformed_input(self, text):
+        with pytest.raises(ValueError):
+            Triangle.from_json(text)
 
     def test_explicit_g_f(self, capsys):
         code, out, _ = run_cli(

@@ -6,13 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from riordan import harness
 from riordan.harness import (
+    K_POLICIES,
     Counterexample,
     EntryGenerator,
     exit_code,
-    k_full,
-    k_positive,
-    k_zero_only,
     reports_to_json,
     verify,
     VerificationReport,
@@ -69,9 +68,38 @@ class TestVerify:
         assert "ZeroDivisionError" in r.detail
 
     def test_k_policies(self):
-        assert list(k_full(3)) == [0, 1, 2, 3]
-        assert list(k_positive(3)) == [1, 2, 3]
-        assert list(k_zero_only(3)) == [0]
+        def walked(n):
+            return {label: list(k_range(n)) for label, k_range in K_POLICIES.items()}
+
+        assert walked(3) == {
+            "0 <= k <= n": [0, 1, 2, 3],
+            "0 <= k <= n, n >= 1": [0, 1, 2, 3],
+            "0 <= k <= n+1": [0, 1, 2, 3, 4],
+            "1 <= k <= n": [1, 2, 3],
+            "1 <= k <= n, n >= 1": [1, 2, 3],
+            "1 <= k <= n-1": [1, 2],
+            "k = 0": [0],
+        }
+        assert walked(0) == {
+            "0 <= k <= n": [0],
+            "0 <= k <= n, n >= 1": [],
+            "0 <= k <= n+1": [0, 1],
+            "1 <= k <= n": [],
+            "1 <= k <= n, n >= 1": [],
+            "1 <= k <= n-1": [],
+            "k = 0": [0],
+        }
+
+    def test_policy_label_sets_the_range(self):
+        def boom(n, k):
+            if k > 0:
+                raise RuntimeError("k > 0 was walked")
+            return Fraction(0)
+
+        r = verify("col0", const_gen(0), EntryGenerator("boom", boom), 5, "k = 0")
+        assert (r.status, r.k_policy) == ("verified", "k = 0")
+        with pytest.raises(KeyError):
+            verify("unknown", const_gen(), const_gen(), 1, "0 <= k < n")
 
     def test_n_max_zero(self):
         r = verify("tiny", const_gen(), const_gen(), 0)
@@ -153,3 +181,18 @@ class TestBuiltinSuite:
         for d in reports:
             del d["seconds"]
         assert reports == reference
+
+    def test_raising_check_is_inconclusive(self, monkeypatch):
+        def broken(ra, n):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(harness, "factorization_check", broken)
+        rows = list(harness._rows())  # building the rows runs no check
+        quasi = [i for i, row in enumerate(rows) if row[0].startswith("quasi-")]
+        assert len(quasi) == 10
+        # the ten factorization rows with one neighbour on each side
+        reports = [harness._check(*row) for row in rows[quasi[0] - 1 : quasi[-1] + 2]]
+        assert [r.status for r in reports[1:-1]] == ["inconclusive"] * 10
+        assert all("RuntimeError('synthetic')" in r.detail for r in reports[1:-1])
+        assert reports[0].status == reports[-1].status == "verified"
+        assert exit_code(reports) == 2

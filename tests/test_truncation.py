@@ -2,7 +2,8 @@
 
 For an input x of precision p and 0 <= r <= p, op(x.truncate(r)) must
 either agree with op(x) on every coefficient both results carry, or raise
-a SeriesError; it must never return a different value.  Operations with
+a PrecisionError; it must never return a different value, nor blame the
+cut input for a fault other than its missing coefficients.  Operations with
 two arguments truncate each argument in turn; a pair is truncated by
 truncating both g and f.
 """
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordan import AZSequences, QuasiRiordan, RiordanPair, Series, SeriesError, Triangle
+from riordan import AZSequences, PrecisionError, QuasiRiordan, RiordanPair, Series, Triangle
 
 # st.fractions builds a fresh strategy per draw, which dominates the run
 # time here; a numerator over a small denominator draws much faster.
@@ -94,6 +95,6 @@ def test_truncation_agrees_or_raises(name, which, data):
         # no order-1 coefficient left and the constructor must refuse it
         cut = [_truncate(a, r) if i == which else a for i, a in enumerate(args)]
         got = op(r, *cut)
-    except SeriesError:
+    except PrecisionError:
         return
     assert _agree(got, full), (r, got, full)
