@@ -297,27 +297,32 @@ def random_pair(rng: random.Random, prec: int) -> RiordanPair:
     return RiordanPair(g, f)
 
 
+CORPUS_NAMES = (
+    "pascal", "identity", "catalan_bell", "fuss_bell3", "appell_geometric",
+    "lagrange_geometric", "derivative_geometric", "checkerboard", "random_a",
+    "random_b",
+)
+
+
 def corpus(prec: int = 48, seed: int = 20240826) -> dict[str, RiordanPair]:
-    """Ten fixed Riordan pairs exercising every named subgroup shape."""
+    """Ten fixed pairs exercising every named subgroup shape, keyed by CORPUS_NAMES."""
     rng = random.Random(seed)
     geo = Series.geometric(prec)
-    pairs = {
-        "pascal": named_riordan("pascal", prec),
-        "identity": named_riordan("identity", prec),
-        "catalan_bell": named_riordan("catalan_bell", prec),
-        "fuss_bell3": named_riordan("fuss_bell", prec, "3"),
-        "appell_geometric": named_riordan("appell", prec, "geometric"),
-        "lagrange_geometric": named_riordan("lagrange", prec, "geometric"),
+    pairs = [
+        named_riordan("pascal", prec),
+        named_riordan("identity", prec),
+        named_riordan("catalan_bell", prec),
+        named_riordan("fuss_bell", prec, "3"),
+        named_riordan("appell", prec, "geometric"),
+        named_riordan("lagrange", prec, "geometric"),
         # derivative pair (f', f) for f = t/(1-t): f' = 1/(1-t)^2
-        "derivative_geometric": RiordanPair(
-            (geo * geo).truncate(prec), geo.shift_up().truncate(prec)
-        ),
+        RiordanPair((geo * geo).truncate(prec), geo.shift_up().truncate(prec)),
         # checkerboard pair (1/(1-t^2), t/(1-t^2))
-        "checkerboard": RiordanPair(
+        RiordanPair(
             Series([1 if i % 2 == 0 else 0 for i in range(prec + 1)]),
             Series([0 if i % 2 == 0 else 1 for i in range(prec + 1)]),
         ),
-        "random_a": random_pair(rng, prec),
-        "random_b": random_pair(rng, prec),
-    }
-    return pairs
+        random_pair(rng, prec),
+        random_pair(rng, prec),
+    ]
+    return dict(zip(CORPUS_NAMES, pairs, strict=True))

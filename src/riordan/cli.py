@@ -1,31 +1,24 @@
 """Command-line surface.
 
 Subcommands: triangle, quasi, mul, inv, az, ctransform, verify, catalog.
-Pair, series and weight specs are parsed by riordan.catalog (series_spec,
-pair_spec, weight_spec); this module only reads flags and maps errors to
-exit codes: 0 success, 64 usage error (a bad flag, a malformed spec or
-RIORDAN_PREC, a missing or unexpected parameter), 65 an unknown catalog
-name or a value the maths rejects, 73 an --out file that cannot be
-written.  The verify subcommand instead uses the report contract (0 all
-verified, 1 counterexample, 2 inconclusive), and 73 as above.
+Each input is set one way: a pair only by a pair spec (--name, --a, --b),
+a weight by --weight, the precision by --prec, and --format only where a
+triangle prints.  Specs are parsed by riordan.catalog (pair_spec,
+weight_spec); this module only reads flags and maps errors to exit codes:
+0 success, 64 usage error (a bad flag, a malformed spec, a missing or
+unexpected parameter), 65 an unknown catalog name or a value the maths
+rejects, 73 an --out file that cannot be written.  The verify subcommand
+instead uses the report contract (0 all verified, 1 counterexample,
+2 inconclusive), and 73 as above.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import harness
-from .catalog import (
-    CatalogError,
-    SpecError,
-    catalog_names,
-    pair_spec,
-    series_spec,
-    weight_spec,
-)
-from .group import RiordanPair
+from .catalog import CatalogError, SpecError, catalog_names, pair_spec, weight_spec
 from .matrices import Triangle
 from .quasi import QuasiRiordan
 from .series import Series, SeriesError
@@ -37,17 +30,6 @@ DEFAULT_PREC = 64
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise SpecError(message)
-
-
-def _pair(args: argparse.Namespace, prec: int) -> RiordanPair:
-    """The pair given by --name, or by --g and --f."""
-    if args.name and (args.g or args.f):
-        raise SpecError("give a pair with --name or with --g/--f, not both")
-    if args.name:
-        return pair_spec(args.name, prec)
-    if args.g and args.f:
-        return RiordanPair(series_spec(args.g, prec), series_spec(args.f, prec))
-    raise SpecError("specify a pair with --name or with --g and --f")
 
 
 def _series_line(s: Series) -> str:
@@ -65,22 +47,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_triangle(tri: Triangle, fmt: str, out: str | None) -> None:
-    _emit(tri.to_csv() if fmt == "csv" else tri.to_json() + "\n", out)
+def _emit_triangle(tri: Triangle, fmt: str | None, out: str | None) -> None:
+    _emit(tri.to_json() + "\n" if fmt == "json" else tri.to_csv(), out)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="riordan", description=__doc__)
-    parser.add_argument("--prec", type=int, default=None, help="working precision")
+    parser.add_argument("--prec", type=int, default=DEFAULT_PREC, help="precision")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pair_opts(p):
-        p.add_argument("--name", help="pair spec, e.g. fuss_bell:3 or '1;0,1,1'")
-        p.add_argument("--g", help="series spec for g")
-        p.add_argument("--f", help="series spec for f")
+        p.add_argument("--name", required=True, help="pair spec, e.g. fuss_bell:3")
 
     def add_output_opts(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"), help="default csv")
         p.add_argument("--out", help="write to this path instead of stdout")
 
     p = sub.add_parser("triangle", help="finite section of a Riordan array")
@@ -128,12 +108,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     prec = args.prec
-    if prec is None:
-        env = os.environ.get("RIORDAN_PREC", str(DEFAULT_PREC))
-        try:
-            prec = int(env)
-        except ValueError:
-            raise SpecError(f"RIORDAN_PREC must be an integer, got {env!r}") from None
     if prec < 1:
         raise SpecError("precision must be >= 1")
     order = getattr(args, "order", None)
@@ -143,21 +117,23 @@ def run(argv: list[str] | None = None) -> int:
         prec = max(prec, order - 1)  # a section of order n reads t^(n-1)
 
     if args.command == "triangle":
-        ra = _pair(args, prec)
+        ra = pair_spec(args.name, prec)
         _emit_triangle(ra.triangle(args.order), args.format, args.out)
         return 0
 
     if args.command == "quasi":
-        ra = _pair(args, prec)
+        ra = pair_spec(args.name, prec)
         q = QuasiRiordan.of_pair(ra)
         _emit_triangle(q.matrix(args.order), args.format, args.out)
         return 0
 
     if args.command in ("mul", "inv"):
+        if args.format and args.order is None:
+            raise SpecError("--format needs --order")
         if args.command == "mul":
             ra = pair_spec(args.a, prec) * pair_spec(args.b, prec)
         else:
-            ra = _pair(args, prec).inverse()
+            ra = pair_spec(args.name, prec).inverse()
         if args.order is not None:
             _emit_triangle(ra.triangle(args.order), args.format, args.out)
         else:
@@ -165,12 +141,12 @@ def run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "az":
-        az = _pair(args, prec).extract_az()
+        az = pair_spec(args.name, prec).extract_az()
         _emit(f"A: {_series_line(az.a)}\nZ: {_series_line(az.z)}\n", args.out)
         return 0
 
     if args.command == "ctransform":
-        ra = _pair(args, prec)
+        ra = pair_spec(args.name, prec)
         wt = c_transform(ra, weight_spec(args.weight, args.order - 1), args.order)
         _emit_triangle(wt.entries, args.format, args.out)
         return 0

@@ -10,8 +10,8 @@ parameter: over the rationals equality is equality.
 The builtin suite is a table of identities: each row names an identity,
 gives its two described entry routes, the range n_max and the label of
 its k-policy (a key of K_POLICIES), and one helper runs every row through
-verify.  Boolean checks such as factorization_check run inside a route,
-hence inside verify, so one that raises makes only its row inconclusive.
+verify.  Every check and row input (F_m powers, transforms, the corpus)
+is built in a route on first use: a raise makes only its rows inconclusive.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterator
 
 from . import catalog
@@ -161,10 +163,12 @@ def _convolution(name: str, coeff: Callable[[int, int], Fraction]) -> tuple:
 
 def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
     """[t^(n-k)] F_m^(k+1) by closed form, by convolution and by series."""
-    fm = catalog.fuss_series(m, n_max)
-    powers = [Series.one(n_max)]
-    for _ in range(n_max + 1):
-        powers.append(powers[-1] * fm)
+
+    @cache
+    def powers() -> list[Series]:  # F_m^0, F_m^1, ..., F_m^(n_max+1)
+        fm = catalog.fuss_series(m, n_max)
+        return list(accumulate([fm] * (n_max + 1), mul, initial=Series.one(n_max)))
+
     closed = (
         "[t^(n-k)] F_m^(k+1), closed form",
         lambda n, k: fuss_power_coeff(m, n - k, k + 1),
@@ -172,7 +176,7 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
     convolution = _convolution("F_m", partial(fuss_power_coeff, m))
     series = (
         "[t^(n-k)] of the multiplied-out series F_m^(k+1)",
-        lambda n, k: powers[k + 1][n - k],
+        lambda n, k: powers()[k + 1][n - k],
     )
     return [
         (f"fuss-convolution-m{m}", closed, convolution, n_max, "1 <= k <= n"),
@@ -182,43 +186,48 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
 
 def _fuss_functional_row(m: int, prec: int = 40) -> tuple:
     """F_m = 1 + t F_m^m, coefficient by coefficient."""
-    fm = catalog.fuss_series(m, prec)
-    power = Series.one(prec)
-    for _ in range(m):
-        power = power * fm
-    rhs = Series.one(prec) + power.shift_up().truncate(prec)
+
+    @cache
+    def sides() -> tuple[Series, Series]:
+        fm = catalog.fuss_series(m, prec)
+        power = math.prod([fm] * m, start=Series.one(prec))
+        return fm, Series.one(prec) + power.shift_up().truncate(prec)
+
     return (
         f"fuss-functional-equation-m{m}",
-        ("coefficients of F_m", lambda n, k: fm[n]),
-        ("coefficients of 1 + t F_m^m", lambda n, k: rhs[n]),
+        ("coefficients of F_m", lambda n, k: sides()[0][n]),
+        ("coefficients of 1 + t F_m^m", lambda n, k: sides()[1][n]),
         prec,
         "k = 0",
     )
+
+
+def _transform_rows(tag: str, base: Callable, w, n_max: int) -> Iterator[tuple]:
+    """The horizontal and vertical rows of one base pair and one weight."""
+    x = cache(lambda: c_transform(base(), w, n_max + 1))
+    direct = (f"{w.kind}-transform entries", lambda n, k: x().entries.entry(n, k))
+    horiz = ("weighted A/Z recursion", lambda n, k: horiz_recursion_C(x(), n, k))
+    vert = ("weighted vertical recursion", lambda n, k: vert_recursion_C(x(), n, k))
+    yield f"{w.kind}-horizontal-{tag}", direct, horiz, n_max, "0 <= k <= n, n >= 1"
+    yield f"{w.kind}-vertical-{tag}", direct, vert, n_max, "1 <= k <= n"
 
 
 def _weighted_rows(n_max: int = 20) -> Iterator[tuple]:
     """Recursion-vs-transform equivalence for each weighted recursion."""
     prec = n_max + 2
     bases = {
-        "pascal": catalog.named_riordan("pascal", prec),
-        "catalan_bell": catalog.named_riordan("catalan_bell", prec),
-        "fuss_bell3": catalog.named_riordan("fuss_bell", prec, "3"),
+        "pascal": cache(partial(catalog.named_riordan, "pascal", prec)),
+        "catalan_bell": cache(partial(catalog.named_riordan, "catalan_bell", prec)),
+        "fuss_bell3": cache(partial(catalog.named_riordan, "fuss_bell", prec, "3")),
     }
     weights = {
         "factorial": WeightSeq.factorial(n_max),
         "power2": WeightSeq.power(2, n_max),
         "laguerre": WeightTri.laguerre(n_max),
     }
-    from_row1 = "0 <= k <= n, n >= 1"
-    for bname, ra in bases.items():
+    for bname, base in bases.items():
         for wname, w in weights.items():
-            x = c_transform(ra, w, n_max + 1)
-            direct = (f"{x.kind}-transform entries", x.entries.entry)
-            tag = f"{bname}-{wname}"
-            horiz = ("weighted A/Z recursion", partial(horiz_recursion_C, x))
-            vert = ("weighted vertical recursion", partial(vert_recursion_C, x))
-            yield f"{x.kind}-horizontal-{tag}", direct, horiz, n_max, from_row1
-            yield f"{x.kind}-vertical-{tag}", direct, vert, n_max, "1 <= k <= n"
+            yield from _transform_rows(f"{bname}-{wname}", base, w, n_max)
 
 
 def _rows() -> Iterator[tuple]:
@@ -238,10 +247,11 @@ def _rows() -> Iterator[tuple]:
     yield "catalan-convolution", catalan, convolution, 40, "0 <= k <= n"
     for m in range(1, 6):
         yield _fuss_functional_row(m)
-    for name, ra in catalog.corpus(prec=32).items():
+    corpus = cache(partial(catalog.corpus, prec=32))
+    for name in catalog.CORPUS_NAMES:
         holds = (
             "factorization holds",
-            lambda n, k, ra=ra: Fraction(int(factorization_check(ra, 24))),
+            lambda n, k, p=name: Fraction(int(factorization_check(corpus()[p], 24))),
         )
         yield f"quasi-factorization-{name}", holds, _EXPECTED, 0, "k = 0"
     yield from _closed_form_rows()

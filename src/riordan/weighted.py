@@ -37,6 +37,7 @@ class WeightSeq:
     """A weight sequence (c_0, c_1, ...) with c_0 = 1 and no zero entry."""
 
     __slots__ = ("c",)
+    kind = "c"
 
     c: tuple[Fraction, ...]
 
@@ -76,6 +77,7 @@ class WeightTri:
     """A lower-triangular weight table with c_{n,0} = 1, c_{n,k} != 0."""
 
     __slots__ = ("rows",)
+    kind = "C"
 
     rows: tuple[tuple[Fraction, ...], ...]
 
@@ -130,7 +132,7 @@ class WeightedTriangle:
 
     @property
     def kind(self) -> str:
-        return "c" if isinstance(self.weight, WeightSeq) else "C"
+        return self.weight.kind
 
     @property
     def n(self) -> int:

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: output formats, exit codes, environment knobs."""
+"""End-to-end CLI behavior: output formats, exit codes, the precision flag."""
 
 import json
 from fractions import Fraction
@@ -64,9 +64,7 @@ class TestTriangle:
             Triangle.from_json(text)
 
     def test_explicit_g_f(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "triangle", "--g", "1,1", "--f", "0,1,1", "--order", "4"
-        )
+        code, out, _ = run_cli(capsys, "triangle", "--name", "1,1;0,1,1", "--order", "4")
         assert code == 0
         assert out.splitlines()[1] == "1,1"
 
@@ -80,9 +78,7 @@ class TestTriangle:
     def test_nested_series_spec(self, capsys, name, g, f):
         code, out, _ = run_cli(capsys, "triangle", "--name", name, "--order", "4")
         assert code == 0
-        _, explicit, _ = run_cli(
-            capsys, "triangle", "--g", g, "--f", f, "--order", "4"
-        )
+        _, explicit, _ = run_cli(capsys, "triangle", "--name", f"{g};{f}", "--order", "4")
         assert out == explicit
 
     def test_out_file(self, capsys, tmp_path):
@@ -143,6 +139,17 @@ class TestMulInv:
         assert code == 0
         inverse = named_riordan("catalan_bell", 69).inverse()
         assert Triangle.from_csv(out) == inverse.triangle(70)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("mul", "--a", "pascal", "--b", "pascal"), ("inv", "--name", "pascal")],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_without_order_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--prec", "4", *argv, "--format", "json")
+        assert code == 64
+        assert out == ""
+        assert "--format needs --order" in err
 
 
 class TestAz:
@@ -231,9 +238,7 @@ class TestErrors:
         assert "nope" in err
 
     def test_malformed_series_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "triangle", "--g", "1,x", "--f", "0,1", "--order", "4"
-        )
+        code, _, err = run_cli(capsys, "triangle", "--name", "1,x;0,1", "--order", "4")
         assert code == 64
         assert "malformed" in err
 
@@ -244,7 +249,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("triangle", "--g", "bogus", "--f", "0,1", "--order", "4"),
+            ("triangle", "--name", "bogus;0,1", "--order", "4"),
             ("mul", "--a", "pascal", "--b", "bogus"),
             ("ctransform", "--name", "pascal", "--weight", "bogus", "--order", "4"),
         ],
@@ -258,7 +263,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("triangle", "--g", "1/0", "--f", "0,1", "--order", "4"),
+            ("triangle", "--name", "1/0;0,1", "--order", "4"),
             ("mul", "--a", "1,1", "--b", "pascal"),
         ],
         ids=["zero-denominator", "pair-literal"],
@@ -267,12 +272,6 @@ class TestErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 64
         assert "malformed" in err
-
-    def test_name_with_g_f_is_usage_error(self, capsys):
-        argv = ("triangle", "--name", "pascal", "--g", "1", "--f", "0,1")
-        code, _, err = run_cli(capsys, *argv, "--order", "4")
-        assert code == 64
-        assert "--name" in err
 
     def test_bad_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")
@@ -297,9 +296,7 @@ class TestErrors:
 
     def test_invalid_pair_is_math_error(self, capsys):
         # g(0) != 1 is rejected by the constructor
-        code, _, _ = run_cli(
-            capsys, "triangle", "--g", "2,1", "--f", "0,1", "--order", "4"
-        )
+        code, _, _ = run_cli(capsys, "triangle", "--name", "2,1;0,1", "--order", "4")
         assert code == 65
 
     def test_unknown_subcommand(self, capsys):
@@ -311,12 +308,12 @@ class TestErrors:
         [
             ("triangle", "--name", "fuss_bell:x", "--order", "4"),
             ("triangle", "--name", "appell:fuss:x", "--order", "4"),
-            ("triangle", "--g", "fuss:x", "--f", "0,1", "--order", "4"),
-            ("triangle", "--g", "geometric:1/0", "--f", "0,1", "--order", "4"),
+            ("triangle", "--name", "fuss:x;0,1", "--order", "4"),
+            ("triangle", "--name", "geometric:1/0;0,1", "--order", "4"),
             ("ctransform", "--name", "pascal", "--weight", "power:x", "--order", "4"),
             ("triangle", "--name", "pascal:7", "--order", "4"),
             ("triangle", "--name", "catalan_bell:zzz", "--order", "4"),
-            ("triangle", "--g", "catalan:9", "--f", "0,1", "--order", "4"),
+            ("triangle", "--name", "catalan:9;0,1", "--order", "4"),
             (
                 "ctransform", "--name", "pascal", "--weight", "factorial:9", "--order", "4"
             ),
@@ -325,7 +322,7 @@ class TestErrors:
             ),
             ("triangle", "--name", "lagrange:catalan:4", "--order", "4"),
             ("triangle", "--name", "fuss_bell:", "--order", "4"),
-            ("triangle", "--g", "fuss", "--f", "0,1", "--order", "4"),
+            ("triangle", "--name", "fuss;0,1", "--order", "4"),
             ("ctransform", "--name", "pascal", "--weight", "power", "--order", "4"),
         ],
     )
@@ -357,29 +354,12 @@ class TestErrors:
         assert "r.json" in err
 
 
-class TestPrecEnv:
-    def test_env_var_sets_prec(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIORDAN_PREC", "3")
-        code, out, _ = run_cli(capsys, "inv", "--name", "pascal")
-        assert code == 0
-        assert out.splitlines()[0] == "g: 1, -1, 1, -1"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIORDAN_PREC", "3")
-        code, out, _ = run_cli(capsys, "--prec", "5", "inv", "--name", "pascal")
-        assert code == 0
-        assert out.splitlines()[0] == "g: 1, -1, 1, -1, 1, -1"
-
-    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIORDAN_PREC", "0")
-        code, _, _ = run_cli(capsys, "az", "--name", "pascal")
+class TestPrec:
+    @pytest.mark.parametrize("prec", ["0", "-1", "abc"])
+    def test_bad_prec_is_usage_error(self, capsys, prec):
+        code, _, err = run_cli(capsys, "--prec", prec, "az", "--name", "pascal")
         assert code == 64
-
-    def test_malformed_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIORDAN_PREC", "abc")
-        code, _, err = run_cli(capsys, "az", "--name", "pascal")
-        assert code == 64
-        assert "RIORDAN_PREC" in err
+        assert "prec" in err
 
 
 class TestParsers:

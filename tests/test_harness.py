@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from riordan import harness
+from riordan import catalog, harness
 from riordan.harness import (
     K_POLICIES,
     Counterexample,
@@ -196,3 +196,35 @@ class TestBuiltinSuite:
         assert all("RuntimeError('synthetic')" in r.detail for r in reports[1:-1])
         assert reports[0].status == reports[-1].status == "verified"
         assert exit_code(reports) == 2
+
+    @pytest.mark.parametrize(
+        "owner, builder, broken, n_broken, intact, n_intact",
+        [
+            (harness, "c_transform", ("c-", "C-"), 18, (), 0),
+            (
+                catalog,
+                "fuss_series",
+                ("fuss-series-", "fuss-functional-"),
+                10,
+                ("fuss-convolution-",),
+                5,
+            ),
+        ],
+        ids=["c_transform", "fuss_series"],
+    )
+    def test_raising_input_is_inconclusive(
+        self, monkeypatch, owner, builder, broken, n_broken, intact, n_intact
+    ):
+        def raising(*args):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(owner, builder, raising)
+        rows = list(harness._rows())  # building the rows builds no input
+        hit = [row for row in rows if row[0].startswith(broken)]
+        kept = [row for row in rows if row[0].startswith(intact)]
+        assert (len(hit), len(kept)) == (n_broken, n_intact)
+        reports = [harness._check(*row) for row in hit]
+        assert [r.status for r in reports] == ["inconclusive"] * n_broken
+        assert all("RuntimeError('synthetic')" in r.detail for r in reports)
+        assert exit_code(reports) == 2
+        assert all(harness._check(*row).status == "verified" for row in kept)

@@ -28,7 +28,7 @@ def _series(head: tuple, first, prec: int):
     return st.tuples(first, tail).map(lambda t: Series(head + (t[0],) + tuple(t[1])))
 
 
-def _pairs(cls, prec: int):
+def _proper_pairs(cls, prec: int):
     """(g, f) with g(0) = 1 and f of order exactly 1, as both pair classes need."""
     g = _series((Fraction(1),), rationals, prec)
     return st.builds(cls, g, _series((Fraction(0),), nonzero, prec))
@@ -38,8 +38,8 @@ STRATEGIES = {
     "series": lambda p: _series((), rationals, p),
     "unit": lambda p: _series((), nonzero, p),
     "order1": lambda p: _series((Fraction(0),), nonzero, p),
-    "pair": lambda p: _pairs(RiordanPair, p),
-    "quasi": lambda p: _pairs(QuasiRiordan, p),
+    "pair": lambda p: _proper_pairs(RiordanPair, p),
+    "quasi": lambda p: _proper_pairs(QuasiRiordan, p),
 }
 
 # name -> (argument kinds, op(r, *args)); r only sets a triangle's order.
