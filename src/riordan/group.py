@@ -6,15 +6,17 @@ This module provides three independent ways to compute entries (closed
 form, vertical recursion, fully nested sum), the group law and inverse,
 the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
-split.
+split.  The vertical recursion runs on integer numerators over one
+denominator per column and still returns reduced Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .matrices import Triangle
+from .matrices import Triangle, _cleared
 from .series import PrecisionError, Series, SeriesError
 
 
@@ -105,24 +107,27 @@ class RiordanPair(_Pair):
         )
 
     def triangle(self, n: int) -> Triangle:
-        """The n x n leading principal submatrix, via the vertical recursion."""
+        """The n x n leading principal submatrix, via the vertical recursion.
+
+        g and f are held as integer numerators over one denominator each,
+        dg and df.  Column k is the schoolbook convolution of column k-1
+        with f, over dg * df^k; each entry is then one reduced Fraction.
+        """
         self._check_order(n)
-        cols: list[list[Fraction]] = [list(self.g.coeffs[:n])]
+        g, dg = _cleared(self.g.coeffs[:n])
+        f, df = _cleared(self.f.coeffs[:n])
+        f1 = f[1:]
+        cols = [g]
         for k in range(1, n):
-            prev = cols[k - 1]
-            col = []
-            for m in range(n):
-                if m < k:
-                    col.append(Fraction(0))
-                else:
-                    col.append(
-                        sum(
-                            (self.f[j] * prev[m - j] for j in range(1, m - k + 2)),
-                            Fraction(0),
-                        )
-                    )
-            cols.append(col)
-        return Triangle([[cols[k][i] for k in range(i + 1)] for i in range(n)])
+            prev = cols[-1]
+            cols.append(
+                [0] * k
+                + [sum(map(mul, f1, reversed(prev[k - 1 : m]))) for m in range(k, n)]
+            )
+        dens = [dg * df**k for k in range(n)]
+        return Triangle(
+            [Fraction(cols[k][i], dens[k]) for k in range(i + 1)] for i in range(n)
+        )
 
     def triangle_closed(self, n: int) -> Triangle:
         """Same submatrix built from the column generating functions g*f^k."""

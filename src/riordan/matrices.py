@@ -11,7 +11,46 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
+
+
+def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators.
+
+    The series kernel has its own copy (``series._to_ints``): the vertical
+    recursion clears with this one, so that it shares no code with the
+    closed form it is checked against.
+    """
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _solve_column(num: Sequence[list[int]], j: int) -> tuple[list[int], int]:
+    """Rows j.. of column j of N^-1, as numerators over one denominator.
+
+    N is an integer lower-triangular matrix with a nonzero diagonal.
+    Forward substitution x_i = (delta_ij - sum_{j<=k<i} N_ik x_k) / N_ii
+    runs over one running denominator, kept positive and coprime to the
+    numerators.  Step i scales it by |N_ii| and appends the numerator s;
+    since the old numerators and denominator were coprime, the content to
+    divide out is gcd(|N_ii|, s).  The result is in lowest terms.
+    """
+    x: list[int] = []
+    den = 1
+    for row in num[j:]:
+        i = len(row) - 1
+        s = (den if i == j else 0) - sum(map(mul, row[j:i], x))
+        p = row[i]
+        if p < 0:
+            s, p = -s, -p
+        g = gcd(p, s)
+        if p != g:
+            x = [v * (p // g) for v in x]
+            den *= p // g
+        x.append(s // g)
+    return x, den
 
 
 @dataclass(frozen=True)
@@ -27,7 +66,8 @@ class Triangle:
         for i, row in enumerate(rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-            built.append(tuple(Fraction(x) for x in row))
+            # Fraction() of a Fraction rebuilds it through an ABC check.
+            built.append(tuple(x if type(x) is Fraction else Fraction(x) for x in row))
         object.__setattr__(self, "rows", tuple(built))
         if not self.rows:
             raise ValueError("empty triangle")
@@ -51,48 +91,44 @@ class Triangle:
         return cls([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
 
     def __matmul__(self, other: "Triangle") -> "Triangle":
+        """Product with rows of self and columns of other each cleared."""
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(i + 1):
-                row.append(
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(j, i + 1)),
-                        Fraction(0),
-                    )
-                )
-            out.append(row)
-        return Triangle(out)
+        n = self.n
+        rows = [_cleared(row) for row in self.rows]
+        cols = [_cleared([other.rows[k][j] for k in range(j, n)]) for j in range(n)]
+        return Triangle(
+            [
+                Fraction(sum(map(mul, a[j:], b)), da * db)
+                for j, (b, db) in enumerate(cols[: i + 1])
+            ]
+            for i, (a, da) in enumerate(rows)
+        )
 
     def inverse(self) -> "Triangle":
-        """Inverse by forward substitution; requires a nonzero diagonal."""
+        """Inverse by forward substitution; requires a nonzero diagonal.
+
+        With d_i the lcm of row i's denominators, self = diag(d)^-1 N for
+        an integer matrix N, so the inverse is N^-1 diag(d).
+        """
         for i in range(self.n):
             if self.rows[i][i] == 0:
                 raise ValueError(f"singular: zero diagonal entry at {i}")
-        inv: list[list[Fraction]] = []
-        for i in range(self.n):
-            row = []
-            for j in range(i + 1):
-                if j == i:
-                    row.append(1 / self.rows[i][i])
-                else:
-                    s = sum(
-                        (self.rows[i][k] * inv[k][j] for k in range(j, i)),
-                        Fraction(0),
-                    )
-                    row.append(-s / self.rows[i][i])
-            inv.append(row)
-        return Triangle(inv)
+        num, dens = zip(*map(_cleared, self.rows))
+        cols = []
+        for j, dj in enumerate(dens):
+            x, den = _solve_column(num, j)
+            cols.append([Fraction(v * dj, den) for v in x])
+        return Triangle([cols[j][i - j] for j in range(i + 1)] for i in range(self.n))
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         """Matrix times coefficient vector (vector length must be n)."""
         if len(vector) != self.n:
             raise ValueError("vector length must match matrix order")
+        v, dv = _cleared(vector)
         return [
-            sum((self.rows[i][j] * vector[j] for j in range(i + 1)), Fraction(0))
-            for i in range(self.n)
+            Fraction(sum(map(mul, a, v)), da * dv)
+            for a, da in map(_cleared, self.rows)
         ]
 
     # -- serialization (stable: row-major, row 0 first) -----------------------
