@@ -160,13 +160,14 @@ class RiordanPair(_Pair):
     # -- A- and Z-sequences ---------------------------------------------------
 
     def extract_az(self) -> "AZSequences":
-        """A(t) = (f/t)(fbar);  Z(t) = (g(fbar) - 1) / (fbar * g(fbar))."""
-        fbar = self.f.comp_inverse()
-        a = self.f.shift_down().compose(fbar.truncate(fbar.prec - 1))
-        gofbar = self.g.compose(fbar)
-        num = (gofbar - Series.one(gofbar.prec)).shift_down()
-        den = (fbar * gofbar).shift_down()
-        z = num * den.reciprocal()
+        """A(t) = t / fbar(t);  Z(t) = (1 - 1/g(fbar)) / fbar(t).
+
+        Both are read off the inverse pair (1/g(fbar), fbar): A is the
+        reciprocal of fbar/t, and Z is ((1 - 1/g(fbar)) / t) * A.
+        """
+        inv = self.inverse()
+        a = inv.f.shift_down().reciprocal()
+        z = (Series.one(inv.g.prec) - inv.g).shift_down() * a
         return AZSequences(a, z)
 
     def semidirect_split(self) -> tuple["RiordanPair", "RiordanPair"]:
@@ -254,7 +255,7 @@ def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
 def a_sequence_by_solve(ra: RiordanPair, length: int) -> list[Fraction]:
     """The A-sequence from the linear system d_{n+1,k+1} = sum a_j d_{n,k+j}.
 
-    Independent of the (f/t)(fbar) closed form; used as its oracle.  The
+    Independent of the t/fbar closed form; used as its oracle.  The
     system from the rows of triangle(length + 2) is triangular in the a_j
     because the diagonal entries are nonzero.
     """

@@ -152,7 +152,12 @@ _EXPECTED = ("expected", lambda n, k: Fraction(1))
 
 
 def _convolution(name: str, coeff: Callable[[int, int], Fraction]) -> tuple:
-    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k."""
+    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k.
+
+    coeff is cached for the life of the row: each entry's sum reads
+    coefficients that earlier entries already computed.
+    """
+    coeff = cache(coeff)
     return (
         f"sum_j [t^j] {name} [t^(n-j-k)] {name}^k",
         lambda n, k: sum(

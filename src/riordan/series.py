@@ -16,9 +16,11 @@ Kronecker substitution: each vector is packed into a single integer, one
 slot per coefficient, so one big-integer multiply does the whole
 convolution.  Chained products divide out the content, the gcd of the
 denominator and all numerators, after each step so the numbers stay
-small.  Results are converted back to reduced ``Fraction`` coefficients,
-so every public value is exactly what coefficient-by-coefficient rational
-arithmetic gives.
+small.  ``comp_inverse`` is Lagrange inversion evaluated by
+baby-step/giant-step (Brent & Kung 1978): about 2 sqrt(p) products of
+powers of t/f, then one integer dot product per coefficient.  Results are
+converted back to reduced ``Fraction`` coefficients, so every public value
+is exactly what coefficient-by-coefficient rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction, str]
@@ -296,8 +299,11 @@ class Series:
     def comp_inverse(self) -> "Series":
         """Compositional inverse fbar with fbar(f) = f(fbar) = t.
 
-        Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n, with the
-        powers of t/f built one product at a time.
+        Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] u^n with u = t/f,
+        evaluated by baby-step/giant-step (Brent & Kung 1978).  With
+        k = ceil(sqrt(p)), the baby powers u^0..u^k and the giant powers
+        u^(kq) take about 2 sqrt(p) products; each n = kq + r then needs
+        only the dot product [t^(n-1)] u^r u^(kq), not a product.
         """
         if self.prec < 1:
             raise PrecisionError("comp_inverse: order unknown at precision 0")
@@ -308,10 +314,21 @@ class Series:
         p = self.prec
         a, da = _to_ints(self.coeffs[1:])
         u, du = _krecip(a, p)
-        u = [da * c for c in u]  # t/f = u / du
+        u = _reduce([da * c for c in u], du)  # t/f, as (numerators, den)
+
+        def times(x, y):
+            return _reduce(_kmul(x[0], y[0], p), x[1] * y[1])
+
+        k = math.isqrt(p - 1) + 1
+        baby = [([1] + [0] * (p - 1), 1), u]  # u^0..u^k
+        while len(baby) <= k:
+            baby.append(times(baby[-1], u))
+        giant = [baby[0], baby[k]]  # u^0, u^k, u^2k, ...
+        while len(giant) <= p // k:
+            giant.append(times(giant[-1], baby[k]))
         out = [Fraction(0)]
-        pw, den = [1], 1  # (t/f)^n = pw / den
         for n in range(1, p + 1):
-            pw, den = _reduce(_kmul(pw, u, p), den * du)
-            out.append(Fraction(pw[n - 1], n * den))
+            (x, dx), (y, dy) = baby[n % k], giant[n // k]
+            dot = sum(map(mul, x[:n], reversed(y[:n])))
+            out.append(Fraction(dot, n * dx * dy))
         return Series(out)

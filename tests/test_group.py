@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riordan import (
     AZSequences,
@@ -16,7 +18,7 @@ from riordan import (
 )
 from riordan.catalog import catalan_number, named_riordan
 
-from conftest import random_pairs
+from conftest import random_pairs, rationals, series_strategy
 
 PASCAL_5 = Triangle([[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]])
 
@@ -149,7 +151,61 @@ class TestFundamentalTheorem:
         assert list(out.coeffs[:n]) == expect
 
 
+def extract_az_by_compositions(ra):
+    """Independent oracle: A = (f/t)(fbar), Z = (g(fbar) - 1) / (fbar g(fbar)).
+
+    Composes with fbar twice, where extract_az reads A and Z off the
+    inverse pair.
+    """
+    fbar = ra.f.comp_inverse()
+    a = ra.f.shift_down().compose(fbar.truncate(fbar.prec - 1))
+    gofbar = ra.g.compose(fbar)
+    num = (gofbar - Series.one(gofbar.prec)).shift_down()
+    den = (fbar * gofbar).shift_down()
+    return AZSequences(a, num * den.reciprocal())
+
+
+@st.composite
+def mismatched_pairs(draw):
+    """Pairs whose g and f have independent precisions 1..8."""
+    g = draw(st.lists(rationals, min_size=1, max_size=8))
+    f = draw(st.integers(min_value=1, max_value=8).flatmap(
+        lambda p: series_strategy(p, min_order=1)
+    ))
+    return RiordanPair(Series([1] + g), f)
+
+
+def assert_az_equal(ra):
+    got, want = ra.extract_az(), extract_az_by_compositions(ra)
+    assert got.a == want.a and got.a.prec == want.a.prec
+    assert got.z == want.z and got.z.prec == want.z.prec
+    assert ra.f.shift_down() == got.a.compose(ra.f)  # f = t A(f)
+
+
 class TestAZSequences:
+    def test_matches_two_compositions(self, ten_pairs):
+        for ra in ten_pairs.values():
+            assert_az_equal(ra)
+
+    @given(mismatched_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_compositions_random(self, ra):
+        assert_az_equal(ra)
+
+    @pytest.mark.parametrize("gp, fp", [(5, 3), (1, 4)])
+    def test_mismatched_precisions(self, gp, fp):
+        g = Series([1] + [Fraction(j + 2, 3) for j in range(gp)])
+        f = Series([0, Fraction(-2, 3)] + [Fraction(j, 2) for j in range(fp - 1)])
+        ra = RiordanPair(g, f)
+        assert_az_equal(ra)
+        az = ra.extract_az()
+        assert (az.a.prec, az.z.prec) == (fp - 1, min(gp, fp) - 1)
+
+    def test_g_precision_zero_raises(self):
+        ra = RiordanPair(Series([1]), Series([0, 2, 1, 1]))
+        with pytest.raises(PrecisionError):
+            ra.extract_az()
+
     def test_pascal(self, pascal):
         az = pascal.extract_az()
         assert list(az.a.coeffs[:6]) == [1, 1, 0, 0, 0, 0]

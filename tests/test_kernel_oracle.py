@@ -183,3 +183,16 @@ def test_precision_48(seed):
     fbar = list(Series(f).comp_inverse().coeffs)
     assert fbar == from_ring(rs_series_reversion(to_ring(f, X), X, n, Y), 1, n)
     assert compose(f, fbar) == [0, 1] + [0] * (n - 2)
+
+
+# comp_inverse splits n = kq + r with k = ceil(sqrt(p)); these precisions
+# put p - 1 on a perfect square and on either side of one.
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
+def test_comp_inverse_block_edges(p):
+    rng = random.Random(p)
+    n = p + 1
+    f = [Fraction(0), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))]
+    f += [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 2)]
+    fbar = list(Series(f).comp_inverse().coeffs)
+    assert fbar == from_ring(rs_series_reversion(to_ring(f, X), X, n, Y), 1, n)
+    assert compose(f, fbar) == [0, 1] + [0] * (n - 2)
