@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .matrices import Triangle, _cleared
-from .series import PrecisionError, Series, SeriesError
+from .series import PrecisionError, Series, SeriesError, _lagrange
 
 
 class RiordanError(SeriesError):
@@ -149,9 +149,12 @@ class RiordanPair(_Pair):
         )
 
     def inverse(self) -> "RiordanPair":
-        """(g, f)^-1 = (1 / g(fbar), fbar)."""
-        fbar = self.f.comp_inverse()
-        return RiordanPair(self.g.compose(fbar).reciprocal(), fbar)
+        """(g, f)^-1 = (1 / g(fbar), fbar) = ((1/g)(fbar), t(fbar)).
+
+        Both by ``_lagrange``: fbar at f.prec, 1/g(fbar) at min(g.prec, f.prec).
+        """
+        fbar, h = _lagrange(self.f, [Series.t(self.f.prec), self.g.reciprocal()])
+        return RiordanPair(h, fbar)
 
     def apply(self, h: Series) -> Series:
         """The fundamental-theorem action: (g, f) h = g * h(f)."""
@@ -162,12 +165,12 @@ class RiordanPair(_Pair):
     def extract_az(self) -> "AZSequences":
         """A(t) = t / fbar(t);  Z(t) = (1 - 1/g(fbar)) / fbar(t).
 
-        Both are read off the inverse pair (1/g(fbar), fbar): A is the
-        reciprocal of fbar/t, and Z is ((1 - 1/g(fbar)) / t) * A.
+        Both by ``_lagrange``: A = (f/t)(fbar), since f(fbar) = t, and
+        Z = K(fbar) with K = (1 - 1/g)/t.  A has precision f.prec - 1 and
+        Z min(g.prec, f.prec) - 1.
         """
-        inv = self.inverse()
-        a = inv.f.shift_down().reciprocal()
-        z = (Series.one(inv.g.prec) - inv.g).shift_down() * a
+        k = (Series.one(self.g.prec) - self.g.reciprocal()).shift_down()
+        a, z = _lagrange(self.f, [self.f.shift_down(), k.truncate(self.prec - 1)])
         return AZSequences(a, z)
 
     def semidirect_split(self) -> tuple["RiordanPair", "RiordanPair"]:

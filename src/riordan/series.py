@@ -16,9 +16,13 @@ Kronecker substitution: each vector is packed into a single integer, one
 slot per coefficient, so one big-integer multiply does the whole
 convolution.  Chained products divide out the content, the gcd of the
 denominator and all numerators, after each step so the numbers stay
-small.  ``comp_inverse`` is Lagrange inversion evaluated by
-baby-step/giant-step (Brent & Kung 1978): about 2 sqrt(p) products of
-powers of t/f, then one integer dot product per coefficient.  Results are
+small.  ``comp_inverse`` and the pair inverse and A/Z-sequences in
+``group`` all go through one Lagrange-Buermann routine, ``_lagrange``:
+[t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n gives any series H(fbar)
+without composing with fbar.  It is evaluated by baby-step/giant-step
+(Brent & Kung 1978): about 2 sqrt(p) products of powers of t/f, shared by
+every H, about sqrt(p) more per H, then one integer dot product per
+coefficient.  Results are
 converted back to reduced ``Fraction`` coefficients, so every public value
 is exactly what coefficient-by-coefficient rational arithmetic gives.
 """
@@ -299,36 +303,55 @@ class Series:
     def comp_inverse(self) -> "Series":
         """Compositional inverse fbar with fbar(f) = f(fbar) = t.
 
-        Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] u^n with u = t/f,
-        evaluated by baby-step/giant-step (Brent & Kung 1978).  With
-        k = ceil(sqrt(p)), the baby powers u^0..u^k and the giant powers
-        u^(kq) take about 2 sqrt(p) products; each n = kq + r then needs
-        only the dot product [t^(n-1)] u^r u^(kq), not a product.
+        Lagrange inversion, [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n: the
+        H = t case of ``_lagrange``.
         """
-        if self.prec < 1:
-            raise PrecisionError("comp_inverse: order unknown at precision 0")
-        if self.order() != 1:
-            raise NoCompositionalInverseError(
-                "no compositional inverse: order is not 1"
-            )
-        p = self.prec
-        a, da = _to_ints(self.coeffs[1:])
-        u, du = _krecip(a, p)
-        u = _reduce([da * c for c in u], du)  # t/f, as (numerators, den)
+        return _lagrange(self, [Series.t(self.prec)])[0]
 
-        def times(x, y):
-            return _reduce(_kmul(x[0], y[0], p), x[1] * y[1])
 
-        k = math.isqrt(p - 1) + 1
-        baby = [([1] + [0] * (p - 1), 1), u]  # u^0..u^k
-        while len(baby) <= k:
-            baby.append(times(baby[-1], u))
-        giant = [baby[0], baby[k]]  # u^0, u^k, u^2k, ...
-        while len(giant) <= p // k:
-            giant.append(times(giant[-1], baby[k]))
-        out = [Fraction(0)]
-        for n in range(1, p + 1):
-            (x, dx), (y, dy) = baby[n % k], giant[n // k]
+def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:
+    """[H(fbar) for H in hs], fbar the compositional inverse of f.
+
+    Lagrange-Buermann: [t^n] H(fbar) = (1/n) [t^(n-1)] H' u^n for n >= 1,
+    with u = t/f, so no series is ever composed with fbar.  With
+    k = ceil(sqrt(p)), the baby powers u^0..u^k and the giant powers
+    u^(kj) are built once, about 2 sqrt(p) products.  Each H then takes
+    the products H' u^(kj), about sqrt(p) more, and reads each n = kj + r
+    as the dot product [t^(n-1)] u^r (H' u^(kj)).  H(fbar) has precision
+    min(H.prec, f.prec): coefficient n needs H and f through t^n.
+    """
+    if f.prec < 1:
+        raise PrecisionError("comp_inverse: order unknown at precision 0")
+    if f.order() != 1:
+        raise NoCompositionalInverseError("no compositional inverse: order is not 1")
+    precs = [min(h.prec, f.prec) for h in hs]
+    p = max([1, *precs])
+    a, da = _to_ints(f.coeffs[1 : p + 1])
+    u, du = _krecip(a, p)
+    u = _reduce([da * c for c in u], du)  # t/f, as (numerators, den)
+
+    def times(x, y, n=p):
+        return _reduce(_kmul(x[0], y[0], n), x[1] * y[1])
+
+    k = math.isqrt(p - 1) + 1
+    baby = [([1] + [0] * (p - 1), 1), u]  # u^0..u^k
+    while len(baby) <= k:
+        baby.append(times(baby[-1], u))
+    giant = [baby[0], baby[k]]  # u^0, u^k, u^2k, ...
+    while len(giant) <= p // k:
+        giant.append(times(giant[-1], baby[k]))
+    out = []
+    for h, q in zip(hs, precs):
+        c, dc = _to_ints(h.coeffs[: q + 1])
+        dh = ([n * c[n] for n in range(1, q + 1)], dc)  # H', length q
+        # n = kj + r reads H' u^(kj) only below t^(k(j+1)).
+        hg = [
+            times(dh, y, min(q, k * j + k)) for j, y in enumerate(giant[: q // k + 1])
+        ] if q else []
+        coeffs = [h.coeffs[0]]
+        for n in range(1, q + 1):
+            (x, dx), (y, dy) = baby[n % k], hg[n // k]
             dot = sum(map(mul, x[:n], reversed(y[:n])))
-            out.append(Fraction(dot, n * dx * dy))
-        return Series(out)
+            coeffs.append(Fraction(dot, n * dx * dy))
+        out.append(Series(coeffs))
+    return out

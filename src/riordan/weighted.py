@@ -192,8 +192,8 @@ def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
 
     A (c)-weight is read as c_{n,k} = c_k.  Column 0 uses the Z-sequence,
     columns k >= 1 the A-sequence, each weighted by the weight ratios.
-    The A/Z sequences are always recomputed from the base pair, never
-    supplied by the caller.
+    The A/Z sequences are x._az, the base pair's own extract_az, never
+    a parameter of the caller.
     """
     if n < 1 or not 0 <= k <= n:
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")

@@ -155,7 +155,7 @@ def extract_az_by_compositions(ra):
     """Independent oracle: A = (f/t)(fbar), Z = (g(fbar) - 1) / (fbar g(fbar)).
 
     Composes with fbar twice, where extract_az reads A and Z off the
-    inverse pair.
+    powers of t/f.
     """
     fbar = ra.f.comp_inverse()
     a = ra.f.shift_down().compose(fbar.truncate(fbar.prec - 1))
@@ -180,6 +180,38 @@ def assert_az_equal(ra):
     assert got.a == want.a and got.a.prec == want.a.prec
     assert got.z == want.z and got.z.prec == want.z.prec
     assert ra.f.shift_down() == got.a.compose(ra.f)  # f = t A(f)
+
+
+def inverse_by_composition(ra):
+    """Independent oracle: (1/g(fbar), fbar), composing g with fbar."""
+    fbar = ra.f.comp_inverse()
+    return RiordanPair(ra.g.compose(fbar).reciprocal(), fbar)
+
+
+def assert_inverse_equal(ra):
+    got, want = ra.inverse(), inverse_by_composition(ra)
+    assert got.g == want.g and got.g.prec == want.g.prec
+    assert got.f == want.f and got.f.prec == want.f.prec
+
+
+class TestInverse:
+    def test_matches_composition(self, ten_pairs):
+        for ra in ten_pairs.values():
+            assert_inverse_equal(ra)
+
+    @given(mismatched_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composition_random(self, ra):
+        assert_inverse_equal(ra)
+
+    @pytest.mark.parametrize("gp, fp", [(3, 9), (9, 3)])
+    def test_mismatched_precisions(self, gp, fp):
+        g = Series([1] + [Fraction(j + 2, 3) for j in range(gp)])
+        f = Series([0, Fraction(-2, 3)] + [Fraction(j, 2) for j in range(fp - 1)])
+        ra = RiordanPair(g, f)
+        assert_inverse_equal(ra)
+        inv = ra.inverse()
+        assert (inv.g.prec, inv.f.prec) == (min(gp, fp), fp)
 
 
 class TestAZSequences:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from riordan import catalog, harness
+from riordan import RiordanPair, catalog, harness
 from riordan.harness import (
     K_POLICIES,
     Counterexample,
@@ -209,8 +209,16 @@ class TestBuiltinSuite:
                 ("fuss-convolution-",),
                 5,
             ),
+            (
+                RiordanPair,
+                "extract_az",
+                ("c-horizontal-", "C-horizontal-"),
+                9,
+                ("c-vertical-", "C-vertical-"),
+                9,
+            ),
         ],
-        ids=["c_transform", "fuss_series"],
+        ids=["c_transform", "fuss_series", "extract_az"],
     )
     def test_raising_input_is_inconclusive(
         self, monkeypatch, owner, builder, broken, n_broken, intact, n_intact
@@ -228,3 +236,13 @@ class TestBuiltinSuite:
         assert all("RuntimeError('synthetic')" in r.detail for r in reports)
         assert exit_code(reports) == 2
         assert all(harness._check(*row).status == "verified" for row in kept)
+
+    def test_az_extracted_once_per_base(self, monkeypatch):
+        calls = []
+        extract_az = RiordanPair.extract_az
+        monkeypatch.setattr(
+            RiordanPair, "extract_az", lambda ra: calls.append(ra) or extract_az(ra)
+        )
+        reports = [harness._check(*row) for row in harness._weighted_rows()]
+        assert [r.status for r in reports] == ["verified"] * 18
+        assert len(calls) == 3  # three bases, each shared by its three weights

@@ -1,12 +1,12 @@
 """The series kernel against oracles that share no code with it.
 
-Each of ``Series.__mul__``, ``reciprocal``, ``compose`` and
-``comp_inverse`` is compared with a schoolbook ``Fraction`` computation
-written out below, one coefficient at a time, and with sympy's
-``ring_series`` (``rs_series_inversion``, ``rs_subs``,
-``rs_series_reversion``).  Denominators up to 3 and t-coefficients other
-than +-1 make the kernel's common denominators and content reduction do
-real work.
+Each of ``Series.__mul__``, ``reciprocal``, ``compose``, ``comp_inverse``
+and the Lagrange-Buermann routine ``_lagrange`` behind ``comp_inverse`` is
+compared with a schoolbook ``Fraction`` computation written out below, one
+coefficient at a time, with sympy's ``ring_series`` (``rs_series_inversion``,
+``rs_subs``, ``rs_series_reversion``), or with both.  Denominators up to 3
+and t-coefficients other than +-1 make the kernel's common denominators and
+content reduction do real work.
 """
 
 import random
@@ -20,6 +20,7 @@ from sympy.polys.ring_series import rs_series_inversion, rs_series_reversion, rs
 from sympy.polys.rings import ring
 
 from riordan import PrecisionError, Series
+from riordan.series import _lagrange
 
 R, X, Y = ring("x,y", QQ)
 
@@ -196,3 +197,27 @@ def test_comp_inverse_block_edges(p):
     fbar = list(Series(f).comp_inverse().coeffs)
     assert fbar == from_ring(rs_series_reversion(to_ring(f, X), X, n, Y), 1, n)
     assert compose(f, fbar) == [0, 1] + [0] * (n - 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
+def test_lagrange_block_edges(p):
+    """H(fbar) for H of precision below, at and above f's, in one call.
+
+    f of precision 1 with H of precision 0 gives a result of precision 0,
+    as A = (f/t)(fbar) has.
+    """
+    rng = random.Random(100 + p)
+    f = [Fraction(0), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))]
+    f += [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(p - 1)]
+    hs = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(hp + 1)]
+        for hp in (p - 1, p // 2, p, p + 3)
+    ]
+    got = _lagrange(Series(f), [Series(h) for h in hs])
+    fbar = rs_series_reversion(to_ring(f, X), X, p + 1, Y)
+    fbar = to_ring(from_ring(fbar, 1, p + 1), X)
+    for h, out in zip(hs, got):
+        n = min(len(h), p + 1)
+        assert out.prec == n - 1
+        want = from_ring(rs_subs(to_ring(h, X), {X: fbar}, X, n), 0, n)
+        assert list(out.coeffs) == want
