@@ -1,4 +1,4 @@
-"""Named sequences, series, triangles, and polynomials, and the spec grammar.
+"""Named sequences, series and triangles, and the spec grammar.
 
 Closed forms for Catalan powers, Fuss-Catalan numbers, and the rook,
 remainder, and Laguerre triangles, plus the registry of named Riordan
@@ -105,41 +105,6 @@ def laguerre_entry(n: int, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError(f"Laguerre entry ({n},{k}) out of range")
     return Fraction((-1) ** (n - k) * math.comb(n, k), math.factorial(n - k))
-
-
-def rook_poly(n: int) -> list[Fraction]:
-    """Coefficients of r_n(x) = sum_k r_{n,k} x^{n-k}, ascending degree."""
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[n - k] = rook_entry(n, k)
-    return out
-
-
-def remainder_poly(n: int) -> list[Fraction]:
-    """Coefficients of r(E_n, x) = sum_{k=0}^{n+1} E_{n,k} x^{n+1-k}."""
-    out = [Fraction(0)] * (n + 2)
-    for k in range(n + 2):
-        out[n + 1 - k] = remainder_entry(n, k)
-    return out
-
-
-def rook_poly_expansion_check(n: int) -> bool:
-    """r_{n+1}(x) = sum_{k=0}^{n} x^{n-k} r(E_k, x) + x^{n+1}, coefficientwise.
-
-    The companion fact r_{n+1}(x) = x r_n(x) + r(E_n, x), read at the
-    coefficient of x^(n+1-k), is r_{n+1,k} = r_{n,k} + E_{n,k}; the
-    builtin suite's rook-remainder-consistency row checks that entry by
-    entry over the same range, so it is not checked again here.
-    """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    acc = [Fraction(0)] * (n + 2)
-    acc[n + 1] = Fraction(1)
-    for k in range(n + 1):
-        rk = remainder_poly(k)  # degree k+1
-        for d, c in enumerate(rk):
-            acc[n - k + d] += c
-    return acc == rook_poly(n + 1)
 
 
 # -- registry and spec grammar -----------------------------------------------

@@ -318,8 +318,12 @@ def _closed_form_rows() -> list[tuple]:
         / math.factorial(n - k),
     )
     expansion = (
-        "rook expansion checks (coefficientwise, telescoped)",
-        lambda n, k: Fraction(int(catalog.rook_poly_expansion_check(n))),
+        "fact (ii) at x^(n+1-j): r_{n+1,j} = [j = 0] + sum_{i>=j-1} E_{i,j}, all j",
+        lambda n, k: Fraction(int(all(
+            rook_entry(n + 1, j) - (j == 0)
+            == sum(remainder_entry(i, j) for i in range(max(j - 1, 0), n + 1))
+            for j in range(n + 2)
+        ))),
     )
     rook_next = ("r_{n+1,k}", lambda n, k: rook_entry(n + 1, k))
     rook_plus_remainder = (

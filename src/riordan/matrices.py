@@ -145,7 +145,12 @@ class Triangle:
 
     @classmethod
     def from_json(cls, text: str) -> "Triangle":
-        return cls(json.loads(text))
+        rows = json.loads(text)
+        if type(rows) is not list or not all(
+            type(row) is list and all(type(x) is str for x in row) for row in rows
+        ):
+            raise ValueError("a JSON triangle is a list of lists of strings")
+        return cls(rows)
 
 
 def direct_sum_one(m: Triangle) -> Triangle:

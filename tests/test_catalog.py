@@ -21,8 +21,6 @@ from riordan.catalog import (
     pair_spec,
     remainder_entry,
     rook_entry,
-    rook_poly,
-    rook_poly_expansion_check,
     series_spec,
     weight_spec,
 )
@@ -135,14 +133,6 @@ class TestRookAndFriends:
                 lhs = rook_entry(n, n - k)
                 rhs = (-1) ** (n - k) * math.factorial(n) * laguerre_entry(n, k)
                 assert lhs == rhs, (n, k)
-
-    def test_rook_poly_layout(self):
-        # r_2(x) = 2x^2 + 4x + 1, stored ascending
-        assert rook_poly(2) == [1, 4, 2]
-
-    def test_rook_expansion_checks(self):
-        for n in range(13):
-            assert rook_poly_expansion_check(n), n
 
 
 class TestRegistry:

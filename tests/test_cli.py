@@ -57,7 +57,18 @@ class TestTriangle:
             Triangle.from_csv(text)
 
     @pytest.mark.parametrize(
-        "text", ['[["1"], ["2", "x"]]', '[["1"], ["2"]]'], ids=["token", "ragged"]
+        "text",
+        [
+            '[["1"], ["2", "x"]]',
+            '[["1"], ["2"]]',
+            "[[0.1]]",
+            "[[true]]",
+            '[["1"], "23"]',
+            '"1"',
+            "[[null]]",
+            "7",
+        ],
+        ids=["token", "ragged", "float", "bool", "string_row", "string", "null", "int"],
     )
     def test_json_reader_rejects_malformed_input(self, text):
         with pytest.raises(ValueError):

@@ -197,6 +197,18 @@ class TestBuiltinSuite:
         assert reports[0].status == reports[-1].status == "verified"
         assert exit_code(reports) == 2
 
+    def test_rook_expansion_reads_every_remainder_entry(self, monkeypatch):
+        remainder_entry = harness.remainder_entry
+        monkeypatch.setattr(
+            harness,
+            "remainder_entry",
+            lambda n, k: remainder_entry(n, k) + ((n, k) == (5, 3)),
+        )
+        row = next(row for row in harness._rows() if row[0] == "rook-expansion")
+        report = harness._check(*row)
+        assert report.status == "counterexample"
+        assert (report.counterexample.n, report.counterexample.k) == (5, 0)
+
     @pytest.mark.parametrize(
         "owner, builder, broken, n_broken, intact, n_intact",
         [

@@ -186,8 +186,8 @@ def test_precision_48(seed):
     assert compose(f, fbar) == [0, 1] + [0] * (n - 2)
 
 
-# comp_inverse splits n = kq + r with k = ceil(sqrt(p)); these precisions
-# put p - 1 on a perfect square and on either side of one.
+# comp_inverse runs on _lagrange, which splits n = kq + r with k = ceil(sqrt(p));
+# these precisions put p - 1 on a perfect square and on either side of one.
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
 def test_comp_inverse_block_edges(p):
     rng = random.Random(p)
