@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .matrices import Triangle, _cleared
 from .series import PrecisionError, Series, SeriesError, _lagrange
@@ -226,6 +227,13 @@ class AZSequences:
             raise RiordanError("not a proper A-sequence: a_0 = 0")
 
 
+def _az_step(az: AZSequences, prev: Sequence[Fraction], k: int) -> Fraction:
+    """Entry k of the row after prev: sum_j z_j prev_j, or sum_j a_j prev_{k-1+j}."""
+    if k == 0:
+        return sum((az.z[j] * v for j, v in enumerate(prev)), Fraction(0))
+    return sum((az.a[j] * v for j, v in enumerate(prev[k - 1 :])), Fraction(0))
+
+
 def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     """Rebuild the triangle row by row from its A- and Z-sequences.
 
@@ -236,22 +244,15 @@ def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     """
     if n < 1:
         raise RiordanError("order must be >= 1")
-    a, z = az.a, az.z
-    if min(a.prec, z.prec) < n - 2:
+    if min(az.a.prec, az.z.prec) < n - 2:
         raise PrecisionError(
             f"order {n} needs A and Z to precision {n - 2}, "
-            f"have {a.prec} and {z.prec}"
+            f"have {az.a.prec} and {az.z.prec}"
         )
 
     rows: list[list[Fraction]] = [[Fraction(1)]]
     for r in range(n - 1):
-        prev = rows[r]
-        row = [sum((z[j] * prev[j] for j in range(r + 1)), Fraction(0))]
-        for k in range(r + 1):
-            row.append(
-                sum((a[j] * prev[k + j] for j in range(r + 1 - k)), Fraction(0))
-            )
-        rows.append(row)
+        rows.append([_az_step(az, rows[r], k) for k in range(r + 2)])
     return Triangle(rows)
 
 

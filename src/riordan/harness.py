@@ -207,22 +207,11 @@ def _fuss_functional_row(m: int, prec: int = 40) -> tuple:
     )
 
 
-def _transform_rows(
-    tag: str, base: Callable, az: Callable, w, n_max: int
-) -> Iterator[tuple]:
-    """The horizontal and vertical rows of one base pair and one weight.
-
-    az() is the base's own extract_az(), shared by all its weights.
-    """
+def _transform_rows(tag: str, base: Callable, w, n_max: int) -> Iterator[tuple]:
+    """The horizontal and vertical rows of one base pair and one weight."""
     x = cache(lambda: c_transform(base(), w, n_max + 1))
-
-    @cache
-    def x_az():  # x, its cached property WeightedTriangle._az filled from az()
-        vars(x())["_az"] = (az().a, az().z)
-        return x()
-
     direct = (f"{w.kind}-transform entries", lambda n, k: x().entries.entry(n, k))
-    horiz = ("weighted A/Z recursion", lambda n, k: horiz_recursion_C(x_az(), n, k))
+    horiz = ("weighted A/Z recursion", lambda n, k: horiz_recursion_C(x(), n, k))
     vert = ("weighted vertical recursion", lambda n, k: vert_recursion_C(x(), n, k))
     yield f"{w.kind}-horizontal-{tag}", direct, horiz, n_max, "0 <= k <= n, n >= 1"
     yield f"{w.kind}-vertical-{tag}", direct, vert, n_max, "1 <= k <= n"
@@ -242,9 +231,8 @@ def _weighted_rows(n_max: int = 20) -> Iterator[tuple]:
         "laguerre": WeightTri.laguerre(n_max),
     }
     for bname, base in bases.items():
-        az = cache(lambda base=base: base().extract_az())
         for wname, w in weights.items():
-            yield from _transform_rows(f"{bname}-{wname}", base, az, w, n_max)
+            yield from _transform_rows(f"{bname}-{wname}", base, w, n_max)
 
 
 def _rows() -> Iterator[tuple]:

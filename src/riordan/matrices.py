@@ -67,7 +67,11 @@ class Triangle:
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
             # Fraction() of a Fraction rebuilds it through an ABC check.
-            built.append(tuple(x if type(x) is Fraction else Fraction(x) for x in row))
+            try:
+                r = tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            except ZeroDivisionError:
+                raise ValueError(f"row {i} has a zero denominator") from None
+            built.append(r)
         object.__setattr__(self, "rows", tuple(built))
         if not self.rows:
             raise ValueError("empty triangle")

@@ -1,18 +1,19 @@
 """(c)- and (C)-weighted Riordan classes.
 
-A weight sequence c (c_0 = 1, all c_k nonzero) rescales a Riordan array's
-entries to (c_n/c_k) d_{n,k}; a weight triangle C rescales them to
-(c_{n,n}/c_{n,k}) d_{n,k}.  A (c)-weight is read as the (C)-weight
-c_{n,k} = c_k, for which c_{n,n}/c_{n,k} = c_n/c_k, so one transform
+A weight triangle C (c_{n,0} = 1, all c_{n,k} nonzero) rescales a Riordan
+array's entries d_{n,k} to xhat_{n,k} = rho(n,k) d_{n,k}, with the weight
+ratio rho(n,k) = c_{n,n}/c_{n,k}; a weight sequence c (c_0 = 1) is the case
+c_{n,k} = c_k, where rho(n,k) = c_n/c_k.  Each kind gives its rho table by
+ratios(n), and one transform multiplies the triangle by it entrywise
 (c_transform takes either kind; C_transform is the same map under the
-paper's name) and one recursion per direction serve both kinds:
-horiz_recursion_C (row n from row n-1, through the base array's
-A/Z-sequences) and vert_recursion_C (column k from column k-1, through
-the coefficients of f), each with weight-ratio corrections, which is
-what turns the linear Riordan recursions into nonlinear recursions like
-those of the rook and Laguerre triangles.  The (c)-weighted arrays again
-form a group under matrix multiplication; the (C)-class does not, so the
-group law here rejects C-weighted inputs.
+paper's name).  Each recursion is rho(n,k) times a linear Riordan step on
+the unweighted entries d = xhat/rho of the weighted triangle itself: the
+A/Z step on row n-1 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1}
+(vert_recursion_C).  Conjugating by the weights is what turns these linear
+recursions into nonlinear ones like those of the rook and Laguerre
+triangles.  The (c)-weighted arrays again form a group under matrix
+multiplication; the (C)-class does not, so the group law here rejects
+C-weighted inputs.
 """
 
 from __future__ import annotations
@@ -21,15 +22,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
-from .group import RiordanPair
+from .group import AZSequences, RiordanPair, _az_step
 from .matrices import Triangle
-from .series import Rat, Series
+from .series import Rat
 
 
 class WeightError(ValueError):
     """Invalid weight table or mismatched weights."""
+
+
+def _rationals(values: Sequence[Rat]) -> tuple[Fraction, ...]:
+    try:
+        return tuple(Fraction(v) for v in values)
+    except ZeroDivisionError:
+        raise WeightError("weight entries must have nonzero denominators") from None
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class WeightSeq:
     c: tuple[Fraction, ...]
 
     def __init__(self, values: Sequence[Rat]):
-        c = tuple(Fraction(v) for v in values)
+        c = _rationals(values)
         if not c or c[0] != 1:
             raise WeightError("weight sequence must start with c_0 = 1")
         if any(v == 0 for v in c):
@@ -56,6 +64,13 @@ class WeightSeq:
         if not 0 <= n < len(self.c):
             raise WeightError(f"weight index {n} beyond table of {len(self.c)}")
         return self.c[n]
+
+    def ratios(self, n: int) -> list[list[Fraction]]:
+        """rho(i, j) = c_i / c_j for 0 <= j <= i < n."""
+        if len(self) < n:
+            raise WeightError(f"weight table too short: {len(self)} < {n}")
+        c = self.c[:n]
+        return [[ci / cj for cj in c[: i + 1]] for i, ci in enumerate(c)]
 
     def reciprocal(self) -> "WeightSeq":
         return WeightSeq([1 / v for v in self.c])
@@ -84,7 +99,7 @@ class WeightTri:
     def __init__(self, rows: Sequence[Sequence[Rat]]):
         built = []
         for i, row in enumerate(rows):
-            r = tuple(Fraction(v) for v in row)
+            r = _rationals(row)
             if len(r) != i + 1:
                 raise WeightError(f"weight row {i} must have {i + 1} entries")
             if r[0] != 1:
@@ -104,9 +119,11 @@ class WeightTri:
             raise WeightError(f"weight index ({n},{k}) out of range")
         return self.rows[n][k]
 
-    @classmethod
-    def from_seq(cls, c: WeightSeq) -> "WeightTri":
-        return cls([[c[k] for k in range(n + 1)] for n in range(len(c))])
+    def ratios(self, n: int) -> list[list[Fraction]]:
+        """rho(i, j) = c_{i,i} / c_{i,j} for 0 <= j <= i < n."""
+        if len(self) < n:
+            raise WeightError(f"weight table too short: {len(self)} < {n}")
+        return [[row[i] / v for v in row] for i, row in enumerate(self.rows[:n])]
 
     @classmethod
     def laguerre(cls, n: int) -> "WeightTri":
@@ -139,39 +156,32 @@ class WeightedTriangle:
         return self.entries.n
 
     @cached_property
-    def _az(self) -> tuple[Series, Series]:
+    def _rho(self) -> list[list[Fraction]]:
+        # One row past the entries when the weight reaches it, so that the
+        # recursions give row n too; a weight shorter than the entries raises.
+        return self.weight.ratios(self.n + (len(self.weight) > self.n))
+
+    @cached_property
+    def _d(self) -> list[list[Fraction]]:  # d = xhat / rho, off the entries
+        return [
+            [v / r for v, r in zip(row, rho)]
+            for row, rho in zip(self.entries.rows, self._rho)
+        ]
+
+    @cached_property
+    def _az(self) -> AZSequences:
         # Indexing the series raises PrecisionError past their precision.
-        az = self.base.extract_az()
-        return az.a, az.z
-
-
-def _weight_fn(weight: Weight) -> Callable[[int, int], Fraction]:
-    """The weight as w(n, k): c_k for a (c)-weight, c_{n,k} for a (C)-weight."""
-    if isinstance(weight, WeightSeq):
-        return lambda n, k: weight[k]
-    return weight.at
-
-
-def _transform(ra: RiordanPair, weight: Weight, n: int) -> WeightedTriangle:
-    """Entries (w(i, i) / w(i, j)) d_{i,j} for the first n rows."""
-    if len(weight) < n:
-        raise WeightError(f"weight table too short: {len(weight)} < {n}")
-    w = _weight_fn(weight)
-    tri = ra.triangle(n)
-    rows = [
-        [w(i, i) / w(i, j) * tri.rows[i][j] for j in range(i + 1)] for i in range(n)
-    ]
-    return WeightedTriangle(ra, weight, Triangle(rows))
+        return self.base.extract_az()
 
 
 def c_transform(ra: RiordanPair, c: Weight, n: int) -> WeightedTriangle:
-    """Entries (c_n / c_k) d_{n,k}, or (c_{n,n} / c_{n,k}) d_{n,k} for a (C)-weight."""
-    return _transform(ra, c, n)
+    """The first n rows of rho(n, k) d_{n,k}, with rho = c.ratios(n)."""
+    rho = c.ratios(n)
+    rows = [[r * v for r, v in zip(*pair)] for pair in zip(rho, ra.triangle(n).rows)]
+    return WeightedTriangle(ra, c, Triangle(rows))
 
 
-def C_transform(ra: RiordanPair, C: WeightTri, n: int) -> WeightedTriangle:
-    """Entries (c_{n,n} / c_{n,k}) d_{n,k}."""
-    return _transform(ra, C, n)
+C_transform = c_transform  # the same map, under the paper's name
 
 
 def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
@@ -185,55 +195,31 @@ def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
     return WeightedTriangle(x.base * y.base, x.weight, x.entries @ y.entries)
 
 
-# -- the recursions, one per direction, for either weight kind ---------------
+# -- the recursions: rho(n, k) times a linear Riordan step on d ---------------
 
 def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     """Entry (n, k) of a (c)- or (C)-weighted triangle from row n-1.
 
-    A (c)-weight is read as c_{n,k} = c_k.  Column 0 uses the Z-sequence,
-    columns k >= 1 the A-sequence, each weighted by the weight ratios.
-    The A/Z sequences are x._az, the base pair's own extract_az, never
-    a parameter of the caller.
+    rho(n, k) times the A/Z step on row n-1 of d: the Z-sequence for
+    column 0, the A-sequence for k >= 1, both from the base pair's own
+    extract_az.  Row n = x.n is defined when the weight reaches index n.
     """
-    if n < 1 or not 0 <= k <= n:
+    if not (0 <= k <= n and 1 <= n < len(x._rho)):
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    w = _weight_fn(x.weight)
-    a, z = x._az
-    prev = x.entries.rows[n - 1]
-    ratio = w(n, n) / w(n - 1, n - 1)
-    if k == 0:
-        s = sum((z[j] * w(n - 1, j) * prev[j] for j in range(n)), Fraction(0))
-        return ratio * s
-    s = sum(
-        (
-            a[j] * w(n - 1, k - 1 + j) * prev[k - 1 + j]
-            for j in range(n - k + 1)
-        ),
-        Fraction(0),
-    )
-    return ratio / w(n, k) * s
+    return x._rho[n][k] * _az_step(x._az, x._d[n - 1], k)
 
 
 def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     """Entry (n, k), k >= 1, of a weighted triangle from column k-1.
 
-    A (c)-weight is read as c_{n,k} = c_k, as in horiz_recursion_C.
+    rho(n, k) times sum_j f_j d_{n-j,k-1}, over the same rows as
+    horiz_recursion_C.
     """
-    if not 1 <= k <= n:
-        raise WeightError(f"vertical recursion needs 1 <= k <= n, got ({n},{k})")
-    w = _weight_fn(x.weight)
-    f = x.base.f
-    s = sum(
-        (
-            f[j]
-            * w(n - j, k - 1)
-            / w(n - j, n - j)
-            * x.entries.rows[n - j][k - 1]
-            for j in range(1, n - k + 2)
-        ),
-        Fraction(0),
-    )
-    return w(n, n) / w(n, k) * s
+    if not 1 <= k <= n < len(x._rho):
+        raise WeightError(f"entry ({n},{k}) not defined by the vertical recursion")
+    f, d = x.base.f, x._d
+    s = sum((f[j] * d[n - j][k - 1] for j in range(1, n - k + 2)), Fraction(0))
+    return x._rho[n][k] * s
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

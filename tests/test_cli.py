@@ -51,7 +51,11 @@ class TestTriangle:
         tri = Triangle.from_csv(" 1\n -1/2 , 3 \n")
         assert tri == Triangle([[1], [Fraction(-1, 2), 3]])
 
-    @pytest.mark.parametrize("text", ["1\n2,x\n", "1\n2\n"], ids=["token", "ragged"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1\n2,x\n", "1\n2\n", "1/0\n"],
+        ids=["token", "ragged", "zero_denominator"],
+    )
     def test_csv_reader_rejects_malformed_input(self, text):
         with pytest.raises(ValueError):
             Triangle.from_csv(text)
@@ -67,8 +71,19 @@ class TestTriangle:
             '"1"',
             "[[null]]",
             "7",
+            '[["1/0"]]',
         ],
-        ids=["token", "ragged", "float", "bool", "string_row", "string", "null", "int"],
+        ids=[
+            "token",
+            "ragged",
+            "float",
+            "bool",
+            "string_row",
+            "string",
+            "null",
+            "int",
+            "zero_denominator",
+        ],
     )
     def test_json_reader_rejects_malformed_input(self, text):
         with pytest.raises(ValueError):

@@ -248,13 +248,3 @@ class TestBuiltinSuite:
         assert all("RuntimeError('synthetic')" in r.detail for r in reports)
         assert exit_code(reports) == 2
         assert all(harness._check(*row).status == "verified" for row in kept)
-
-    def test_az_extracted_once_per_base(self, monkeypatch):
-        calls = []
-        extract_az = RiordanPair.extract_az
-        monkeypatch.setattr(
-            RiordanPair, "extract_az", lambda ra: calls.append(ra) or extract_az(ra)
-        )
-        reports = [harness._check(*row) for row in harness._weighted_rows()]
-        assert [r.status for r in reports] == ["verified"] * 18
-        assert len(calls) == 3  # three bases, each shared by its three weights

@@ -8,6 +8,8 @@ import pytest
 from riordan import (
     C_transform,
     PrecisionError,
+    RiordanPair,
+    Triangle,
     WeightError,
     WeightSeq,
     WeightTri,
@@ -20,6 +22,7 @@ from riordan import (
     rook_laguerre_duality,
     vert_recursion_C,
 )
+from riordan import weighted
 from riordan.catalog import corpus, named_riordan, random_pair
 
 F = Fraction
@@ -63,11 +66,27 @@ class TestWeights:
     def test_rejects_zero(self):
         with pytest.raises(WeightError):
             WeightSeq([1, 0, 1])
+        with pytest.raises(WeightError):
+            WeightSeq(["1", "1/0"])
 
     @pytest.mark.parametrize(
         "rows",
-        [[], [[1], [1]], [[1], [1, 2, 3]], [[1], [2, 1]], [[1], [1, 0]]],
-        ids=["empty", "short-row", "long-row", "bad-start", "zero-entry"],
+        [
+            [],
+            [[1], [1]],
+            [[1], [1, 2, 3]],
+            [[1], [2, 1]],
+            [[1], [1, 0]],
+            [[1], [1, "1/0"]],
+        ],
+        ids=[
+            "empty",
+            "short-row",
+            "long-row",
+            "bad-start",
+            "zero-entry",
+            "zero-denominator",
+        ],
     )
     def test_tri_rejects_bad_table(self, rows):
         with pytest.raises(WeightError):
@@ -84,16 +103,13 @@ class TestWeights:
     def test_from_seq_embedding(self):
         # c_{n,k} = c_k, so the triangle entry ratio c_{n,n}/c_{n,k} = c_n/c_k
         # reproduces the sequence-weighted transform
-        c = WeightSeq.factorial(4)
-        C = WeightTri.from_seq(c)
-        for n in range(5):
-            for k in range(n + 1):
-                assert C.at(n, k) == c[k]
-        # the recursions read a (c)-weight as its embedding c_{n,k} = c_k
         ra = named_riordan("catalan_bell", 16)
         c = WeightSeq.factorial(12)
+        C = WeightTri([[c[k] for k in range(n + 1)] for n in range(len(c))])
+        assert C.ratios(13) == c.ratios(13)
+        # the recursions read a (c)-weight as its embedding c_{n,k} = c_k
         x = c_transform(ra, c, 12)
-        y = C_transform(ra, WeightTri.from_seq(c), 12)
+        y = C_transform(ra, C, 12)
         assert x.entries == y.entries
         for n in range(1, 12):
             for k in range(n + 1):
@@ -182,6 +198,57 @@ class TestRecursions:
             horiz_recursion_C(x, 0, 0)
         with pytest.raises(WeightError):
             vert_recursion_C(x, 3, 0)
+        # row n = x.n follows from row n-1 when the weight reaches index n
+        x = generalized_rook(named_riordan("pascal", 16), 6)
+        row6 = [720, 4320, 5400, 2400, 450, 36, 1]
+        assert [horiz_recursion_C(x, 6, k) for k in range(7)] == row6
+        assert [vert_recursion_C(x, 6, k) for k in range(1, 7)] == row6[1:]
+        for n, k in [(7, 0), (7, 1), (7, 7), (9, 3)]:
+            with pytest.raises(WeightError):
+                horiz_recursion_C(x, n, k)
+            with pytest.raises(WeightError):
+                vert_recursion_C(x, n, k)
+        # a weight that stops at index x.n - 1 leaves row x.n undefined
+        short = c_transform(named_riordan("pascal", 16), WeightSeq.factorial(5), 6)
+        assert horiz_recursion_C(short, 5, 2) == 600
+        with pytest.raises(WeightError):
+            horiz_recursion_C(short, 6, 2)
+        with pytest.raises(WeightError):
+            vert_recursion_C(short, 6, 2)
+        # a weight shorter than the entries is rejected, never truncated to
+        shorter = WeightedTriangle(x.base, WeightSeq.factorial(3), x.entries)
+        for n in range(1, 4):
+            with pytest.raises(WeightError):
+                horiz_recursion_C(shorter, n, 1)
+            with pytest.raises(WeightError):
+                vert_recursion_C(shorter, n, 1)
+
+    @pytest.mark.parametrize(
+        "weight", [WeightSeq.factorial(12), WeightTri.laguerre(12)], ids=["c", "C"]
+    )
+    def test_recursions_read_the_entries(self, monkeypatch, weight):
+        ra = named_riordan("catalan_bell", 16)
+        x = c_transform(ra, weight, 12)
+        for i, j in [(0, 0), (4, 2), (7, 7), (10, 3)]:
+            rows = [list(row) for row in x.entries.rows]
+            rows[i][j] += 1
+            y = WeightedTriangle(ra, weight, Triangle(rows))
+            n, k = i + 1, j + 1
+            assert horiz_recursion_C(y, n, k) != horiz_recursion_C(x, n, k)
+            assert vert_recursion_C(y, n, k) != vert_recursion_C(x, n, k)
+
+        def raising(*args):
+            raise RuntimeError("the recursions must not rebuild the triangle")
+
+        x = c_transform(ra, weight, 12)
+        monkeypatch.setattr(RiordanPair, "triangle", raising)
+        monkeypatch.setattr(weighted, "c_transform", raising)
+        monkeypatch.setattr(weighted, "C_transform", raising)
+        for n in range(1, 12):
+            for k in range(n + 1):
+                assert horiz_recursion_C(x, n, k) == x.entries.entry(n, k), (n, k)
+            for k in range(1, n + 1):
+                assert vert_recursion_C(x, n, k) == x.entries.entry(n, k), (n, k)
 
     def test_az_past_precision_raises(self):
         # catalan_bell has A = Z = 1/(1-t); reading them as zero past
