@@ -231,7 +231,7 @@ def pair_spec(text: str, prec: int) -> RiordanPair:
     return named_riordan(name, prec, param)
 
 
-def weight_spec(text: str, n: int) -> WeightSeq | WeightTri:
+def weight_spec(text: str, n: int) -> WeightTri:
     """Weights up to index n: a rational list, factorial, power:K or laguerre."""
     if not _is_name(text):
         return WeightSeq(_rationals(text))

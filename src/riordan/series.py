@@ -61,7 +61,10 @@ class PrecisionError(SeriesError):
 def _rat(x: Rat) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 # -- integer kernel -----------------------------------------------------------

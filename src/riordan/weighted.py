@@ -2,11 +2,12 @@
 
 A weight triangle C (c_{n,0} = 1, all c_{n,k} nonzero) rescales a Riordan
 array's entries d_{n,k} to xhat_{n,k} = rho(n,k) d_{n,k}, with the weight
-ratio rho(n,k) = c_{n,n}/c_{n,k}; a weight sequence c (c_0 = 1) is the case
-c_{n,k} = c_k, where rho(n,k) = c_n/c_k.  Each kind gives its rho table by
-ratios(n), and one transform multiplies the triangle by it entrywise
-(c_transform takes either kind; C_transform is the same map under the
-paper's name).  Each recursion is rho(n,k) times a linear Riordan step on
+ratio rho(n,k) = c_{n,n}/c_{n,k}.  A (c)-weight, the sequence c (c_0 = 1),
+is the (C)-table c_{n,k} = c_k (WeightSeq is a WeightTri built from its
+rows), where rho(n,k) = c_n/c_k.  So one class validates a weight and gives
+its rho table by ratios(n), and one transform multiplies the triangle by it
+entrywise (c_transform takes either kind; C_transform is the same map under
+the paper's name).  Each recursion is rho(n,k) times a linear Riordan step on
 the unweighted entries d = xhat/rho of the weighted triangle itself: the
 A/Z step on row n-1 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1}
 (vert_recursion_C).  Conjugating by the weights is what turns these linear
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 from .group import AZSequences, RiordanPair, _az_step
 from .matrices import Triangle
@@ -34,57 +35,11 @@ class WeightError(ValueError):
 
 
 def _rationals(values: Sequence[Rat]) -> tuple[Fraction, ...]:
+    # Fraction() of a Fraction rebuilds it through an ABC check.
     try:
-        return tuple(Fraction(v) for v in values)
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     except ZeroDivisionError:
         raise WeightError("weight entries must have nonzero denominators") from None
-
-
-@dataclass(frozen=True)
-class WeightSeq:
-    """A weight sequence (c_0, c_1, ...) with c_0 = 1 and no zero entry."""
-
-    __slots__ = ("c",)
-    kind = "c"
-
-    c: tuple[Fraction, ...]
-
-    def __init__(self, values: Sequence[Rat]):
-        c = _rationals(values)
-        if not c or c[0] != 1:
-            raise WeightError("weight sequence must start with c_0 = 1")
-        if any(v == 0 for v in c):
-            raise WeightError("weight sequence entries must be nonzero")
-        object.__setattr__(self, "c", c)
-
-    def __len__(self) -> int:
-        return len(self.c)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n < len(self.c):
-            raise WeightError(f"weight index {n} beyond table of {len(self.c)}")
-        return self.c[n]
-
-    def ratios(self, n: int) -> list[list[Fraction]]:
-        """rho(i, j) = c_i / c_j for 0 <= j <= i < n."""
-        if len(self) < n:
-            raise WeightError(f"weight table too short: {len(self)} < {n}")
-        c = self.c[:n]
-        return [[ci / cj for cj in c[: i + 1]] for i, ci in enumerate(c)]
-
-    def reciprocal(self) -> "WeightSeq":
-        return WeightSeq([1 / v for v in self.c])
-
-    @classmethod
-    def factorial(cls, n: int) -> "WeightSeq":
-        return cls([math.factorial(i) for i in range(n + 1)])
-
-    @classmethod
-    def power(cls, base: Rat, n: int) -> "WeightSeq":
-        b = Fraction(base)
-        if b == 0:
-            raise WeightError("power weight base must be nonzero")
-        return cls([b ** i for i in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -104,20 +59,15 @@ class WeightTri:
                 raise WeightError(f"weight row {i} must have {i + 1} entries")
             if r[0] != 1:
                 raise WeightError(f"weight row {i} must start with 1")
-            if any(v == 0 for v in r):
+            if not all(r):
                 raise WeightError(f"weight row {i} has a zero entry")
             built.append(r)
         if not built:
-            raise WeightError("empty weight triangle")
+            raise WeightError("empty weight table")
         object.__setattr__(self, "rows", tuple(built))
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def at(self, n: int, k: int) -> Fraction:
-        if not 0 <= k <= n < len(self.rows):
-            raise WeightError(f"weight index ({n},{k}) out of range")
-        return self.rows[n][k]
 
     def ratios(self, n: int) -> list[list[Fraction]]:
         """rho(i, j) = c_{i,i} / c_{i,j} for 0 <= j <= i < n."""
@@ -136,7 +86,26 @@ class WeightTri:
         )
 
 
-Weight = Union[WeightSeq, WeightTri]
+class WeightSeq(WeightTri):
+    """A weight sequence (c_0, c_1, ...): the table c_{n,k} = c_k, of kind "c"."""
+
+    __slots__ = ()
+    kind = "c"
+
+    def __init__(self, values: Sequence[Rat]):
+        c = _rationals(values)
+        super().__init__([c[: i + 1] for i in range(len(c))])
+
+    @classmethod
+    def factorial(cls, n: int) -> "WeightSeq":
+        return cls([math.factorial(i) for i in range(n + 1)])
+
+    @classmethod
+    def power(cls, base: Rat, n: int) -> "WeightSeq":
+        b = Fraction(base)
+        if b == 0:
+            raise WeightError("power weight base must be nonzero")
+        return cls([b ** i for i in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -144,7 +113,7 @@ class WeightedTriangle:
     """A finite weighted Riordan triangle with its provenance."""
 
     base: RiordanPair
-    weight: Weight
+    weight: WeightTri
     entries: Triangle
 
     @property
@@ -174,7 +143,7 @@ class WeightedTriangle:
         return self.base.extract_az()
 
 
-def c_transform(ra: RiordanPair, c: Weight, n: int) -> WeightedTriangle:
+def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
     """The first n rows of rho(n, k) d_{n,k}, with rho = c.ratios(n)."""
     rho = c.ratios(n)
     rows = [[r * v for r, v in zip(*pair)] for pair in zip(rho, ra.triangle(n).rows)]

@@ -400,7 +400,7 @@ class TestParsers:
 
     def test_parse_weight_power(self):
         w = weight_spec("power:3", 4)
-        assert w[2] == 9
+        assert w.rows[-1] == (1, 3, 9, 27, 81)
 
     def test_parse_weight_unknown(self):
         with pytest.raises(CatalogError):

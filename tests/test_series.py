@@ -127,6 +127,20 @@ class TestCompInverse:
             S(0, 0, 1, prec=5).comp_inverse()
 
 
+def test_zero_denominator_is_a_value_error():
+    # malformed input, like the unparsable entry of Series(["x"])
+    builds = [
+        lambda: Series(["1/0"]),
+        lambda: Series.from_coeffs(["1", "1/0"], 3),
+        lambda: Series.geometric(3, "1/0"),
+        lambda: Series([1]).scale("1/0"),
+        lambda: Series(["x"]),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestTruncate:
     def test_basic(self):
         assert S(1, 1, 1).truncate(1) == S(1, 1)

@@ -18,7 +18,7 @@ ROWS = [[1], [1, 2], [1, Fraction(1, 3), 4]]
 VALUES = {
     "Series": (lambda: Series([1, Fraction(1, 2), 3]), ("coeffs",)),
     "Triangle": (lambda: Triangle(ROWS), ("rows",)),
-    "WeightSeq": (lambda: WeightSeq([1, 2, Fraction(1, 6)]), ("c",)),
+    "WeightSeq": (lambda: WeightSeq([1, 2, Fraction(1, 6)]), ("rows",)),
     "WeightTri": (lambda: WeightTri(ROWS), ("rows",)),
     "RiordanPair": (lambda: named_riordan("pascal", 6), ("g", "f")),
     "QuasiRiordan": (
@@ -47,3 +47,6 @@ def test_value_semantics(make, fields):
 def test_equality_needs_the_same_class():
     assert Triangle(ROWS) != WeightTri(ROWS)
     assert WeightTri(ROWS) != Triangle(ROWS)
+    # a (c)-weight is the (C)-table c_{n,k} = c_k, but the kinds stay apart
+    assert WeightSeq([1, 2]) != WeightTri([[1], [1, 2]])
+    assert WeightTri([[1], [1, 2]]) != WeightSeq([1, 2])

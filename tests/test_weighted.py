@@ -49,15 +49,12 @@ LAGUERRE_ROWS = [
 class TestWeights:
     def test_factorial_values(self):
         c = WeightSeq.factorial(6)
-        assert [c[i] for i in range(7)] == [1, 1, 2, 6, 24, 120, 720]
+        assert c.rows[-1] == (1, 1, 2, 6, 24, 120, 720)
+        assert c.rows[3] == (1, 1, 2, 6)  # c_{n,k} = c_k
 
     def test_power_values(self):
         c = WeightSeq.power(2, 4)
-        assert [c[i] for i in range(5)] == [1, 2, 4, 8, 16]
-
-    def test_reciprocal(self):
-        c = WeightSeq.factorial(4).reciprocal()
-        assert c[3] == F(1, 6)
+        assert c.rows[-1] == (1, 2, 4, 8, 16)
 
     def test_rejects_bad_start(self):
         with pytest.raises(WeightError):
@@ -95,17 +92,18 @@ class TestWeights:
     def test_laguerre_triangle_weights(self):
         C = WeightTri.laguerre(4)
         # c_{n,k} = (-1)^k / (n)_k with (n)_0 = 1
-        assert C.at(3, 0) == 1
-        assert C.at(3, 1) == -F(1, 3)
-        assert C.at(4, 2) == F(1, 12)
-        assert C.at(2, 2) == F(1, 2)
+        assert C.rows[3][0] == 1
+        assert C.rows[3][1] == -F(1, 3)
+        assert C.rows[4][2] == F(1, 12)
+        assert C.rows[2][2] == F(1, 2)
 
     def test_from_seq_embedding(self):
         # c_{n,k} = c_k, so the triangle entry ratio c_{n,n}/c_{n,k} = c_n/c_k
         # reproduces the sequence-weighted transform
         ra = named_riordan("catalan_bell", 16)
         c = WeightSeq.factorial(12)
-        C = WeightTri([[c[k] for k in range(n + 1)] for n in range(len(c))])
+        C = WeightTri([c.rows[-1][: n + 1] for n in range(len(c))])
+        assert C.rows == c.rows and C != c
         assert C.ratios(13) == c.ratios(13)
         # the recursions read a (c)-weight as its embedding c_{n,k} = c_k
         x = c_transform(ra, c, 12)
@@ -293,6 +291,16 @@ class TestCGroup:
         x = C_transform(ra, WeightTri.laguerre(4), 4)
         with pytest.raises(WeightError):
             c_group_mul(x, x)
+
+    def test_rejects_C_kind_with_c_rows(self):
+        # a (C)-table equal to a (c)-weight's rows is still of kind "C"
+        ra = named_riordan("pascal", 8)
+        c = WeightSeq.factorial(4)
+        x, y = c_transform(ra, c, 4), C_transform(ra, WeightTri(c.rows), 4)
+        assert x.entries == y.entries
+        for a, b in [(x, y), (y, x), (y, y)]:
+            with pytest.raises(WeightError):
+                c_group_mul(a, b)
 
     def test_rejects_mismatched_weights(self):
         ra = named_riordan("pascal", 8)
