@@ -13,7 +13,6 @@ from .group import (
     AZSequences,
     RiordanError,
     RiordanPair,
-    a_sequence_by_solve,
     reconstruct_from_az,
 )
 from .quasi import QuasiRiordan, factorization_check
@@ -50,7 +49,6 @@ __all__ = [
     "WeightSeq",
     "WeightTri",
     "WeightedTriangle",
-    "a_sequence_by_solve",
     "c_group_mul",
     "c_transform",
     "catalog",

@@ -7,7 +7,8 @@ form, vertical recursion, fully nested sum), the group law and inverse,
 the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
-denominator per column and still returns reduced Fractions.
+denominator per column, and the A/Z step on cleared rows, A and Z; both
+still return reduced Fractions.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
-from .matrices import Triangle, _cleared
+from .matrices import Triangle, _cleared, _dot
 from .series import PrecisionError, Series, SeriesError, _lagrange
 
 
@@ -227,51 +227,43 @@ class AZSequences:
             raise RiordanError("not a proper A-sequence: a_0 = 0")
 
 
-def _az_step(az: AZSequences, prev: Sequence[Fraction], k: int) -> Fraction:
-    """Entry k of the row after prev: sum_j z_j prev_j, or sum_j a_j prev_{k-1+j}."""
-    if k == 0:
-        return sum((az.z[j] * v for j, v in enumerate(prev)), Fraction(0))
-    return sum((az.a[j] * v for j, v in enumerate(prev[k - 1 :])), Fraction(0))
+def _az_step(
+    a: tuple[list[int], int],
+    z: tuple[list[int], int],
+    prev: tuple[list[int], int],
+    k: int,
+) -> Fraction:
+    """Entry k of the row after prev: sum_j z_j prev_j, or sum_j a_j prev_{k-1+j}.
+
+    A, Z and prev are integer numerators over one denominator each, as
+    ``matrices._cleared`` gives them, with A and Z cleared over all their
+    coefficients 0..prec.  The step is one integer dot product and one
+    Fraction; a step that needs a coefficient past prec raises
+    PrecisionError rather than reading it as zero.
+    """
+    (c, dc), (p, dp) = z if k == 0 else a, prev
+    p = p[max(k - 1, 0) :]
+    if len(p) > len(c):
+        raise PrecisionError(
+            f"the A/Z step needs coefficient {len(p) - 1}, have {len(c) - 1}"
+        )
+    return _dot((c, dc), (p, dp))
 
 
 def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     """Rebuild the triangle row by row from its A- and Z-sequences.
 
     d_{0,0} = 1; column 0 of each new row comes from the Z-sequence and
-    columns k >= 1 from the A-sequence.  Row n - 1 reads A and Z up to
-    index n - 2; lower precision raises PrecisionError rather than reading
-    the missing coefficients as zero.
+    columns k >= 1 from the A-sequence, each by ``_az_step`` on the
+    cleared previous row.  Row n - 1 reads A and Z up to index n - 2;
+    lower precision raises PrecisionError rather than reading the missing
+    coefficients as zero.
     """
     if n < 1:
         raise RiordanError("order must be >= 1")
-    if min(az.a.prec, az.z.prec) < n - 2:
-        raise PrecisionError(
-            f"order {n} needs A and Z to precision {n - 2}, "
-            f"have {az.a.prec} and {az.z.prec}"
-        )
-
+    a, z = _cleared(az.a.coeffs), _cleared(az.z.coeffs)
     rows: list[list[Fraction]] = [[Fraction(1)]]
     for r in range(n - 1):
-        rows.append([_az_step(az, rows[r], k) for k in range(r + 2)])
+        prev = _cleared(rows[r])
+        rows.append([_az_step(a, z, prev, k) for k in range(r + 2)])
     return Triangle(rows)
-
-
-def a_sequence_by_solve(ra: RiordanPair, length: int) -> list[Fraction]:
-    """The A-sequence from the linear system d_{n+1,k+1} = sum a_j d_{n,k+j}.
-
-    Independent of the t/fbar closed form; used as its oracle.  The
-    system from the rows of triangle(length + 2) is triangular in the a_j
-    because the diagonal entries are nonzero.
-    """
-    tri = ra.triangle(length + 2)
-    a: list[Fraction] = []
-    # Take equations along the top diagonal band: the equation at
-    # (n+1, k+1) = (j+1, 1) with row n = j introduces a_j with the
-    # nonzero pivot d_{j,j}.
-    for j in range(length):
-        n, k = j + 1, 1
-        rhs = tri.entry(n, k)
-        s = sum((a[i] * tri.entry(n - 1, k - 1 + i) for i in range(j)), Fraction(0))
-        pivot = tri.entry(n - 1, k - 1 + j)
-        a.append((rhs - s) / pivot)
-    return a

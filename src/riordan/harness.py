@@ -12,6 +12,10 @@ gives its two described entry routes, the range n_max and the label of
 its k-policy (a key of K_POLICIES), and one helper runs every row through
 verify.  Every check and row input (F_m powers, transforms, the corpus)
 is built in a route on first use: a raise makes only its rows inconclusive.
+The convolution and the rook and Laguerre vertical routes sum integer
+numerators over one cleared denominator (matrices._cleared) and build one
+Fraction per entry, as the weighted recursions do; none uses the series
+kernel, which the closed forms and the series rows run on.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .catalog import (
     remainder_entry,
     rook_entry,
 )
+from .matrices import _cleared, _dot
 from .quasi import factorization_check
 from .series import Series
 from .weighted import (
@@ -151,19 +156,24 @@ def exit_code(reports: list[VerificationReport]) -> int:
 _EXPECTED = ("expected", lambda n, k: Fraction(1))
 
 
-def _convolution(name: str, coeff: Callable[[int, int], Fraction]) -> tuple:
+def _convolution(name: str, coeff: Callable[[int, int], Fraction], n_max: int) -> tuple:
     """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k.
 
-    coeff is cached for the life of the row: each entry's sum reads
-    coefficients that earlier entries already computed.
+    Column k of S^k, coefficients 0..n_max+1-k (all that rows up to n_max
+    read; column 1 also serves k = 0), is built once per row as integer
+    numerators over one denominator (matrices._cleared), so each entry is
+    one matrices._dot of columns 1 and k.  n_max must be the row's own.
     """
-    coeff = cache(coeff)
-    return (
-        f"sum_j [t^j] {name} [t^(n-j-k)] {name}^k",
-        lambda n, k: sum(
-            coeff(j, 1) * coeff(n - j - k, k) for j in range(n - k + 1)
-        ),
-    )
+
+    @cache
+    def column(k: int) -> tuple[list[int], int]:
+        return _cleared([coeff(i, k) for i in range(n_max + 2 - k)])
+
+    def entry(n: int, k: int) -> Fraction:
+        (s, ds), (c, dc), m = column(1), column(k), n - k + 1
+        return _dot((s[:m], ds), (reversed(c[:m]), dc))
+
+    return f"sum_j [t^j] {name} [t^(n-j-k)] {name}^k", entry
 
 
 def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
@@ -178,7 +188,7 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
         "[t^(n-k)] F_m^(k+1), closed form",
         lambda n, k: fuss_power_coeff(m, n - k, k + 1),
     )
-    convolution = _convolution("F_m", partial(fuss_power_coeff, m))
+    convolution = _convolution("F_m", partial(fuss_power_coeff, m), n_max)
     series = (
         "[t^(n-k)] of the multiplied-out series F_m^(k+1)",
         lambda n, k: powers()[k + 1][n - k],
@@ -248,8 +258,9 @@ def _rows() -> Iterator[tuple]:
     for m in range(1, 6):
         yield from _fuss_rows(m)
     catalan = ("C(n-k, k+1)", lambda n, k: catalan_power_coeff(n - k, k + 1))
-    convolution = _convolution("C", catalan_power_coeff)
-    yield "catalan-convolution", catalan, convolution, 40, "0 <= k <= n"
+    n_max = 40
+    convolution = _convolution("C", catalan_power_coeff, n_max)
+    yield "catalan-convolution", catalan, convolution, n_max, "0 <= k <= n"
     for m in range(1, 6):
         yield _fuss_functional_row(m)
     corpus = cache(partial(catalog.corpus, prec=32))
@@ -261,6 +272,22 @@ def _rows() -> Iterator[tuple]:
         yield f"quasi-factorization-{name}", holds, _EXPECTED, 0, "k = 0"
     yield from _closed_form_rows()
     yield from _weighted_rows()
+
+
+def _vertical_sum(
+    weight: Callable[[int], int],
+    entry: Callable[[int, int], Fraction],
+    n: int,
+    k: int,
+    den: int,
+) -> Fraction:
+    """sum_{j=1}^{n-k+1} weight(j) entry(n-j, k-1) / den, for integer weights.
+
+    The entries are cleared over one denominator (matrices._cleared), so
+    the sum is one matrices._dot.
+    """
+    js = range(1, n - k + 2)
+    return _dot((map(weight, js), den), _cleared([entry(n - j, k - 1) for j in js]))
 
 
 def _closed_form_rows() -> list[tuple]:
@@ -278,10 +305,7 @@ def _closed_form_rows() -> list[tuple]:
     )
     rook_vertical = (
         "sum_j ((n)_j / k) r_{n-j,k-1}",
-        lambda n, k: sum(
-            Fraction(math.perm(n, j), k) * rook_entry(n - j, k - 1)
-            for j in range(1, n - k + 2)
-        ),
+        lambda n, k: _vertical_sum(partial(math.perm, n), rook_entry, n, k, k),
     )
     lag = ("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
     lag_horizontal = (
@@ -298,12 +322,13 @@ def _closed_form_rows() -> list[tuple]:
     )
     lag_vertical = (
         "(1/(n-k)!) sum_j (-1)^(j-1) (n-k-j+1)! L_{n-j,k-1}",
-        lambda n, k: sum(
-            Fraction((-1) ** (j - 1) * math.factorial(n - k - j + 1))
-            * laguerre_entry(n - j, k - 1)
-            for j in range(1, n - k + 2)
-        )
-        / math.factorial(n - k),
+        lambda n, k: _vertical_sum(
+            lambda j: (-1) ** (j - 1) * math.factorial(n - k - j + 1),
+            laguerre_entry,
+            n,
+            k,
+            math.factorial(n - k),
+        ),
     )
     expansion = (
         "fact (ii) at x^(n+1-j): r_{n+1,j} = [j = 0] + sum_{i>=j-1} E_{i,j}, all j",

@@ -27,6 +27,11 @@ def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
+def _dot(a: tuple[Iterable[int], int], b: tuple[Iterable[int], int]) -> Fraction:
+    """sum_i a_i b_i of two cleared vectors, as one Fraction."""
+    return Fraction(sum(map(mul, a[0], b[0])), a[1] * b[1])
+
+
 def _solve_column(num: Sequence[list[int]], j: int) -> tuple[list[int], int]:
     """Rows j.. of column j of N^-1, as numerators over one denominator.
 

@@ -210,9 +210,6 @@ class Series:
                 return i
         return None
 
-    def is_zero(self) -> bool:
-        return self.order() is None
-
     def agrees_with(self, other: "Series") -> bool:
         """Exact coefficient equality up to the shared precision."""
         p = min(self.prec, other.prec)

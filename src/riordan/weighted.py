@@ -10,11 +10,13 @@ entrywise (c_transform takes either kind; C_transform is the same map under
 the paper's name).  Each recursion is rho(n,k) times a linear Riordan step on
 the unweighted entries d = xhat/rho of the weighted triangle itself: the
 A/Z step on row n-1 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1}
-(vert_recursion_C).  Conjugating by the weights is what turns these linear
-recursions into nonlinear ones like those of the rook and Laguerre
-triangles.  The (c)-weighted arrays again form a group under matrix
-multiplication; the (C)-class does not, so the group law here rejects
-C-weighted inputs.
+(vert_recursion_C), each one integer dot product over inputs cleared to one
+denominator on first use (rows and columns of d, A, Z and f; a transform
+that is never recursed on pays nothing for them).  Conjugating by the
+weights is what turns these linear recursions into nonlinear ones like
+those of the rook and Laguerre triangles.  The (c)-weighted arrays again
+form a group under matrix multiplication; the (C)-class does not, so the
+group law here rejects C-weighted inputs.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .group import AZSequences, RiordanPair, _az_step
-from .matrices import Triangle
-from .series import Rat
+from .group import RiordanPair, _az_step
+from .matrices import Triangle, _cleared, _dot
+from .series import PrecisionError, Rat
 
 
 class WeightError(ValueError):
@@ -102,7 +104,7 @@ class WeightSeq(WeightTri):
 
     @classmethod
     def power(cls, base: Rat, n: int) -> "WeightSeq":
-        b = Fraction(base)
+        (b,) = _rationals([base])
         if b == 0:
             raise WeightError("power weight base must be nonzero")
         return cls([b ** i for i in range(n + 1)])
@@ -137,10 +139,28 @@ class WeightedTriangle:
             for row, rho in zip(self.entries.rows, self._rho)
         ]
 
+    # The recursions' inputs as integer numerators over one denominator
+    # each (matrices._cleared), built on first use.
+
     @cached_property
-    def _az(self) -> AZSequences:
-        # Indexing the series raises PrecisionError past their precision.
-        return self.base.extract_az()
+    def _d_rows(self) -> list[tuple[list[int], int]]:  # for the A/Z step
+        return [_cleared(row) for row in self._d]
+
+    @cached_property
+    def _d_cols(self) -> list[tuple[list[int], int]]:  # column k from row k
+        d = self._d
+        return [_cleared([row[k] for row in d[k:]]) for k in range(len(d))]
+
+    @cached_property
+    def _az(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+        # A and Z over all their coefficients; _az_step raises
+        # PrecisionError for a step that needs more.
+        az = self.base.extract_az()
+        return _cleared(az.a.coeffs), _cleared(az.z.coeffs)
+
+    @cached_property
+    def _f(self) -> tuple[list[int], int]:
+        return _cleared(self.base.f.coeffs)
 
 
 def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
@@ -169,26 +189,30 @@ def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
 def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     """Entry (n, k) of a (c)- or (C)-weighted triangle from row n-1.
 
-    rho(n, k) times the A/Z step on row n-1 of d: the Z-sequence for
-    column 0, the A-sequence for k >= 1, both from the base pair's own
-    extract_az.  Row n = x.n is defined when the weight reaches index n.
+    rho(n, k) times the A/Z step (group._az_step) on cleared row n-1 of d:
+    the Z-sequence for column 0, the A-sequence for k >= 1, both from the
+    base pair's own extract_az.  Row n = x.n is defined when the weight
+    reaches index n.
     """
     if not (0 <= k <= n and 1 <= n < len(x._rho)):
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    return x._rho[n][k] * _az_step(x._az, x._d[n - 1], k)
+    return x._rho[n][k] * _az_step(*x._az, x._d_rows[n - 1], k)
 
 
 def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     """Entry (n, k), k >= 1, of a weighted triangle from column k-1.
 
-    rho(n, k) times sum_j f_j d_{n-j,k-1}, over the same rows as
-    horiz_recursion_C.
+    rho(n, k) times sum_{j=1}^{m} f_j d_{n-j,k-1}, m = n-k+1, over the same
+    rows as horiz_recursion_C: one integer dot product of the base pair's
+    cleared f with column k-1 of d.  Reading f past its precision raises
+    PrecisionError.
     """
     if not 1 <= k <= n < len(x._rho):
         raise WeightError(f"entry ({n},{k}) not defined by the vertical recursion")
-    f, d = x.base.f, x._d
-    s = sum((f[j] * d[n - j][k - 1] for j in range(1, n - k + 2)), Fraction(0))
-    return x._rho[n][k] * s
+    (f, df), (d, dd), m = x._f, x._d_cols[k - 1], n - k + 1
+    if m >= len(f):
+        raise PrecisionError(f"coefficient {m} beyond precision {len(f) - 1}")
+    return x._rho[n][k] * _dot((f[1 : m + 1], df), (reversed(d[:m]), dd))
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

@@ -66,6 +66,11 @@ class TestWeights:
         with pytest.raises(WeightError):
             WeightSeq(["1", "1/0"])
 
+    def test_power_rejects_zero_denominator_base(self):
+        # the base goes through the same conversion as a list of values
+        with pytest.raises(WeightError):
+            WeightSeq.power("1/0", 3)
+
     @pytest.mark.parametrize(
         "rows",
         [
