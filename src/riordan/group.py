@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .matrices import Triangle, _cleared, _dot
-from .series import PrecisionError, Series, SeriesError, _lagrange
+from .series import PrecisionError, Series, SeriesError, _compose, _lagrange
 
 
 class RiordanError(SeriesError):
@@ -145,9 +145,8 @@ class RiordanPair(_Pair):
 
     def __mul__(self, other: "RiordanPair") -> "RiordanPair":
         """(g1, f1)(g2, f2) = (g1 * g2(f1), f2(f1))."""
-        return RiordanPair(
-            self.g * other.g.compose(self.f), other.f.compose(self.f)
-        )
+        g2, f2 = _compose(self.f, [other.g, other.f])
+        return RiordanPair(self.g * g2, f2)
 
     def inverse(self) -> "RiordanPair":
         """(g, f)^-1 = (1 / g(fbar), fbar) = ((1/g)(fbar), t(fbar)).
@@ -159,7 +158,7 @@ class RiordanPair(_Pair):
 
     def apply(self, h: Series) -> Series:
         """The fundamental-theorem action: (g, f) h = g * h(f)."""
-        return self.g * h.compose(self.f)
+        return self.g * _compose(self.f, [h])[0]
 
     # -- A- and Z-sequences ---------------------------------------------------
 

@@ -16,15 +16,20 @@ Kronecker substitution: each vector is packed into a single integer, one
 slot per coefficient, so one big-integer multiply does the whole
 convolution.  Chained products divide out the content, the gcd of the
 denominator and all numerators, after each step so the numbers stay
-small.  ``comp_inverse`` and the pair inverse and A/Z-sequences in
-``group`` all go through one Lagrange-Buermann routine, ``_lagrange``:
+small.  Every composition, ``compose`` and the pair product and action
+in ``group``, goes through one Paterson-Stockmeyer routine, ``_compose``:
+the powers f^0..f^k, k about sqrt(p), are built once and shared by every
+H, each block of k coefficients of H is an integer combination of them,
+and the blocks are joined by about p/k products with f^k per H.
+``comp_inverse`` and the pair inverse and A/Z-sequences in ``group`` all
+go through one Lagrange-Buermann routine, ``_lagrange``:
 [t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n gives any series H(fbar)
 without composing with fbar.  It is evaluated by baby-step/giant-step
 (Brent & Kung 1978): about 2 sqrt(p) products of powers of t/f, shared by
 every H, about sqrt(p) more per H, then one integer dot product per
-coefficient.  Results are
-converted back to reduced ``Fraction`` coefficients, so every public value
-is exactly what coefficient-by-coefficient rational arithmetic gives.
+coefficient.  Results are converted back to reduced ``Fraction``
+coefficients, so every public value is exactly what
+coefficient-by-coefficient rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -281,24 +286,8 @@ class Series:
         return _from_ints([den * c for c in r], e)
 
     def compose(self, f: "Series") -> "Series":
-        """self(f(t)) by Horner evaluation; requires f(0) = 0.
-
-        Before the step that adds h_n, the accumulator is still to be
-        multiplied by f n more times, and f has order 1, so only its first
-        p + 1 - n coefficients can reach the result.
-        """
-        if f.coeffs[0] != 0:
-            raise CompositionError("composition undefined: f(0) != 0")
-        p = min(self.prec, f.prec)
-        h, dh = _to_ints(self.coeffs[: p + 1])
-        fn, df = _to_ints(f.coeffs[: p + 1])
-        acc, den = [h[p]], 1
-        for n in range(p - 1, -1, -1):
-            acc = _kmul(acc, fn, p + 1 - n)
-            den *= df
-            acc[0] += h[n] * den
-            acc, den = _reduce(acc, den)
-        return _from_ints(acc, den * dh)
+        """self(f(t)), requires f(0) = 0: the one-series case of ``_compose``."""
+        return _compose(f, [self])[0]
 
     def comp_inverse(self) -> "Series":
         """Compositional inverse fbar with fbar(f) = f(fbar) = t.
@@ -307,6 +296,43 @@ class Series:
         H = t case of ``_lagrange``.
         """
         return _lagrange(self, [Series.t(self.prec)])[0]
+
+
+def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
+    """[H(f) for H in hs]; requires f(0) = 0.
+
+    Paterson-Stockmeyer: with k = isqrt(p) + 1, the powers f^0..f^k are
+    built once, about sqrt(p) products shared by every H, and f^0..f^(k-1)
+    are cleared over one denominator.  Each block B_j = sum_r h_(kj+r) f^r
+    is then an integer combination of them, with no products, and
+    H(f) = sum_j B_j F^j, F = f^k, is evaluated by Horner in F, about p/k
+    products per H.  F^j has order at least kj, so when B_j is added only
+    the first q + 1 - kj coefficients can still reach the result.  H(f) has
+    precision q = min(H.prec, f.prec): coefficient n needs H and f through t^n.
+    """
+    if f.coeffs[0] != 0:
+        raise CompositionError("composition undefined: f(0) != 0")
+    precs = [min(h.prec, f.prec) for h in hs]
+    p = max(precs, default=0)
+    k = math.isqrt(p) + 1
+    fn, df = _to_ints(f.coeffs[: p + 1])
+    pows = [[1] + [0] * p, fn]  # f^r is pows[r] / df^r
+    while len(pows) <= k:
+        pows.append(_kmul(pows[-1], fn, p + 1))
+    big, dbig = pows.pop(), df**k
+    # cols[i][r]: [t^i] f^r over df^(k-1)
+    cols = list(zip(*([x * df ** (k - 1 - r) for x in v] for r, v in enumerate(pows))))
+    out = []
+    for h, q in zip(hs, precs):
+        c, dh = _to_ints(h.coeffs[: q + 1])
+        acc, scale = [0] * (q + 1 - k * (q // k)), 1
+        for j in range(q // k, -1, -1):
+            if j < q // k:  # acc = sum_(i>j) B_i F^(i-j), over df^(k-1) scale
+                acc, scale = _kmul(acc, big, q + 1 - k * j), scale * dbig
+            block = [scale * x for x in c[k * j : k * j + k]]
+            acc = [a + sum(map(mul, block, col)) for a, col in zip(acc, cols)]
+        out.append(_from_ints(acc, df ** (k - 1) * scale * dh))
+    return out
 
 
 def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:

@@ -128,9 +128,7 @@ class WeightedTriangle:
 
     @cached_property
     def _rho(self) -> list[list[Fraction]]:
-        # One row past the entries when the weight reaches it, so that the
-        # recursions give row n too; a weight shorter than the entries raises.
-        return self.weight.ratios(self.n + (len(self.weight) > self.n))
+        return _rho_rows(self.weight, self.n)
 
     @cached_property
     def _d(self) -> list[list[Fraction]]:  # d = xhat / rho, off the entries
@@ -163,11 +161,22 @@ class WeightedTriangle:
         return _cleared(self.base.f.coeffs)
 
 
+def _rho_rows(c: WeightTri, n: int) -> list[list[Fraction]]:
+    # One row past n when the weight reaches it, so that the recursions
+    # give row n too; a weight shorter than n rows raises.
+    return c.ratios(n + (len(c) > n))
+
+
 def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
-    """The first n rows of rho(n, k) d_{n,k}, with rho = c.ratios(n)."""
-    rho = c.ratios(n)
+    """The first n rows of rho(n, k) d_{n,k}, with rho = c.ratios(n).
+
+    The rho table is built once: the result's recursions reuse it.
+    """
+    rho = _rho_rows(c, n)
     rows = [[r * v for r, v in zip(*pair)] for pair in zip(rho, ra.triangle(n).rows)]
-    return WeightedTriangle(ra, c, Triangle(rows))
+    x = WeightedTriangle(ra, c, Triangle(rows))
+    vars(x)["_rho"] = rho  # the cached_property's value
+    return x
 
 
 C_transform = c_transform  # the same map, under the paper's name

@@ -1,12 +1,16 @@
 """The series kernel against oracles that share no code with it.
 
-Each of ``Series.__mul__``, ``reciprocal``, ``compose``, ``comp_inverse``
-and the Lagrange-Buermann routine ``_lagrange`` behind ``comp_inverse`` is
-compared with a schoolbook ``Fraction`` computation written out below, one
-coefficient at a time, with sympy's ``ring_series`` (``rs_series_inversion``,
-``rs_subs``, ``rs_series_reversion``), or with both.  Denominators up to 3
-and t-coefficients other than +-1 make the kernel's common denominators and
-content reduction do real work.
+Each of ``Series.__mul__``, ``reciprocal``, ``compose``, ``comp_inverse``,
+the Paterson-Stockmeyer routine ``_compose`` behind ``compose`` and the pair
+product, and the Lagrange-Buermann routine ``_lagrange`` behind
+``comp_inverse`` is compared with a schoolbook ``Fraction`` computation
+written out below, one coefficient at a time, with sympy's ``ring_series``
+(``rs_series_inversion``, ``rs_subs``, ``rs_series_reversion``), or with
+both.  ``_compose`` is also checked against the Horner composition it
+replaced, kept below as ``horner_compose``; that one runs on the same
+integer helpers, so the schoolbook sum stays the independent check.
+Denominators up to 3 and t-coefficients other than +-1 make the kernel's
+common denominators and content reduction do real work.
 """
 
 import random
@@ -19,8 +23,9 @@ from sympy import QQ
 from sympy.polys.ring_series import rs_series_inversion, rs_series_reversion, rs_subs
 from sympy.polys.rings import ring
 
-from riordan import PrecisionError, Series
-from riordan.series import _lagrange
+from riordan import PrecisionError, RiordanPair, Series, group
+from riordan.catalog import named_riordan
+from riordan.series import _compose, _from_ints, _kmul, _lagrange, _reduce, _to_ints
 
 R, X, Y = ring("x,y", QQ)
 
@@ -61,6 +66,25 @@ def compose(h, f):
         out = [o + hn * c for o, c in zip(out, power)]
         power = conv(power, f, n)
     return out
+
+
+def horner_compose(h, f):
+    """h(f) by Horner in f on the integer kernel, one product per coefficient.
+
+    Before the step that adds h_n, the accumulator is still to be
+    multiplied by f n more times, so only the first p + 1 - n coefficients
+    of f can reach the result.
+    """
+    p = min(h.prec, f.prec)
+    c, dh = _to_ints(h.coeffs[: p + 1])
+    fn, df = _to_ints(f.coeffs[: p + 1])
+    acc, den = [c[p]], 1
+    for n in range(p - 1, -1, -1):
+        acc = _kmul(acc, fn, p + 1 - n)
+        den *= df
+        acc[0] += c[n] * den
+        acc, den = _reduce(acc, den)
+    return _from_ints(acc, den * dh)
 
 
 def comp_inverse(f):
@@ -221,3 +245,61 @@ def test_lagrange_block_edges(p):
         assert out.prec == n - 1
         want = from_ring(rs_subs(to_ring(h, X), {X: fbar}, X, n), 0, n)
         assert list(out.coeffs) == want
+
+
+def rand_coeffs(rng, n):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+
+
+# _compose splits h into blocks of k = isqrt(p) + 1 coefficients, and k
+# steps up at each perfect square; these are the _lagrange precisions above,
+# on and next to squares.
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
+@pytest.mark.parametrize("order", [1, 2, None], ids=["order1", "order2", "zero"])
+def test_compose_block_edges(p, order):
+    """H(f) for H of precision below, at and above f's, in one call.
+
+    f has order 1, order 2, or is zero to its precision.  Each result has
+    precision min(H.prec, f.prec) and equals the Horner composition and
+    the schoolbook sum of powers, which for f = 0 is the constant h_0.
+    """
+    rng = random.Random(200 + p)
+    f = [Fraction(0)] * (p + 1)
+    if order is not None and order <= p:
+        f[order] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        f[order + 1 :] = rand_coeffs(rng, p - order)
+    hs = [rand_coeffs(rng, hp + 1) for hp in (p - 1, p // 2, p, p + 3)]
+    got = _compose(Series(f), [Series(h) for h in hs])
+    assert len(got) == len(hs)
+    for h, out in zip(hs, got):
+        n = min(len(h), p + 1)
+        assert out.prec == n - 1
+        want = horner_compose(Series(h), Series(f))
+        assert out == want and out.prec == want.prec
+        school = compose(h, f) if order else h[:1] + [Fraction(0)] * (n - 1)
+        assert list(out.coeffs) == school
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(series(), min_size=1, max_size=3), no_constant)
+def test_compose_shared_f(hs, f):
+    got = _compose(Series(f), [Series(h) for h in hs])
+    for h, out in zip(hs, got):
+        assert list(out.coeffs) == compose(h, f)
+        assert out == Series(h).compose(Series(f))
+
+
+def test_pair_product_composes_once(monkeypatch):
+    """a * b gives g2(f1) and f2(f1) from one _compose call, sharing f1's powers."""
+    calls = []
+
+    def counting(f, hs):
+        calls.append(len(hs))
+        return _compose(f, hs)
+
+    monkeypatch.setattr(group, "_compose", counting)
+    a, b = named_riordan("catalan_bell", 20), named_riordan("pascal", 24)
+    got = a * b
+    assert calls == [2]
+    want = RiordanPair(a.g * horner_compose(b.g, a.f), horner_compose(b.f, a.f))
+    assert got == want

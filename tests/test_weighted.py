@@ -253,6 +253,40 @@ class TestRecursions:
             for k in range(1, n + 1):
                 assert vert_recursion_C(x, n, k) == x.entries.entry(n, k), (n, k)
 
+    @pytest.mark.parametrize(
+        "weight, n",
+        [
+            (WeightSeq.factorial(12), 12),  # reaches row 12
+            (WeightSeq.factorial(11), 12),  # stops at row 11
+            (WeightTri.laguerre(12), 12),
+        ],
+        ids=["c", "c-short", "C"],
+    )
+    def test_rho_table_built_once(self, monkeypatch, weight, n):
+        """One ratios call per transform, its recursions included."""
+        calls = []
+        ratios = WeightTri.ratios
+
+        def counting(self, m):
+            calls.append(m)
+            return ratios(self, m)
+
+        monkeypatch.setattr(WeightTri, "ratios", counting)
+        x = c_transform(named_riordan("catalan_bell", 16), weight, n)
+        top = min(len(weight), n + 1)
+        for m in range(1, top):
+            for k in range(m + 1):
+                horiz_recursion_C(x, m, k)
+            for k in range(1, m + 1):
+                vert_recursion_C(x, m, k)
+        assert calls == [top]
+        # row n, when the weight reaches it, is the next row of the transform
+        if top > n:
+            y = c_transform(named_riordan("catalan_bell", 16), weight, n + 1)
+            assert [horiz_recursion_C(x, n, k) for k in range(n + 1)] == list(
+                y.entries.rows[n]
+            )
+
     def test_az_past_precision_raises(self):
         # catalan_bell has A = Z = 1/(1-t); reading them as zero past
         # their precision would give a wrong entry, not an error
