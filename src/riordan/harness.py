@@ -31,13 +31,7 @@ from operator import mul
 from typing import Callable, Iterator
 
 from . import catalog
-from .catalog import (
-    catalan_power_coeff,
-    fuss_power_coeff,
-    laguerre_entry,
-    remainder_entry,
-    rook_entry,
-)
+from .catalog import catalan_power_coeff, fuss_power_coeff, remainder_entry
 from .matrices import _cleared, _dot
 from .quasi import factorization_check
 from .series import Series
@@ -292,6 +286,9 @@ def _vertical_sum(
 
 def _closed_form_rows() -> list[tuple]:
     """The rook and Laguerre recursions against their closed forms."""
+    # One memo per suite run: the routes read the same (n, k) many times.
+    rook_entry = cache(catalog.rook_entry)
+    laguerre_entry = cache(catalog.laguerre_entry)
     rook = ("rook entry r_{n,k}", lambda n, k: rook_entry(n, k))
     rook_horizontal = (
         "n r_{n-1,k} + (n/k) r_{n-1,k-1}",

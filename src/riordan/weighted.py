@@ -4,12 +4,13 @@ A weight triangle C (c_{n,0} = 1, all c_{n,k} nonzero) rescales a Riordan
 array's entries d_{n,k} to xhat_{n,k} = rho(n,k) d_{n,k}, with the weight
 ratio rho(n,k) = c_{n,n}/c_{n,k}.  A (c)-weight, the sequence c (c_0 = 1),
 is the (C)-table c_{n,k} = c_k (WeightSeq is a WeightTri built from its
-rows), where rho(n,k) = c_n/c_k.  So one class validates a weight and gives
-its rho table by ratios(n), and one transform multiplies the triangle by it
-entrywise (c_transform takes either kind; C_transform is the same map under
-the paper's name).  Each recursion is rho(n,k) times a linear Riordan step on
-the unweighted entries d = xhat/rho of the weighted triangle itself: the
-A/Z step on row n-1 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1}
+rows), where rho(n,k) = c_n/c_k.  So one class validates a weight and holds
+its rho table (rho, built on first read and shared by every transform and
+recursion over that weight), and one transform multiplies the triangle by
+it entrywise (c_transform takes either kind; C_transform is the same map
+under the paper's name).  Each recursion is rho(n,k) times a linear Riordan
+step on the unweighted entries d = xhat/rho of the weighted triangle
+itself: the A/Z step on row n-1 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1}
 (vert_recursion_C), each one integer dot product over inputs cleared to one
 denominator on first use (rows and columns of d, A, Z and f; a transform
 that is never recursed on pays nothing for them).  Conjugating by the
@@ -48,7 +49,7 @@ def _rationals(values: Sequence[Rat]) -> tuple[Fraction, ...]:
 class WeightTri:
     """A lower-triangular weight table with c_{n,0} = 1, c_{n,k} != 0."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_rho")  # _rho is no field: eq, hash, repr read rows
     kind = "C"
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -71,11 +72,15 @@ class WeightTri:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def ratios(self, n: int) -> list[list[Fraction]]:
-        """rho(i, j) = c_{i,i} / c_{i,j} for 0 <= j <= i < n."""
-        if len(self) < n:
-            raise WeightError(f"weight table too short: {len(self)} < {n}")
-        return [[row[i] / v for v in row] for i, row in enumerate(self.rows[:n])]
+    @property
+    def rho(self) -> tuple[tuple[Fraction, ...], ...]:
+        """rho(i, j) = c_{i,i} / c_{i,j} for 0 <= j <= i < len, built once."""
+        try:
+            return self._rho
+        except AttributeError:
+            rho = tuple(tuple(r[i] / v for v in r) for i, r in enumerate(self.rows))
+            object.__setattr__(self, "_rho", rho)
+            return rho
 
     @classmethod
     def laguerre(cls, n: int) -> "WeightTri":
@@ -118,6 +123,10 @@ class WeightedTriangle:
     weight: WeightTri
     entries: Triangle
 
+    def __post_init__(self):
+        if len(self.weight) < self.n:
+            raise WeightError(f"weight table too short: {len(self.weight)} < {self.n}")
+
     @property
     def kind(self) -> str:
         return self.weight.kind
@@ -127,14 +136,10 @@ class WeightedTriangle:
         return self.entries.n
 
     @cached_property
-    def _rho(self) -> list[list[Fraction]]:
-        return _rho_rows(self.weight, self.n)
-
-    @cached_property
     def _d(self) -> list[list[Fraction]]:  # d = xhat / rho, off the entries
         return [
             [v / r for v, r in zip(row, rho)]
-            for row, rho in zip(self.entries.rows, self._rho)
+            for row, rho in zip(self.entries.rows, self.weight.rho)
         ]
 
     # The recursions' inputs as integer numerators over one denominator
@@ -161,22 +166,12 @@ class WeightedTriangle:
         return _cleared(self.base.f.coeffs)
 
 
-def _rho_rows(c: WeightTri, n: int) -> list[list[Fraction]]:
-    # One row past n when the weight reaches it, so that the recursions
-    # give row n too; a weight shorter than n rows raises.
-    return c.ratios(n + (len(c) > n))
-
-
 def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
-    """The first n rows of rho(n, k) d_{n,k}, with rho = c.ratios(n).
-
-    The rho table is built once: the result's recursions reuse it.
-    """
-    rho = _rho_rows(c, n)
-    rows = [[r * v for r, v in zip(*pair)] for pair in zip(rho, ra.triangle(n).rows)]
-    x = WeightedTriangle(ra, c, Triangle(rows))
-    vars(x)["_rho"] = rho  # the cached_property's value
-    return x
+    """The first n rows of rho(n, k) d_{n,k}, with rho = c.rho."""
+    if len(c) < n:
+        raise WeightError(f"weight table too short: {len(c)} < {n}")
+    rows = [[r * v for r, v in zip(*pair)] for pair in zip(c.rho, ra.triangle(n).rows)]
+    return WeightedTriangle(ra, c, Triangle(rows))
 
 
 C_transform = c_transform  # the same map, under the paper's name
@@ -203,9 +198,9 @@ def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     base pair's own extract_az.  Row n = x.n is defined when the weight
     reaches index n.
     """
-    if not (0 <= k <= n and 1 <= n < len(x._rho)):
+    if not (0 <= k <= n and 1 <= n < min(len(x.weight), x.n + 1)):
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    return x._rho[n][k] * _az_step(*x._az, x._d_rows[n - 1], k)
+    return x.weight.rho[n][k] * _az_step(*x._az, x._d_rows[n - 1], k)
 
 
 def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
@@ -216,12 +211,12 @@ def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     cleared f with column k-1 of d.  Reading f past its precision raises
     PrecisionError.
     """
-    if not 1 <= k <= n < len(x._rho):
+    if not 1 <= k <= n < min(len(x.weight), x.n + 1):
         raise WeightError(f"entry ({n},{k}) not defined by the vertical recursion")
     (f, df), (d, dd), m = x._f, x._d_cols[k - 1], n - k + 1
     if m >= len(f):
         raise PrecisionError(f"coefficient {m} beyond precision {len(f) - 1}")
-    return x._rho[n][k] * _dot((f[1 : m + 1], df), (reversed(d[:m]), dd))
+    return x.weight.rho[n][k] * _dot((f[1 : m + 1], df), (reversed(d[:m]), dd))
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

@@ -1,5 +1,6 @@
 """Verification harness: statuses, counterexample reporting, exit codes, JSON."""
 
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -167,6 +168,11 @@ class TestBuiltinSuite:
         failed = [r.name for r in builtin_reports if r.status != "verified"]
         assert failed == []
         assert exit_code(builtin_reports) == 0
+
+    def test_closed_forms_stay_plain_functions(self, builtin_reports):
+        # the suite memoizes the closed forms for one run, never in catalog
+        assert inspect.isfunction(catalog.rook_entry)
+        assert inspect.isfunction(catalog.laguerre_entry)
 
     def test_report_names_unique(self, builtin_reports):
         names = [r.name for r in builtin_reports]

@@ -14,12 +14,24 @@ from riordan.catalog import named_riordan
 
 ROWS = [[1], [1, 2], [1, Fraction(1, 3), 4]]
 
-# (constructor, the attributes it stores)
+
+def rho_read(w):
+    w.rho  # builds and keeps the weight's rho table
+    return w
+
+
+# (constructor, the attributes it exposes).  Reading a weight's rho, as the
+# setattr loop does on b, must change neither its equality nor its hash.
 VALUES = {
     "Series": (lambda: Series([1, Fraction(1, 2), 3]), ("coeffs",)),
     "Triangle": (lambda: Triangle(ROWS), ("rows",)),
-    "WeightSeq": (lambda: WeightSeq([1, 2, Fraction(1, 6)]), ("rows",)),
-    "WeightTri": (lambda: WeightTri(ROWS), ("rows",)),
+    "WeightSeq": (lambda: WeightSeq([1, 2, Fraction(1, 6)]), ("rows", "rho")),
+    "WeightTri": (lambda: WeightTri(ROWS), ("rows", "rho")),
+    "WeightSeq-rho-read": (
+        lambda: rho_read(WeightSeq([1, 2, Fraction(1, 6)])),
+        ("rows", "rho"),
+    ),
+    "WeightTri-rho-read": (lambda: rho_read(WeightTri(ROWS)), ("rows", "rho")),
     "RiordanPair": (lambda: named_riordan("pascal", 6), ("g", "f")),
     "QuasiRiordan": (
         lambda: QuasiRiordan.of_pair(named_riordan("catalan_bell", 6)),

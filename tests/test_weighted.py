@@ -109,7 +109,7 @@ class TestWeights:
         c = WeightSeq.factorial(12)
         C = WeightTri([c.rows[-1][: n + 1] for n in range(len(c))])
         assert C.rows == c.rows and C != c
-        assert C.ratios(13) == c.ratios(13)
+        assert C.rho == c.rho
         # the recursions read a (c)-weight as its embedding c_{n,k} = c_k
         x = c_transform(ra, c, 12)
         y = C_transform(ra, C, 12)
@@ -219,12 +219,8 @@ class TestRecursions:
         with pytest.raises(WeightError):
             vert_recursion_C(short, 6, 2)
         # a weight shorter than the entries is rejected, never truncated to
-        shorter = WeightedTriangle(x.base, WeightSeq.factorial(3), x.entries)
-        for n in range(1, 4):
-            with pytest.raises(WeightError):
-                horiz_recursion_C(shorter, n, 1)
-            with pytest.raises(WeightError):
-                vert_recursion_C(shorter, n, 1)
+        with pytest.raises(WeightError):
+            WeightedTriangle(x.base, WeightSeq.factorial(3), x.entries)
 
     @pytest.mark.parametrize(
         "weight", [WeightSeq.factorial(12), WeightTri.laguerre(12)], ids=["c", "C"]
@@ -254,36 +250,48 @@ class TestRecursions:
                 assert vert_recursion_C(x, n, k) == x.entries.entry(n, k), (n, k)
 
     @pytest.mark.parametrize(
-        "weight, n",
+        "make, n",
         [
-            (WeightSeq.factorial(12), 12),  # reaches row 12
-            (WeightSeq.factorial(11), 12),  # stops at row 11
-            (WeightTri.laguerre(12), 12),
+            (lambda: WeightSeq.factorial(12), 12),  # reaches row 12
+            (lambda: WeightSeq.factorial(11), 12),  # stops at row 11
+            (lambda: WeightTri.laguerre(12), 12),
         ],
         ids=["c", "c-short", "C"],
     )
-    def test_rho_table_built_once(self, monkeypatch, weight, n):
-        """One ratios call per transform, its recursions included."""
-        calls = []
-        ratios = WeightTri.ratios
+    def test_rho_table_built_once(self, monkeypatch, make, n):
+        """One rho table per weight, read by all its transforms and recursions."""
+        weight = make()
+        assert not hasattr(weight, "_rho")  # a fresh weight holds no table
+        tables = []
+        rho = WeightTri.rho.fget
 
-        def counting(self, m):
-            calls.append(m)
-            return ratios(self, m)
+        def reading(self):
+            tables.append(rho(self))
+            return tables[-1]
 
-        monkeypatch.setattr(WeightTri, "ratios", counting)
-        x = c_transform(named_riordan("catalan_bell", 16), weight, n)
+        monkeypatch.setattr(WeightTri, "rho", property(reading))
+        xs = [
+            c_transform(named_riordan(name, 16), weight, n)
+            for name in ("catalan_bell", "pascal")
+        ]
+        transforms = len(tables)
         top = min(len(weight), n + 1)
-        for m in range(1, top):
-            for k in range(m + 1):
-                horiz_recursion_C(x, m, k)
-            for k in range(1, m + 1):
-                vert_recursion_C(x, m, k)
-        assert calls == [top]
+        for x in xs:
+            for m in range(1, top):
+                for k in range(m + 1):
+                    horiz_recursion_C(x, m, k)
+                for k in range(1, m + 1):
+                    vert_recursion_C(x, m, k)
+        assert 2 <= transforms < len(tables)
+        table = tables[0]
+        assert all(t is table for t in tables)
+        assert table == tuple(
+            tuple(row[i] / v for v in row) for i, row in enumerate(weight.rows)
+        )
         # row n, when the weight reaches it, is the next row of the transform
         if top > n:
             y = c_transform(named_riordan("catalan_bell", 16), weight, n + 1)
-            assert [horiz_recursion_C(x, n, k) for k in range(n + 1)] == list(
+            assert [horiz_recursion_C(xs[0], n, k) for k in range(n + 1)] == list(
                 y.entries.rows[n]
             )
 
