@@ -42,9 +42,7 @@ def catalan_power_coeff(n: int, k: int) -> Fraction:
     """[t^n] C(t)^k = (k/(2n+k)) binomial(2n+k, n), with C(0,0) = 1."""
     if n < 0 or k < 0:
         raise ValueError(f"negative arguments ({n},{k})")
-    if k == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    return Fraction(k, 2 * n + k) * binomial(2 * n + k, n)
+    return fuss_power_coeff(2, n, k)
 
 
 def catalan_number(n: int) -> Fraction:

@@ -33,8 +33,6 @@ class _Pair:
     equality holds only between pairs of the same class.
     """
 
-    __slots__ = ("g", "f")
-
     g: Series
     f: Series
 
@@ -67,10 +65,9 @@ class _Pair:
             raise RiordanError(f"order {n} needs precision {n - 1}, have {self.prec}")
 
 
+@dataclass(frozen=True)
 class RiordanPair(_Pair):
     """A proper, normalized Riordan pair (g, f)."""
-
-    __slots__ = ()
 
     # -- entries, three independent ways --------------------------------------
 

@@ -178,11 +178,9 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
         fm = catalog.fuss_series(m, n_max)
         return list(accumulate([fm] * (n_max + 1), mul, initial=Series.one(n_max)))
 
-    closed = (
-        "[t^(n-k)] F_m^(k+1), closed form",
-        lambda n, k: fuss_power_coeff(m, n - k, k + 1),
-    )
-    convolution = _convolution("F_m", partial(fuss_power_coeff, m), n_max)
+    coeff = cache(partial(fuss_power_coeff, m))  # one memo per suite run
+    closed = ("[t^(n-k)] F_m^(k+1), closed form", lambda n, k: coeff(n - k, k + 1))
+    convolution = _convolution("F_m", coeff, n_max)
     series = (
         "[t^(n-k)] of the multiplied-out series F_m^(k+1)",
         lambda n, k: powers()[k + 1][n - k],
@@ -241,19 +239,20 @@ def _weighted_rows(n_max: int = 20) -> Iterator[tuple]:
 
 def _rows() -> Iterator[tuple]:
     """The builtin identities in report order, each built just before use."""
-    binomial = ("binomial(n,k)", lambda n, k: Fraction(catalog.binomial(n, k)))
+    # One memo per closed form per suite run: the routes re-read arguments.
+    choose = cache(catalog.binomial)
+    binomial = ("binomial(n,k)", lambda n, k: Fraction(choose(n, k)))
     binomial_vertical = (
         "sum_{j=1}^{n-k+1} binomial(n-j,k-1)",
-        lambda n, k: Fraction(
-            sum(catalog.binomial(n - j, k - 1) for j in range(1, n - k + 2))
-        ),
+        lambda n, k: Fraction(sum(choose(n - j, k - 1) for j in range(1, n - k + 2))),
     )
     yield "pascal-vertical-recursion", binomial, binomial_vertical, 50, "1 <= k <= n"
     for m in range(1, 6):
         yield from _fuss_rows(m)
-    catalan = ("C(n-k, k+1)", lambda n, k: catalan_power_coeff(n - k, k + 1))
+    catalan_coeff = cache(catalan_power_coeff)
+    catalan = ("C(n-k, k+1)", lambda n, k: catalan_coeff(n - k, k + 1))
     n_max = 40
-    convolution = _convolution("C", catalan_power_coeff, n_max)
+    convolution = _convolution("C", catalan_coeff, n_max)
     yield "catalan-convolution", catalan, convolution, n_max, "0 <= k <= n"
     for m in range(1, 6):
         yield _fuss_functional_row(m)

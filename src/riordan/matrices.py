@@ -62,8 +62,6 @@ def _solve_column(num: Sequence[list[int]], j: int) -> tuple[list[int], int]:
 class Triangle:
     """An n x n lower-triangular matrix, stored as ragged rows."""
 
-    __slots__ = ("rows",)
-
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence[Fraction | int | str]]):

@@ -10,15 +10,16 @@ component.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .group import RiordanPair, _Pair
 from .matrices import Triangle, direct_sum_one
 from .series import Series
 
 
+@dataclass(frozen=True)
 class QuasiRiordan(_Pair):
     """A quasi-Riordan pair [g, f]: g(0) = 1, f of order exactly 1."""
-
-    __slots__ = ()
 
     @classmethod
     def of_pair(cls, ra: RiordanPair) -> "QuasiRiordan":

@@ -146,11 +146,6 @@ def _krecip(a: Sequence[int], n: int) -> tuple[list[int], int]:
 class Series:
     """An immutable truncated power series: coefficients 0..prec."""
 
-    # The value classes list __slots__ by hand rather than pass slots=True:
-    # on Python 3.11 the generated __setattr__ of a slots=True copy raises
-    # TypeError, not AttributeError, for a name that is not a field.
-    __slots__ = ("coeffs",)
-
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rat]):

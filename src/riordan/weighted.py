@@ -49,7 +49,6 @@ def _rationals(values: Sequence[Rat]) -> tuple[Fraction, ...]:
 class WeightTri:
     """A lower-triangular weight table with c_{n,0} = 1, c_{n,k} != 0."""
 
-    __slots__ = ("rows", "_rho")  # _rho is no field: eq, hash, repr read rows
     kind = "C"
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -72,15 +71,10 @@ class WeightTri:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def rho(self) -> tuple[tuple[Fraction, ...], ...]:
         """rho(i, j) = c_{i,i} / c_{i,j} for 0 <= j <= i < len, built once."""
-        try:
-            return self._rho
-        except AttributeError:
-            rho = tuple(tuple(r[i] / v for v in r) for i, r in enumerate(self.rows))
-            object.__setattr__(self, "_rho", rho)
-            return rho
+        return tuple(tuple(r[i] / v for v in r) for i, r in enumerate(self.rows))
 
     @classmethod
     def laguerre(cls, n: int) -> "WeightTri":
@@ -93,10 +87,10 @@ class WeightTri:
         )
 
 
+@dataclass(frozen=True)
 class WeightSeq(WeightTri):
     """A weight sequence (c_0, c_1, ...): the table c_{n,k} = c_k, of kind "c"."""
 
-    __slots__ = ()
     kind = "c"
 
     def __init__(self, values: Sequence[Rat]):

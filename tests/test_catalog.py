@@ -55,6 +55,9 @@ class TestCatalanFuss:
         assert catalan_power_coeff(2, 3) == 9
         assert catalan_power_coeff(0, 0) == 1
         assert catalan_power_coeff(3, 0) == 0
+        for n, k in (-1, 1), (1, -1):
+            with pytest.raises(ValueError):
+                catalan_power_coeff(n, k)
 
     def test_fuss_m2_is_catalan(self):
         # 1 + t F^2 = F is the Catalan functional equation

@@ -2,9 +2,12 @@
 
 Series, sections, weights and pairs are values: they cannot be changed
 after construction, and two of them are equal, hash equal and interchange
-as dict keys exactly when their class and contents agree.
+as dict keys exactly when their class and contents agree.  A copy, a deep
+copy or a pickle round trip gives an equal value of the same class.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -54,6 +57,12 @@ def test_value_semantics(make, fields):
     table[b] = "second"
     assert len(table) == 1
     assert table[a] == "second"
+    for clone in copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)):
+        for v in a, b:  # b's rho, for a weight, has been read
+            c = clone(v)
+            assert type(c) is type(v)
+            assert c == v
+            assert hash(c) == hash(v)
 
 
 def test_equality_needs_the_same_class():

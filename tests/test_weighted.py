@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -261,20 +262,22 @@ class TestRecursions:
     def test_rho_table_built_once(self, monkeypatch, make, n):
         """One rho table per weight, read by all its transforms and recursions."""
         weight = make()
-        assert not hasattr(weight, "_rho")  # a fresh weight holds no table
-        tables = []
-        rho = WeightTri.rho.fget
+        assert "rho" not in vars(weight)  # a fresh weight holds no table
+        builds = []
+        build = WeightTri.rho.func
 
-        def reading(self):
-            tables.append(rho(self))
-            return tables[-1]
+        def counting(self):
+            builds.append(self)
+            return build(self)
 
-        monkeypatch.setattr(WeightTri, "rho", property(reading))
+        rho = cached_property(counting)
+        rho.__set_name__(WeightTri, "rho")
+        monkeypatch.setattr(WeightTri, "rho", rho)
         xs = [
             c_transform(named_riordan(name, 16), weight, n)
             for name in ("catalan_bell", "pascal")
         ]
-        transforms = len(tables)
+        assert builds == [weight]  # the first transform builds it, the second reuses it
         top = min(len(weight), n + 1)
         for x in xs:
             for m in range(1, top):
@@ -282,9 +285,9 @@ class TestRecursions:
                     horiz_recursion_C(x, m, k)
                 for k in range(1, m + 1):
                     vert_recursion_C(x, m, k)
-        assert 2 <= transforms < len(tables)
-        table = tables[0]
-        assert all(t is table for t in tables)
+        assert builds == [weight]  # and no recursion builds it again
+        table = vars(weight)["rho"]
+        assert all(x.weight.rho is table for x in xs)
         assert table == tuple(
             tuple(row[i] / v for v in row) for i, row in enumerate(weight.rows)
         )
