@@ -9,12 +9,14 @@ weight_spec); this module only reads flags and maps errors to exit codes:
 unexpected parameter), 65 an unknown catalog name or a value the maths
 rejects, 73 an --out file that cannot be written.  The verify subcommand
 instead uses the report contract (0 all verified, 1 counterexample,
-2 inconclusive), and 73 as above.
+2 inconclusive), and 73 as above; it prints each report line as its check
+ends, and a reader that closes stdout early does not change its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -49,6 +51,22 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_triangle(tri: Triangle, fmt: str | None, out: str | None) -> None:
     _emit(tri.to_json() + "\n" if fmt == "json" else tri.to_csv(), out)
+
+
+def _print_report(r: harness.VerificationReport) -> None:
+    line = f"{r.status:>14}  {r.name} (n_max={r.n_max}, {r.k_policy})"
+    if r.counterexample:
+        c = r.counterexample
+        line += f"  at ({c.n},{c.k}): {c.lhs} != {c.rhs}"
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # The reader has gone (`riordan verify | head`): the suite still
+        # ends and --out and the exit code stand, so the rest of stdout,
+        # and its flush at exit, go to os.devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def build_parser() -> _Parser:
@@ -152,13 +170,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
-        reports = harness.builtin_suite()
-        for r in reports:
-            line = f"{r.status:>14}  {r.name} (n_max={r.n_max}, {r.k_policy})"
-            if r.counterexample:
-                c = r.counterexample
-                line += f"  at ({c.n},{c.k}): {c.lhs} != {c.rhs}"
-            print(line)
+        reports = harness.builtin_suite(_print_report)
         _emit(harness.reports_to_json(reports) + "\n", args.out)
         return harness.exit_code(reports)
 

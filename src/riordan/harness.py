@@ -9,9 +9,11 @@ parameter: over the rationals equality is equality.
 
 The builtin suite is a table of identities: each row names an identity,
 gives its two described entry routes, the range n_max and the label of
-its k-policy (a key of K_POLICIES), and one helper runs every row through
-verify.  Every check and row input (F_m powers, transforms, the corpus)
-is built in a route on first use: a raise makes only its rows inconclusive.
+its k-policy (a key of K_POLICIES), and builtin_suite runs every row
+through verify.  It hands each report to an optional hook as soon as its
+check ends, so the CLI prints each line while the later checks still run.
+Every check and row input (F_m powers, transforms, the corpus) is built
+in a route on first use: a raise makes only its rows inconclusive.
 The convolution and the rook and Laguerre vertical routes sum integer
 numerators over one cleared denominator (matrices._cleared) and build one
 Fraction per entry, as the weighted recursions do; none uses the series
@@ -365,6 +367,15 @@ def _check(name, lhs, rhs, n_max: int, k_policy: str) -> VerificationReport:
     return verify(name, EntryGenerator(*lhs), EntryGenerator(*rhs), n_max, k_policy)
 
 
-def builtin_suite() -> list[VerificationReport]:
-    """One report per numbered identity, at the documented default ranges."""
-    return [_check(*row) for row in _rows()]
+def builtin_suite(
+    on_report: Callable[[VerificationReport], object] = lambda report: None,
+) -> list[VerificationReport]:
+    """One report per numbered identity, at the documented default ranges.
+
+    Each report is passed to on_report as soon as its check ends.
+    """
+    reports = []
+    for row in _rows():
+        reports.append(_check(*row))
+        on_report(reports[-1])
+    return reports

@@ -1,13 +1,21 @@
 """End-to-end CLI behavior: output formats, exit codes, the precision flag."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import riordan
 from riordan import Triangle, harness
 from riordan.catalog import CatalogError, named_riordan, series_spec, weight_spec
 from riordan.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench/reference/verify_builtin.json"
 
 
 def run_cli(capsys, *argv):
@@ -256,6 +264,57 @@ class TestVerifyCmd:
         reports = json.loads(path.read_text())
         assert all(r["status"] == "verified" for r in reports)
 
+    def test_each_line_is_flushed_before_the_next_check(self, monkeypatch, tmp_path):
+        events = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                events.append(("write", text))
+                return super().write(text)
+
+            def flush(self):
+                events.append(("flush",))
+
+        def check(name):
+            events.append(("check", name))
+            return harness.VerificationReport(name, 0, "k = 0", "verified")
+
+        monkeypatch.setattr(harness, "_rows", lambda: [("one",), ("two",)])
+        monkeypatch.setattr(harness, "_check", check)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["verify", "--out", str(tmp_path / "r.json")]) == 0
+        before = events[: events.index(("check", "two"))]
+        written = [i for i, e in enumerate(before) if e[0] == "write" and "one" in e[1]]
+        assert written, events
+        assert ("flush",) in before[written[0] :]
+
+    def test_closed_stdout_keeps_exit_code_and_out(self, tmp_path):
+        # `riordan verify --out r.json | head -n 1`: the reader leaves early
+        out, err = tmp_path / "r.json", tmp_path / "err.txt"
+        src = str(Path(riordan.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        cmd = [sys.executable, "-m", "riordan.cli", "verify", "--out", str(out)]
+        with open(err, "wb") as fh:
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=fh, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=300)
+        finally:
+            proc.kill()
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        head = reference[0]
+        assert first.decode() == (
+            f"{'verified':>14}  {head['name']} (n_max={head['n_max']}, {head['k_policy']})\n"
+        )
+        assert code == 0
+        assert err.read_text() == ""
+        reports = json.loads(out.read_text())
+        for r in reports:
+            del r["seconds"]
+        assert reports == reference
+
 
 class TestErrors:
     def test_unknown_name_is_math_error(self, capsys):
@@ -371,7 +430,12 @@ class TestErrors:
 
     def test_unwritable_out_on_verify_is_cantcreat(self, capsys, tmp_path, monkeypatch):
         one = harness.VerificationReport("one", 0, "k = 0", "verified")
-        monkeypatch.setattr(harness, "builtin_suite", lambda: [one])
+
+        def suite(on_report):
+            on_report(one)
+            return [one]
+
+        monkeypatch.setattr(harness, "builtin_suite", suite)
         out = str(tmp_path / "missing" / "r.json")
         code, stdout, err = run_cli(capsys, "verify", "--out", out)
         assert code == 73

@@ -180,6 +180,15 @@ class TestBuiltinSuite:
         ):
             assert inspect.isfunction(getattr(catalog, name)), name
 
+    def test_hook_sees_each_report_as_returned(self, builtin_reports):
+        seen = []
+        reports = harness.builtin_suite(seen.append)
+        assert len(seen) == len(reports) == len(builtin_reports)
+        assert all(a is b for a, b in zip(seen, reports))
+        assert [(r.name, r.status) for r in reports] == [
+            (r.name, r.status) for r in builtin_reports
+        ]
+
     def test_report_names_unique(self, builtin_reports):
         names = [r.name for r in builtin_reports]
         assert len(names) == len(set(names))

@@ -25,7 +25,12 @@ def test_cli_block_found():
 @pytest.mark.parametrize("line", cli_examples())
 def test_cli_example_exits_0(line, tmp_path, monkeypatch, capsys, builtin_reports):
     # reuse the builtin_reports fixture rather than run the suite again
-    monkeypatch.setattr(harness, "builtin_suite", lambda: list(builtin_reports))
+    def suite(on_report):
+        for report in builtin_reports:
+            on_report(report)
+        return list(builtin_reports)
+
+    monkeypatch.setattr(harness, "builtin_suite", suite)
     argv = shlex.split(line, comments=True)[1:]
     if "--out" in argv:
         i = argv.index("--out") + 1
