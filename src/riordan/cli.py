@@ -7,10 +7,11 @@ triangle prints.  Specs are parsed by riordan.catalog (pair_spec,
 weight_spec); this module only reads flags and maps errors to exit codes:
 0 success, 64 usage error (a bad flag, a malformed spec, a missing or
 unexpected parameter), 65 an unknown catalog name or a value the maths
-rejects, 73 an --out file that cannot be written.  The verify subcommand
-instead uses the report contract (0 all verified, 1 counterexample,
-2 inconclusive), and 73 as above; it prints each report line as its check
-ends, and a reader that closes stdout early does not change its code.
+rejects, 73 only an --out file that cannot be written (an empty path
+included).  The verify subcommand instead uses the report contract
+(0 all verified, 1 counterexample, 2 inconclusive), and 73 as above; it
+prints each report line as its check ends.  A reader that closes stdout
+early never changes any subcommand's exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import sys
 
 from . import harness
 from .catalog import CatalogError, SpecError, catalog_names, pair_spec, weight_spec
-from .matrices import Triangle
 from .quasi import QuasiRiordan
 from .series import Series, SeriesError
 from .weighted import c_transform
@@ -41,32 +41,30 @@ def _series_line(s: Series) -> str:
     return ", ".join(str(c) for c in coeffs)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None = None) -> None:
+    """Write text to the file out, or else to stdout and flush it."""
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_triangle(tri: Triangle, fmt: str | None, out: str | None) -> None:
-    _emit(tri.to_json() + "\n" if fmt == "json" else tri.to_csv(), out)
-
-
-def _print_report(r: harness.VerificationReport) -> None:
-    line = f"{r.status:>14}  {r.name} (n_max={r.n_max}, {r.k_policy})"
-    if r.counterexample:
-        c = r.counterexample
-        line += f"  at ({c.n},{c.k}): {c.lhs} != {c.rhs}"
+        return
     try:
-        print(line, flush=True)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except BrokenPipeError:
-        # The reader has gone (`riordan verify | head`): the suite still
+        # The reader has gone (`riordan ... | head`): the command still
         # ends and --out and the exit code stand, so the rest of stdout,
         # and its flush at exit, go to os.devnull.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _report_line(r: harness.VerificationReport) -> str:
+    line = f"{r.status:>14}  {r.name} (n_max={r.n_max}, {r.k_policy})"
+    if r.counterexample:
+        c = r.counterexample
+        line += f"  at ({c.n},{c.k}): {c.lhs} != {c.rhs}"
+    return line + "\n"
 
 
 def build_parser() -> _Parser:
@@ -122,6 +120,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _text(args: argparse.Namespace, prec: int) -> str:
+    """What a section subcommand prints: g/f, A/Z, or one triangle."""
+    if args.command == "mul":
+        ra = pair_spec(args.a, prec) * pair_spec(args.b, prec)
+    else:
+        ra = pair_spec(args.name, prec)
+    if args.command == "inv":
+        ra = ra.inverse()
+    if args.command == "az":
+        az = ra.extract_az()
+        return f"A: {_series_line(az.a)}\nZ: {_series_line(az.z)}\n"
+    if args.order is None:  # mul or inv
+        return f"g: {_series_line(ra.g)}\nf: {_series_line(ra.f)}\n"
+    if args.command == "quasi":
+        tri = QuasiRiordan.of_pair(ra).matrix(args.order)
+    elif args.command == "ctransform":
+        tri = c_transform(ra, weight_spec(args.weight, args.order - 1), args.order).entries
+    else:  # triangle, or mul / inv with --order
+        tri = ra.triangle(args.order)
+    return tri.to_json() + "\n" if args.format == "json" else tri.to_csv()
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -133,51 +153,20 @@ def run(argv: list[str] | None = None) -> int:
         if order < 1:
             raise SpecError("order must be >= 1")
         prec = max(prec, order - 1)  # a section of order n reads t^(n-1)
-
-    if args.command == "triangle":
-        ra = pair_spec(args.name, prec)
-        _emit_triangle(ra.triangle(args.order), args.format, args.out)
-        return 0
-
-    if args.command == "quasi":
-        ra = pair_spec(args.name, prec)
-        q = QuasiRiordan.of_pair(ra)
-        _emit_triangle(q.matrix(args.order), args.format, args.out)
-        return 0
-
-    if args.command in ("mul", "inv"):
-        if args.format and args.order is None:
-            raise SpecError("--format needs --order")
-        if args.command == "mul":
-            ra = pair_spec(args.a, prec) * pair_spec(args.b, prec)
-        else:
-            ra = pair_spec(args.name, prec).inverse()
-        if args.order is not None:
-            _emit_triangle(ra.triangle(args.order), args.format, args.out)
-        else:
-            _emit(f"g: {_series_line(ra.g)}\nf: {_series_line(ra.f)}\n", args.out)
-        return 0
-
-    if args.command == "az":
-        az = pair_spec(args.name, prec).extract_az()
-        _emit(f"A: {_series_line(az.a)}\nZ: {_series_line(az.z)}\n", args.out)
-        return 0
-
-    if args.command == "ctransform":
-        ra = pair_spec(args.name, prec)
-        wt = c_transform(ra, weight_spec(args.weight, args.order - 1), args.order)
-        _emit_triangle(wt.entries, args.format, args.out)
-        return 0
+    elif getattr(args, "format", None):  # only mul and inv have an optional --order
+        raise SpecError("--format needs --order")
 
     if args.command == "verify":
-        reports = harness.builtin_suite(_print_report)
+        reports = harness.builtin_suite(lambda r: _emit(_report_line(r)))
         _emit(harness.reports_to_json(reports) + "\n", args.out)
         return harness.exit_code(reports)
 
-    names = catalog_names()  # the catalog subcommand
-    for kind in sorted(names):
-        for name in names[kind]:
-            print(f"{kind}: {name}")
+    if args.command == "catalog":
+        names = catalog_names()
+        _emit("".join(f"{kind}: {name}\n" for kind in sorted(names) for name in names[kind]))
+        return 0
+
+    _emit(_text(args, prec), args.out)
     return 0
 
 
@@ -185,15 +174,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
     except SpecError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
+        code, message = 64, f"usage error: {exc}"
     # RiordanError is a SeriesError, WeightError a ValueError
     except (CatalogError, SeriesError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 65
+        code, message = 65, f"error: {exc}"
     except OSError as exc:  # an --out path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 73
+        code, message = 73, f"error: {exc}"
+    sys.stderr.write(message + "\n")
+    return code
 
 
 if __name__ == "__main__":

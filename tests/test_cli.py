@@ -176,8 +176,13 @@ class TestMulInv:
 
     @pytest.mark.parametrize(
         "argv",
-        [("mul", "--a", "pascal", "--b", "pascal"), ("inv", "--name", "pascal")],
-        ids=lambda argv: argv[0],
+        [
+            ("mul", "--a", "pascal", "--b", "pascal"),
+            ("inv", "--name", "pascal"),
+            # checked before any spec is parsed: 64, not the 65 of an unknown name
+            ("inv", "--name", "nosuch"),
+        ],
+        ids=["mul", "inv", "inv-unknown-name"],
     )
     def test_format_without_order_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "--prec", "4", *argv, "--format", "json")
@@ -288,32 +293,57 @@ class TestVerifyCmd:
         assert written, events
         assert ("flush",) in before[written[0] :]
 
-    def test_closed_stdout_keeps_exit_code_and_out(self, tmp_path):
-        # `riordan verify --out r.json | head -n 1`: the reader leaves early
-        out, err = tmp_path / "r.json", tmp_path / "err.txt"
+    def test_report_lines_follow_the_reference(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path / "r.json"))
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        assert code == 0
+        assert out.splitlines() == [
+            f"{r['status']:>14}  {r['name']} (n_max={r['n_max']}, {r['k_policy']})"
+            for r in reference
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "--name", "pascal", "--order", "200"),
+            ("quasi", "--name", "catalan_bell", "--order", "100"),
+            ("mul", "--a", "pascal", "--b", "catalan_bell", "--order", "100"),
+            ("inv", "--name", "catalan_bell", "--order", "150"),
+            ("--prec", "200", "az", "--name", "1,5;0,3,7"),
+            ("ctransform", "--name", "pascal", "--weight", "factorial", "--order", "100"),
+            ("catalog", "list"),
+            ("verify",),
+        ],
+        ids=["triangle", "quasi", "mul", "inv", "az", "ctransform", "catalog", "verify"],
+    )
+    def test_closed_stdout_keeps_exit_code_and_out(self, tmp_path, argv):
+        # `riordan ... | head`: the reader has gone before the first write.
+        # Every output but catalog's overflows a pipe buffer, so both a
+        # failing write and a failing flush are met.
+        out = tmp_path / "r.json"
         src = str(Path(riordan.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        cmd = [sys.executable, "-m", "riordan.cli", "verify", "--out", str(out)]
-        with open(err, "wb") as fh:
-            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=fh, env=env)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell pipeline
+        if "verify" in argv:
+            argv += ("--out", str(out))
+        cmd = [sys.executable, "-m", "riordan.cli", *argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
         try:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            code = proc.wait(timeout=300)
+            proc = subprocess.run(
+                cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300
+            )
         finally:
-            proc.kill()
-        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
-        head = reference[0]
-        assert first.decode() == (
-            f"{'verified':>14}  {head['name']} (n_max={head['n_max']}, {head['k_policy']})\n"
-        )
-        assert code == 0
-        assert err.read_text() == ""
-        reports = json.loads(out.read_text())
-        for r in reports:
-            del r["seconds"]
-        assert reports == reference
+            os.close(write_end)
+        assert proc.returncode == 0  # each command's code with the reader open
+        assert proc.stderr == b""
+        if "verify" in argv:
+            reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+            reports = json.loads(out.read_text())
+            for r in reports:
+                del r["seconds"]
+            assert reports == reference
 
 
 class TestErrors:
@@ -421,12 +451,14 @@ class TestErrors:
         assert code == 65
 
     def test_unwritable_out_on_triangle_is_cantcreat(self, capsys, tmp_path):
-        out = str(tmp_path / "missing" / "t.csv")
-        argv = ("triangle", "--name", "pascal", "--order", "4", "--out", out)
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 73
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "t.csv" in err
+        # an empty path is a file that cannot be written, not stdout
+        for out in (str(tmp_path / "missing" / "t.csv"), ""):
+            argv = ("triangle", "--name", "pascal", "--order", "4", "--out", out)
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 73
+            assert stdout == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert repr(out) in err
 
     def test_unwritable_out_on_verify_is_cantcreat(self, capsys, tmp_path, monkeypatch):
         one = harness.VerificationReport("one", 0, "k = 0", "verified")
@@ -436,12 +468,12 @@ class TestErrors:
             return [one]
 
         monkeypatch.setattr(harness, "builtin_suite", suite)
-        out = str(tmp_path / "missing" / "r.json")
-        code, stdout, err = run_cli(capsys, "verify", "--out", out)
-        assert code == 73
-        assert "verified  one" in stdout
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "r.json" in err
+        for out in (str(tmp_path / "missing" / "r.json"), ""):
+            code, stdout, err = run_cli(capsys, "verify", "--out", out)
+            assert code == 73
+            assert "verified  one" in stdout and stdout.count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert repr(out) in err
 
 
 class TestPrec:
