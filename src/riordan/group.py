@@ -8,7 +8,12 @@ the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
 denominator per column, and the A/Z step on cleared rows, A and Z; both
-still return reduced Fractions.
+still return reduced Fractions.  The closed form runs on the series
+kernel instead, as one shifted integer chain: column k from row k on is
+g*(f/t)^k, n - k coefficients over its own denominator, one Kronecker
+product of column k-1 with f/t, and each column becomes one Series.
+Sharing no code, the closed form and the vertical recursion are each
+other's oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from operator import mul
 
 from .matrices import Triangle, _cleared, _dot
 from .series import PrecisionError, Series, SeriesError, _compose, _lagrange
+from .series import _kmul, _reduce, _to_ints
 
 
 class RiordanError(SeriesError):
@@ -128,15 +134,23 @@ class RiordanPair(_Pair):
         )
 
     def triangle_closed(self, n: int) -> Triangle:
-        """Same submatrix built from the column generating functions g*f^k."""
+        """Same submatrix built from the column generating functions g*f^k.
+
+        Column k is zero above row k, and from row k on it is g*(f/t)^k,
+        n - k coefficients long.  g and f/t are cleared once on the series
+        kernel; column k is then one Kronecker product of column k-1 with
+        f/t, truncated to n - k, over its own denominator with the content
+        divided out.  Each column becomes one Series of reduced Fractions.
+        """
         self._check_order(n)
-        col = self.g.truncate(n - 1)
-        f = self.f.truncate(n - 1)
-        cols = [col]
-        for _ in range(1, n):
-            col = col * f
-            cols.append(col)
-        return Triangle([[cols[k][i] for k in range(i + 1)] for i in range(n)])
+        u, du = _to_ints(self.f.coeffs[1:n])
+        col, den = _to_ints(self.g.coeffs[:n])
+        cols = []
+        for k in range(n):
+            if k:
+                col, den = _reduce(_kmul(col, u, n - k), den * du)
+            cols.append(Series.from_coeffs([Fraction(c, den) for c in col], n - k - 1))
+        return Triangle([cols[k].coeffs[i - k] for k in range(i + 1)] for i in range(n))
 
     # -- group structure ------------------------------------------------------
 

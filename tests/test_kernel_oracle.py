@@ -9,6 +9,10 @@ written out below, one coefficient at a time, with sympy's ``ring_series``
 both.  ``_compose`` is also checked against the Horner composition it
 replaced, kept below as ``horner_compose``; that one runs on the same
 integer helpers, so the schoolbook sum stays the independent check.
+``RiordanPair.triangle_closed``, the shifted integer chain g*(f/t)^k, is
+checked the same way against the ``Series`` product chain it replaced,
+kept below as ``product_chain``; the vertical recursion in
+``test_triangle_oracle`` is its independent check.
 Denominators up to 3 and t-coefficients other than +-1 make the kernel's
 common denominators and content reduction do real work.
 """
@@ -85,6 +89,20 @@ def horner_compose(h, f):
         acc[0] += c[n] * den
         acc, den = _reduce(acc, den)
     return _from_ints(acc, den * dh)
+
+
+def product_chain(pair, n):
+    """Rows of the n x n section from the columns g, g*f, g*f^2, ...
+
+    One full ``Series`` product per column, each n coefficients long.
+    """
+    col = pair.g.truncate(n - 1)
+    f = pair.f.truncate(n - 1)
+    cols = [col]
+    for _ in range(1, n):
+        col = col * f
+        cols.append(col)
+    return [[cols[k][i] for k in range(i + 1)] for i in range(n)]
 
 
 def comp_inverse(f):
@@ -303,3 +321,29 @@ def test_pair_product_composes_once(monkeypatch):
     assert calls == [2]
     want = RiordanPair(a.g * horner_compose(b.g, a.f), horner_compose(b.f, a.f))
     assert got == want
+
+
+def test_triangle_closed_orders_1_to_50():
+    """The shifted chain equals the product chain at every order 1 to 50.
+
+    f_1 is not +-1 and every coefficient may have a denominator, so each
+    column's denominator and its content reduction do real work.
+    """
+    rng = random.Random(7)
+    g = catalan_like(rng, 50, 3)
+    f = [Fraction(0), Fraction(rng.choice([-3, -2, 2, 3]), rng.choice([2, 3]))]
+    f += rand_coeffs(rng, 48)
+    pair = RiordanPair(Series(g), Series(f))
+    for n in range(1, 51):
+        assert [list(r) for r in pair.triangle_closed(n).rows] == product_chain(
+            pair, n
+        ), n
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_triangle_closed_edges(n):
+    """n = 1 reads no f/t at all; n = 2 one coefficient, at precision 1."""
+    pair = RiordanPair(Series([1, Fraction(-5, 3)]), Series([0, Fraction(2, 3)]))
+    want = [[Fraction(1)], [Fraction(-5, 3), Fraction(2, 3)]][:n]
+    assert product_chain(pair, n) == want
+    assert [list(r) for r in pair.triangle_closed(n).rows] == want

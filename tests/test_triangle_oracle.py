@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordan import RiordanPair, Series, Triangle, series
+from riordan import RiordanPair, Series, Triangle, group, matrices, series
 from riordan.matrices import _solve_column
 
 entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
@@ -173,16 +173,36 @@ def test_order_48():
 
 
 def test_triangle_shares_no_code_with_the_kernel(monkeypatch):
-    """triangle and triangle_closed (on the kernel) are each other's oracle."""
+    """triangle and triangle_closed (on the kernel) are each other's oracle.
+
+    The kernel is patched both where it is defined and where ``group``
+    imports it by name.
+    """
     g, f = seeded_pair(2, 8)
     pair = RiordanPair(Series(g), Series(f))
 
     def kernel(*args):
         raise AssertionError("triangle called the series kernel")
 
-    for name in ("_to_ints", "_from_ints", "_reduce", "_kmul", "_krecip"):
-        monkeypatch.setattr(series, name, kernel)
+    for module in (series, group):
+        for name in ("_to_ints", "_from_ints", "_reduce", "_kmul", "_krecip"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, kernel)
     assert rows(pair.triangle(8)) == vertical(g, f, 8)
+
+
+def test_triangle_closed_shares_no_code_with_the_recursion(monkeypatch):
+    """The mirror: triangle_closed clears nothing with ``matrices``."""
+    g, f = seeded_pair(3, 8)
+    pair = RiordanPair(Series(g), Series(f))
+
+    def recursion(*args):
+        raise AssertionError("triangle_closed called the matrix helpers")
+
+    for module in (matrices, group):
+        for name in ("_cleared", "_dot"):
+            monkeypatch.setattr(module, name, recursion)
+    assert rows(pair.triangle_closed(8)) == vertical(g, f, 8)
 
 
 # -- error paths --------------------------------------------------------------
