@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .group import RiordanPair
-from .series import Series
+from .series import Series, _rat
 from .weighted import WeightSeq, WeightTri
 
 
@@ -116,10 +116,10 @@ class SpecError(ValueError):
     """Malformed input text: a bad number, or a missing or unexpected parameter."""
 
 
-def _number(text: str, kind: type = Fraction):
+def _number(text: str, kind=_rat):
     try:
         return kind(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise SpecError(f"malformed number: {text.strip()!r}") from None
 
 

@@ -6,8 +6,9 @@ above prec exists.  Binary operations return the minimum precision of
 their operands, and asking for an index above prec is a hard error, so a
 "verified identity" can never be an artifact of silent zero-extension.
 
-Coefficients are ``fractions.Fraction`` throughout; there is no floating
-point anywhere in this package.
+Coefficients are ``fractions.Fraction`` throughout.  Every number given
+in (to a series, triangle or weight) passes one rule, ``_rat``: an int, a
+``Fraction`` or a string ("1/3", "0.1") is exact, and a float is refused.
 
 Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
 work on integer numerators over one common denominator (the layout of
@@ -64,8 +65,12 @@ class PrecisionError(SeriesError):
 
 
 def _rat(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
+    """x as an exact Fraction; a float, a binary approximation, is refused."""
+    # Fraction() of a Fraction rebuilds it through an ABC check.
+    if type(x) is Fraction:
         return x
+    if isinstance(x, float):
+        raise ValueError(f"float {x!r} is not exact; give an int, Fraction or string")
     try:
         return Fraction(x)
     except ZeroDivisionError:

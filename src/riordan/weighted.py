@@ -30,19 +30,11 @@ from typing import Sequence
 
 from .group import RiordanPair, _az_step
 from .matrices import Triangle, _cleared, _dot
-from .series import PrecisionError, Rat
+from .series import PrecisionError, Rat, _rat
 
 
 class WeightError(ValueError):
     """Invalid weight table or mismatched weights."""
-
-
-def _rationals(values: Sequence[Rat]) -> tuple[Fraction, ...]:
-    # Fraction() of a Fraction rebuilds it through an ABC check.
-    try:
-        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-    except ZeroDivisionError:
-        raise WeightError("weight entries must have nonzero denominators") from None
 
 
 @dataclass(frozen=True)
@@ -54,19 +46,16 @@ class WeightTri:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[Rat]]):
-        built = []
-        for i, row in enumerate(rows):
-            r = _rationals(row)
-            if len(r) != i + 1:
-                raise WeightError(f"weight row {i} must have {i + 1} entries")
+        try:
+            rows = Triangle(rows).rows
+        except ValueError as exc:
+            raise WeightError(f"weight table: {exc}") from None
+        for i, r in enumerate(rows):
             if r[0] != 1:
                 raise WeightError(f"weight row {i} must start with 1")
             if not all(r):
                 raise WeightError(f"weight row {i} has a zero entry")
-            built.append(r)
-        if not built:
-            raise WeightError("empty weight table")
-        object.__setattr__(self, "rows", tuple(built))
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -94,7 +83,10 @@ class WeightSeq(WeightTri):
     kind = "c"
 
     def __init__(self, values: Sequence[Rat]):
-        c = _rationals(values)
+        try:
+            c = tuple(map(_rat, values))
+        except ValueError as exc:
+            raise WeightError(f"weight sequence: {exc}") from None
         super().__init__([c[: i + 1] for i in range(len(c))])
 
     @classmethod
@@ -103,7 +95,10 @@ class WeightSeq(WeightTri):
 
     @classmethod
     def power(cls, base: Rat, n: int) -> "WeightSeq":
-        (b,) = _rationals([base])
+        try:
+            b = _rat(base)
+        except ValueError as exc:
+            raise WeightError(f"power weight base: {exc}") from None
         if b == 0:
             raise WeightError("power weight base must be nonzero")
         return cls([b ** i for i in range(n + 1)])

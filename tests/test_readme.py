@@ -1,11 +1,14 @@
-"""The README's CLI examples run as written and exit 0."""
+"""The README's CLI examples run as written and exit 0, and its library
+example gives the results its comments show."""
 
+import math
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from riordan import harness
+from riordan import Series, harness
 from riordan.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +39,32 @@ def test_cli_example_exits_0(line, tmp_path, monkeypatch, capsys, builtin_report
         i = argv.index("--out") + 1
         argv[i] = str(tmp_path / argv[i])
     assert main(argv) == 0, capsys.readouterr().err
+
+
+def library_example() -> list[str]:
+    """The lines of the python block under '## Library example'."""
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_library_example_results():
+    ns: dict = {}
+    shown = {}  # each expression line's value, by its comment
+    for line in library_example():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        try:
+            expr = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, ns)
+        else:
+            shown[comment] = eval(expr, ns)
+    assert shown["Fraction(10, 1)"] == Fraction(10, 1)
+    assert shown["exact Triangle of binomials"].rows == tuple(
+        tuple(math.comb(n, k) for k in range(n + 1)) for n in range(6)
+    )
+    assert shown["True"] is True
+    assert shown["{'1-bell', 'hitting-time'}"] == {"1-bell", "hitting-time"}
+    assert any(line.endswith("# A = 1+t, Z = 1") for line in library_example())
+    a, z = ns["az"].a, ns["az"].z
+    assert a == Series.from_coeffs([1, 1], a.prec)
+    assert z == Series.from_coeffs([1], z.prec)

@@ -4,6 +4,8 @@ Series, sections, weights and pairs are values: they cannot be changed
 after construction, and two of them are equal, hash equal and interchange
 as dict keys exactly when their class and contents agree.  A copy, a deep
 copy or a pickle round trip gives an equal value of the same class.
+Every number given to them passes one rule: a float is refused, and a
+decimal string is exact.
 """
 
 import copy
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordan import QuasiRiordan, Series, Triangle, WeightSeq, WeightTri
+from riordan import QuasiRiordan, Series, Triangle, WeightError, WeightSeq, WeightTri
 from riordan.catalog import named_riordan
 
 ROWS = [[1], [1, 2], [1, Fraction(1, 3), 4]]
@@ -71,3 +73,25 @@ def test_equality_needs_the_same_class():
     # a (c)-weight is the (C)-table c_{n,k} = c_k, but the kinds stay apart
     assert WeightSeq([1, 2]) != WeightTri([[1], [1, 2]])
     assert WeightTri([[1], [1, 2]]) != WeightSeq([1, 2])
+
+
+# Each way a number gets in: where it lands, and what a bad one raises.
+EXACT_INPUT = {
+    "Series": (lambda x: Series([x]).coeffs[0], ValueError),
+    "Series.from_coeffs": (lambda x: Series.from_coeffs([x], 2)[0], ValueError),
+    "Series.geometric": (lambda x: Series.geometric(2, x)[1], ValueError),
+    "Series.scale": (lambda x: Series([1]).scale(x)[0], ValueError),
+    "Triangle": (lambda x: Triangle([[1], [1, x]]).rows[1][1], ValueError),
+    "Triangle.apply": (lambda x: Triangle([[1]]).apply([x])[0], ValueError),
+    "WeightTri": (lambda x: WeightTri([[1], [1, x]]).rows[1][1], WeightError),
+    "WeightSeq": (lambda x: WeightSeq([1, x]).rows[1][1], WeightError),
+    "WeightSeq.power": (lambda x: WeightSeq.power(x, 2).rows[1][1], WeightError),
+}
+
+
+@pytest.mark.parametrize("build, error", EXACT_INPUT.values(), ids=EXACT_INPUT.keys())
+def test_float_refused_and_decimal_string_exact(build, error):
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(error, match="float 0.1 is not exact"):
+        build(0.1)
+    assert build("0.1") == Fraction(1, 10)
