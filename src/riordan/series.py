@@ -12,9 +12,10 @@ in (to a series, triangle or weight) passes one rule, ``_rat``: an int, a
 
 Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
 work on integer numerators over one common denominator (the layout of
-FLINT's ``fmpq_poly``).  A product of two integer vectors is done by
-Kronecker substitution: each vector is packed into a single integer, one
-slot per coefficient, so one big-integer multiply does the whole
+FLINT's ``fmpq_poly``).  The reciprocal is a one-pass integer recurrence,
+a dot product per coefficient; only products, compositions and Lagrange
+inversion use Kronecker substitution, where each integer vector is packed
+into one integer, a slot per coefficient, and one multiply does the whole
 convolution.  Chained products divide out the content, the gcd of the
 denominator and all numerators, after each step so the numbers stay
 small.  Every composition, ``compose`` and the pair product and action
@@ -134,17 +135,16 @@ def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 def _krecip(a: Sequence[int], n: int) -> tuple[list[int], int]:
     """(r, e) with r / e the first n coefficients of 1 / a; a[0] != 0.
 
-    Newton iteration r <- r (2 - a r), which doubles the number of correct
-    coefficients with two products per step.
+    One pass of a_0 b_m = -sum_(i=1..m) a_i b_(m-i) on integers: B_m =
+    b_m a_0^(m+1) has B_0 = 1 and B_m = -sum_i a_i a_0^(i-1) B_(m-i), one
+    dot product each, and at the end each B_m is put over a_0^n.
     """
-    r, e = [1], a[0]
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        t = [-c for c in _kmul(a, r, m)]
-        t[0] += 2 * e
-        r, e = _reduce(_kmul(r, t, m), e * e)
-    return r, e
+    a0 = a[0]
+    c = [x * a0**i for i, x in enumerate(a[1:n])]
+    b = [1]
+    for _ in range(1, n):
+        b.append(-sum(map(mul, c, reversed(b))))
+    return _reduce([x * a0 ** (n - 1 - m) for m, x in enumerate(b)], a0**n)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ written out below, one coefficient at a time, with sympy's ``ring_series``
 both.  ``_compose`` is also checked against the Horner composition it
 replaced, kept below as ``horner_compose``; that one runs on the same
 integer helpers, so the schoolbook sum stays the independent check.
+The one-pass reciprocal recurrence ``_krecip`` is checked against the
+Newton iteration it replaced, kept below as ``newton_reciprocal``; Newton
+builds 1/a from Kronecker products and shares no formula with it, whereas
+the schoolbook ``recip`` solves the same recurrence over ``Fraction``.
 ``RiordanPair.triangle_closed``, the shifted integer chain g*(f/t)^k, is
 checked the same way against the ``Series`` product chain it replaced,
 kept below as ``product_chain``; the vertical recursion in
@@ -29,7 +33,15 @@ from sympy.polys.rings import ring
 
 from riordan import PrecisionError, RiordanPair, Series, group
 from riordan.catalog import named_riordan
-from riordan.series import _compose, _from_ints, _kmul, _lagrange, _reduce, _to_ints
+from riordan.series import (
+    _compose,
+    _from_ints,
+    _kmul,
+    _krecip,
+    _lagrange,
+    _reduce,
+    _to_ints,
+)
 
 R, X, Y = ring("x,y", QQ)
 
@@ -59,6 +71,22 @@ def recip(a):
         s = sum((a[j] * r[m - j] for j in range(1, m + 1)), Fraction(0))
         r.append(-s / a[0])
     return r
+
+
+def newton_reciprocal(a, n):
+    """(r, e) with r / e the first n coefficients of 1 / a; a[0] != 0.
+
+    Newton iteration r <- r (2 - a r), which doubles the number of correct
+    coefficients with two products per step.
+    """
+    r, e = [1], a[0]
+    m = 1
+    while m < n:
+        m = min(2 * m, n)
+        t = [-c for c in _kmul(a, r, m)]
+        t[0] += 2 * e
+        r, e = _reduce(_kmul(r, t, m), e * e)
+    return r, e
 
 
 def compose(h, f):
@@ -197,6 +225,29 @@ def test_comp_inverse(f):
     got = list(Series(f).comp_inverse().coeffs)
     assert got == comp_inverse(f)
     assert got == from_ring(rs_series_reversion(to_ring(f, X), X, n, Y), 1, n)
+
+
+@pytest.mark.parametrize("a0", [1, -1, 2, -3, 12])
+def test_krecip_orders_1_to_50(a0):
+    """The recurrence equals Newton's iteration at every n = 1 to 50.
+
+    One input is integer with constant term a0; the other is cleared from
+    coefficients with denominators up to 3 and constant term a0 / 2, so
+    its cleared constant term is a0 / 2 times the common denominator.  Both
+    have zeros at t^1, at every fourth power and in a run t^10..t^14.
+    """
+    rng = random.Random(300 + a0)
+    zero = {1, *range(4, 50, 4), *range(10, 15)}
+    ints = [a0] + [0 if i in zero else rng.randint(-9, 9) for i in range(1, 50)]
+    fracs = [Fraction(a0, 2)] + [
+        Fraction(0) if i in zero else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        for i in range(1, 50)
+    ]
+    for a in (ints, _to_ints(fracs)[0]):
+        for n in range(1, 51):
+            r, e = _krecip(a, n)
+            want, d = newton_reciprocal(a, n)
+            assert [Fraction(x, e) for x in r] == [Fraction(x, d) for x in want], n
 
 
 def test_precision_zero_and_one():

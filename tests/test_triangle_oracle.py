@@ -176,7 +176,8 @@ def test_triangle_shares_no_code_with_the_kernel(monkeypatch):
     """triangle and triangle_closed (on the kernel) are each other's oracle.
 
     The kernel is patched both where it is defined and where ``group``
-    imports it by name.
+    imports it by name.  Every listed helper must exist in ``series``, so a
+    renamed one cannot escape the patch; ``group`` imports only some.
     """
     g, f = seeded_pair(2, 8)
     pair = RiordanPair(Series(g), Series(f))
@@ -184,10 +185,11 @@ def test_triangle_shares_no_code_with_the_kernel(monkeypatch):
     def kernel(*args):
         raise AssertionError("triangle called the series kernel")
 
-    for module in (series, group):
-        for name in ("_to_ints", "_from_ints", "_reduce", "_kmul", "_krecip"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, kernel)
+    for name in ("_to_ints", "_from_ints", "_reduce", "_kmul", "_krecip"):
+        assert hasattr(series, name), f"series has no {name}: update this list"
+        monkeypatch.setattr(series, name, kernel)
+        if hasattr(group, name):
+            monkeypatch.setattr(group, name, kernel)
     assert rows(pair.triangle(8)) == vertical(g, f, 8)
 
 

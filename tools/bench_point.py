@@ -7,6 +7,10 @@ The file holds, for the checkout this script sits in:
 - ``machine``, ``sweep`` and ``tier1``: what ``bench/baseline.py`` records,
   the layer sweep (L1 series ops, L2 pair ops and L3 triangles at p in
   {32, 64, 128}, each with its digest) and one timed tier-1 run;
+- ``reciprocal`` (L1): ``Series.reciprocal`` of g and of f/t for the
+  sweep's two pairs at p in {32, 64, 128}, which the sweep does not time,
+  each the median CPU time of 11 calls in reference ms, with the
+  result's digest;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
   (CPU time scaled to the reference speed of ``bench/common.calibrate``);
@@ -26,17 +30,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from time import thread_time
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from baseline import machine, sweep, tier1  # noqa: E402
-from common import CAL_REF_S, child_env, median, require_library  # noqa: E402
+from baseline import PRECS, RANDOM_SEED, machine, sweep, tier1  # noqa: E402
+from common import (  # noqa: E402
+    CAL_REF_S,
+    calibrate,
+    child_env,
+    digest,
+    median,
+    require_library,
+)
 
 SUITE_PROCESSES = 5
+RECIPROCAL_CALLS = 11
 WORKLOADS = ("pair_algebra", "triangle_io", "verify_cli")
 SEED = 1
 SECONDS = 15
@@ -108,6 +122,32 @@ def suite_point(processes: int = SUITE_PROCESSES) -> dict:
     return {"processes": processes, "total": total, "families": families}
 
 
+def reciprocal_point() -> list[dict]:
+    """L1: Series.reciprocal of g and of f/t for the sweep's pairs."""
+    import riordan
+
+    rows = []
+    for p in PRECS:
+        pairs = {
+            "catalan_bell": riordan.catalog.named_riordan("catalan_bell", p),
+            f"random_pair:{RANDOM_SEED}": riordan.catalog.random_pair(random.Random(RANDOM_SEED), p),
+        }
+        for label, a in pairs.items():
+            for name, s in (("g", a.g), ("f/t", a.f.shift_down())):
+                before = calibrate()
+                times = []
+                for _ in range(RECIPROCAL_CALLS):
+                    start = thread_time()
+                    out = s.reciprocal()
+                    times.append(thread_time() - start)
+                scale = 2 * CAL_REF_S / (before + calibrate())
+                rows.append({"pair": label, "p": p, "series": name,
+                             "reference_ms": round(median(times) * scale * 1e3, 3),
+                             "digest": digest(out)})
+                print(json.dumps(rows[-1]), flush=True)
+    return rows
+
+
 def workload_point(name: str) -> dict:
     """L5: the JSON line that bench/run.py prints last."""
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", name,
@@ -124,6 +164,7 @@ def main(argv=None) -> int:
     require_library()
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # as bench/run.py does
     record = {"machine": machine(), "sweep": sweep(), "tier1": tier1()}
+    record["reciprocal"] = reciprocal_point()
     record["suite"] = suite_point()
     print(json.dumps(record["suite"]), flush=True)
     record["workloads"] = {}
