@@ -113,9 +113,20 @@ class RiordanPair(_Pair):
     def triangle(self, n: int) -> Triangle:
         """The n x n leading principal submatrix, via the vertical recursion.
 
+        Each entry is one reduced Fraction of the integer columns of
+        ``_vertical``.
+        """
+        cols, dens = self._vertical(n)
+        return Triangle(
+            [Fraction(cols[k][i], dens[k]) for k in range(i + 1)] for i in range(n)
+        )
+
+    def _vertical(self, n: int) -> tuple[list[list[int]], list[int]]:
+        """The vertical recursion's integer columns and their denominators.
+
         g and f are held as integer numerators over one denominator each,
         dg and df.  Column k is the schoolbook convolution of column k-1
-        with f, over dg * df^k; each entry is then one reduced Fraction.
+        with f, over dg * df^k.
         """
         self._check_order(n)
         g, dg = _cleared(self.g.coeffs[:n])
@@ -128,10 +139,7 @@ class RiordanPair(_Pair):
                 [0] * k
                 + [sum(map(mul, f1, reversed(prev[k - 1 : m]))) for m in range(k, n)]
             )
-        dens = [dg * df**k for k in range(n)]
-        return Triangle(
-            [Fraction(cols[k][i], dens[k]) for k in range(i + 1)] for i in range(n)
-        )
+        return cols, [dg * df**k for k in range(n)]
 
     def triangle_closed(self, n: int) -> Triangle:
         """Same submatrix built from the column generating functions g*f^k.

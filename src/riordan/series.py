@@ -9,6 +9,8 @@ their operands, and asking for an index above prec is a hard error, so a
 Coefficients are ``fractions.Fraction`` throughout.  Every number given
 in (to a series, triangle or weight) passes one rule, ``_rat``: an int, a
 ``Fraction`` or a string ("1/3", "0.1") is exact, and a float is refused.
+A canonical string, as ``str(Fraction)`` writes it ("-3", "-3/4"), is read
+by ``int()``; every other string by ``Fraction``.
 
 Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
 work on integer numerators over one common denominator (the layout of
@@ -73,6 +75,12 @@ def _rat(x: Rat) -> Fraction:
     if isinstance(x, float):
         raise ValueError(f"float {x!r} is not exact; give an int, Fraction or string")
     try:
+        if type(x) is str and x.isascii():
+            # str(Fraction) writes -?digits or -?digits/digits: read those
+            # with int(), not Fraction's regex; anything else goes there.
+            num, slash, den = x.partition("/")
+            if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None

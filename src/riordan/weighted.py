@@ -8,14 +8,18 @@ rows), where rho(n,k) = c_n/c_k.  So one class validates a weight and holds
 its rho table (rho, built on first read and shared by every transform and
 recursion over that weight), and one transform multiplies the triangle by
 it entrywise (c_transform takes either kind; C_transform is the same map
-under the paper's name).  Each recursion is rho(n,k) times a linear Riordan
-step on the unweighted entries d = xhat/rho of the weighted triangle
-itself: the A/Z step on row n-1 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1}
-(vert_recursion_C), each one integer dot product over inputs cleared to one
-denominator on first use (rows and columns of d, A, Z and f; a transform
-that is never recursed on pays nothing for them).  Conjugating by the
-weights is what turns these linear recursions into nonlinear ones like
-those of the rook and Laguerre triangles.  The (c)-weighted arrays again
+under the paper's name).  The transform reads the vertical recursion's
+integer columns and their denominators, so each entry rho(n,k) d_{n,k} is
+normalised once, as one Fraction.  Copies and pickles carry the fields
+alone; the cached tables rebuild on first read.  Each recursion is
+rho(n,k) times a linear Riordan step on the unweighted entries
+d = xhat/rho of the weighted triangle itself: the A/Z step on row n-1
+(horiz_recursion_C) or sum_j f_j d_{n-j,k-1} (vert_recursion_C), each one
+integer dot product over inputs cleared to one denominator on first use
+(rows and columns of d, A, Z and f; a transform that is never recursed on
+pays nothing for them).  Conjugating by the weights is what turns these
+linear recursions into nonlinear ones like those of the rook and Laguerre
+triangles.  The (c)-weighted arrays again
 form a group under matrix multiplication; the (C)-class does not, so the
 group law here rejects C-weighted inputs.
 """
@@ -23,7 +27,7 @@ group law here rejects C-weighted inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -37,6 +41,12 @@ class WeightError(ValueError):
     """Invalid weight table or mismatched weights."""
 
 
+def _fields_state(self) -> dict:
+    # Copies and pickles carry the fields alone; the cached tables (rho,
+    # _d, _d_rows, ...) rebuild from them on first read.
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class WeightTri:
     """A lower-triangular weight table with c_{n,0} = 1, c_{n,k} != 0."""
@@ -44,6 +54,8 @@ class WeightTri:
     kind = "C"
 
     rows: tuple[tuple[Fraction, ...], ...]
+
+    __getstate__ = _fields_state
 
     def __init__(self, rows: Sequence[Sequence[Rat]]):
         try:
@@ -112,6 +124,8 @@ class WeightedTriangle:
     weight: WeightTri
     entries: Triangle
 
+    __getstate__ = _fields_state
+
     def __post_init__(self):
         if len(self.weight) < self.n:
             raise WeightError(f"weight table too short: {len(self.weight)} < {self.n}")
@@ -159,7 +173,14 @@ def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
     """The first n rows of rho(n, k) d_{n,k}, with rho = c.rho."""
     if len(c) < n:
         raise WeightError(f"weight table too short: {len(c)} < {n}")
-    rows = [[r * v for r, v in zip(*pair)] for pair in zip(c.rho, ra.triangle(n).rows)]
+    cols, dens = ra._vertical(n)
+    rows = [
+        [
+            Fraction(r.numerator * cols[k][i], r.denominator * dens[k])
+            for k, r in enumerate(rho)
+        ]
+        for i, rho in enumerate(c.rho[:n])
+    ]
     return WeightedTriangle(ra, c, Triangle(rows))
 
 

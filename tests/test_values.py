@@ -13,9 +13,12 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riordan import QuasiRiordan, Series, Triangle, WeightError, WeightSeq, WeightTri
 from riordan.catalog import named_riordan
+from riordan.series import _rat
 
 ROWS = [[1], [1, 2], [1, Fraction(1, 3), 4]]
 
@@ -95,3 +98,43 @@ def test_float_refused_and_decimal_string_exact(build, error):
     with pytest.raises(error, match="float 0.1 is not exact"):
         build(0.1)
     assert build("0.1") == Fraction(1, 10)
+    assert build("-3/4") == Fraction(-3, 4)
+    assert build("2/4") == Fraction(1, 2)
+
+
+def assert_reads_like_fraction(text):
+    """_rat(text) equals Fraction(text), or both refuse it (_rat by ValueError)."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            _rat(text)
+    else:
+        got = _rat(text)
+        assert type(got) is Fraction
+        assert got == want
+
+
+# Next to canonical str(Fraction) output: a sign, space, underscore or
+# non-ASCII digit that int() would take, and a signed or empty denominator.
+NEAR_CANONICAL = (
+    "", "-", "-0", "+3", " 3", "3 ", "1_0", "\u0663", "-\u0663/4",
+    "3/", "/3", "1/-4", "1/+4", "1/ 4", "-3/4", "2/4", "1/0", "0/0", "0.5", "1e1",
+)
+
+
+@pytest.mark.parametrize("text", NEAR_CANONICAL)
+def test_near_canonical_strings_read_as_fraction_reads_them(text):
+    assert_reads_like_fraction(text)
+
+
+# Strings over the characters Fraction's parser gives a meaning to, a space
+# and a non-ASCII digit, and the canonical strings that str(Fraction) writes.
+LITERALS = st.one_of(
+    st.text(alphabet="0123456789-+/.e_ \u0663", max_size=8), st.fractions().map(str)
+)
+
+
+@given(LITERALS)
+def test_strings_read_as_fraction_reads_them(text):
+    assert_reads_like_fraction(text)

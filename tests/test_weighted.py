@@ -1,5 +1,7 @@
 """Weighted Riordan classes: (c)-sequences, (C)-triangles, recursions, duality."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +25,7 @@ from riordan import (
     rook_laguerre_duality,
     vert_recursion_C,
 )
-from riordan import weighted
+from riordan import group, series, weighted
 from riordan.catalog import corpus, named_riordan, random_pair
 
 F = Fraction
@@ -150,6 +152,90 @@ class TestTransforms:
         ra = named_riordan("pascal", 16)
         with pytest.raises(WeightError):
             c_transform(ra, WeightSeq.factorial(3), 10)
+
+
+# The formula c_transform replaced, kept as its oracle: rho(n, k) times the
+# reduced entries of the vertical recursion's triangle.
+ORACLE_WEIGHTS = {
+    "factorial": WeightSeq.factorial,
+    "power:2": lambda n: WeightSeq.power(2, n),
+    "laguerre": WeightTri.laguerre,
+    "signed-fractional": lambda n: WeightTri(
+        [
+            [1] + [F((-1) ** (i + k) * (k + 2), 2 * k + i + 1) for k in range(1, i + 1)]
+            for i in range(n + 1)
+        ]
+    ),
+}
+
+
+class TestTransformOracle:
+    @pytest.mark.parametrize("make", ORACLE_WEIGHTS.values(), ids=ORACLE_WEIGHTS.keys())
+    def test_transform_is_rho_times_triangle(self, make):
+        n = 24
+        rng = random.Random(25)
+        pairs = list(corpus(prec=n).values()) + [random_pair(rng, n) for _ in range(3)]
+        w = make(n)
+        for ra in pairs:
+            for m in (1, 7, n):
+                got = c_transform(ra, w, m).entries.rows
+                want = ra.triangle(m).rows
+                for i in range(m):
+                    for k in range(i + 1):
+                        assert got[i][k] == w.rho[i][k] * want[i][k], (m, i, k)
+
+    def test_transform_shares_no_code_with_the_kernel(self, monkeypatch):
+        """The transform stays on the vertical recursion, off the series kernel."""
+        ra = named_riordan("catalan_bell", 16)
+        weights = [WeightSeq.factorial(12), WeightTri.laguerre(12)]
+        want = [c_transform(ra, w, 12).entries for w in weights]
+
+        def kernel(*args):
+            raise AssertionError("c_transform called the series kernel")
+
+        for module in (series, group):
+            for name in ("_kmul", "_to_ints"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, kernel)
+        with pytest.raises(AssertionError, match="series kernel"):
+            ra.triangle_closed(12)
+        assert [c_transform(ra, w, 12).entries for w in weights] == want
+
+
+class TestCopies:
+    """Copies and pickles carry the fields; cached tables rebuild on first read."""
+
+    @pytest.mark.parametrize(
+        "weight", [WeightSeq.factorial(20), WeightTri.laguerre(20)], ids=["c", "C"]
+    )
+    def test_weight_state_is_its_rows(self, weight):
+        before = pickle.dumps(weight)
+        rho = weight.rho
+        assert "rho" in vars(weight)
+        assert len(pickle.dumps(weight)) == len(before)
+        for clone in copy.copy(weight), copy.deepcopy(weight), pickle.loads(before):
+            assert vars(clone).keys() == {"rows"}
+            assert clone.rho == rho
+
+    def test_transform_state_is_its_fields(self):
+        x = c_transform(named_riordan("catalan_bell", 24), WeightSeq.factorial(20), 20)
+        before = pickle.dumps(x)
+        entries = [
+            (horiz_recursion_C(x, n, k), vert_recursion_C(x, n, k))
+            for n in range(1, 20)
+            for k in range(1, n + 1)
+        ]
+        assert {"_d", "_d_rows", "_d_cols", "_az", "_f"} <= vars(x).keys()
+        assert len(pickle.dumps(x)) == len(before)
+        for clone in copy.copy(x), copy.deepcopy(x), pickle.loads(before):
+            assert clone == x
+            assert vars(clone).keys() == {"base", "weight", "entries"}
+            assert vars(clone.weight).keys() <= {"rows", "rho"}
+            assert [
+                (horiz_recursion_C(clone, n, k), vert_recursion_C(clone, n, k))
+                for n in range(1, 20)
+                for k in range(1, n + 1)
+            ] == entries
 
 
 class TestRecursions:

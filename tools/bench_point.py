@@ -11,6 +11,11 @@ The file holds, for the checkout this script sits in:
   sweep's two pairs at p in {32, 64, 128}, which the sweep does not time,
   each the median CPU time of 11 calls in reference ms, with the
   result's digest;
+- ``sections`` (L3): ``c_transform`` with the factorial weight,
+  ``C_transform`` with the Laguerre weight, and ``Triangle.from_csv`` and
+  ``Triangle.from_json`` of ``triangle(n)``, for the sweep's two pairs at
+  n in {32, 48, 64}, each the median CPU time of 11 calls in reference ms,
+  with the result's digest;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
   (CPU time scaled to the reference speed of ``bench/common.calibrate``);
@@ -50,7 +55,8 @@ from common import (  # noqa: E402
 )
 
 SUITE_PROCESSES = 5
-RECIPROCAL_CALLS = 11
+CALLS = 11
+SECTION_ORDERS = (32, 48, 64)
 WORKLOADS = ("pair_algebra", "triangle_io", "verify_cli")
 SEED = 1
 SECONDS = 15
@@ -122,28 +128,62 @@ def suite_point(processes: int = SUITE_PROCESSES) -> dict:
     return {"processes": processes, "total": total, "families": families}
 
 
-def reciprocal_point() -> list[dict]:
-    """L1: Series.reciprocal of g and of f/t for the sweep's pairs."""
+def timed(call) -> tuple[float, object]:
+    """The median CPU time of CALLS calls in reference ms, and the last result."""
+    before = calibrate()
+    times = []
+    for _ in range(CALLS):
+        start = thread_time()
+        out = call()
+        times.append(thread_time() - start)
+    scale = 2 * CAL_REF_S / (before + calibrate())
+    return round(median(times) * scale * 1e3, 3), out
+
+
+def sweep_pairs(p: int) -> dict:
+    """The sweep's two pairs at precision p."""
     import riordan
 
+    return {
+        "catalan_bell": riordan.catalog.named_riordan("catalan_bell", p),
+        f"random_pair:{RANDOM_SEED}": riordan.catalog.random_pair(random.Random(RANDOM_SEED), p),
+    }
+
+
+def reciprocal_point() -> list[dict]:
+    """L1: Series.reciprocal of g and of f/t for the sweep's pairs."""
     rows = []
     for p in PRECS:
-        pairs = {
-            "catalan_bell": riordan.catalog.named_riordan("catalan_bell", p),
-            f"random_pair:{RANDOM_SEED}": riordan.catalog.random_pair(random.Random(RANDOM_SEED), p),
-        }
-        for label, a in pairs.items():
+        for label, a in sweep_pairs(p).items():
             for name, s in (("g", a.g), ("f/t", a.f.shift_down())):
-                before = calibrate()
-                times = []
-                for _ in range(RECIPROCAL_CALLS):
-                    start = thread_time()
-                    out = s.reciprocal()
-                    times.append(thread_time() - start)
-                scale = 2 * CAL_REF_S / (before + calibrate())
+                ms, out = timed(s.reciprocal)
                 rows.append({"pair": label, "p": p, "series": name,
-                             "reference_ms": round(median(times) * scale * 1e3, 3),
-                             "digest": digest(out)})
+                             "reference_ms": ms, "digest": digest(out)})
+                print(json.dumps(rows[-1]), flush=True)
+    return rows
+
+
+def sections_point() -> list[dict]:
+    """L3: the c/C transforms and the CSV/JSON reads of the sweep's pairs."""
+    from riordan import C_transform, Triangle, WeightSeq, WeightTri, c_transform
+
+    rows = []
+    for n in SECTION_ORDERS:
+        fac, lag = WeightSeq.factorial(n), WeightTri.laguerre(n)
+        fac.rho, lag.rho  # build the rho tables outside the timed calls
+        for label, a in sweep_pairs(n).items():
+            section = a.triangle(n)
+            csv, text = section.to_csv(), section.to_json()
+            ops = {
+                "c_transform:factorial": lambda: c_transform(a, fac, n),
+                "C_transform:laguerre": lambda: C_transform(a, lag, n),
+                "Triangle.from_csv": lambda: Triangle.from_csv(csv),
+                "Triangle.from_json": lambda: Triangle.from_json(text),
+            }
+            for op, call in ops.items():
+                ms, out = timed(call)
+                rows.append({"pair": label, "n": n, "op": op,
+                             "reference_ms": ms, "digest": digest(out)})
                 print(json.dumps(rows[-1]), flush=True)
     return rows
 
@@ -165,6 +205,7 @@ def main(argv=None) -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # as bench/run.py does
     record = {"machine": machine(), "sweep": sweep(), "tier1": tier1()}
     record["reciprocal"] = reciprocal_point()
+    record["sections"] = sections_point()
     record["suite"] = suite_point()
     print(json.dumps(record["suite"]), flush=True)
     record["workloads"] = {}
