@@ -15,7 +15,7 @@ from .group import (
     RiordanPair,
     reconstruct_from_az,
 )
-from .quasi import QuasiRiordan, factorization_check
+from .quasi import QuasiRiordan, factorization_check, lower_order, raise_order
 from .weighted import (
     WeightError,
     WeightSeq,
@@ -58,6 +58,8 @@ __all__ = [
     "generalized_rook",
     "harness",
     "horiz_recursion_C",
+    "lower_order",
+    "raise_order",
     "reconstruct_from_az",
     "rook_laguerre_duality",
     "vert_recursion_C",

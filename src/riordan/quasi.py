@@ -1,20 +1,27 @@
-"""The quasi-Riordan group.
+"""The quasi-Riordan group and the paper's order transforms.
 
 A quasi-Riordan array [g, f] has columns g, f, tf, t^2 f, ...; with
 ordinary matrix multiplication these form a group whose law and inverse
-have closed forms in terms of g and f.  The factorization
-(g, f) = [g, f] ([1] (+) (g, f)) links a Riordan array to its own
-recursive matrix, and conjugation in the group fixes the second
-component.
+have closed forms in terms of g and f, and conjugation in the group fixes
+the second component.  The paper's factorization (g, f)_m = [g, f]_m
+([1] (+) (g, f)_(m-1)) moves a finite array between orders:
+``raise_order`` and ``lower_order`` multiply each column of a section,
+from the diagonal down, by f/t or t/f, one Kronecker product per column.
+``factorization_check`` runs the same products on ``triangle(n)`` and
+cross-multiplies: it checks the schoolbook recursion against the kernel,
+not the quasi matrix, which the tests check against the literal product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-from .group import RiordanPair, _Pair
-from .matrices import Triangle, direct_sum_one
-from .series import Series
+from .group import RiordanError, RiordanPair, _Pair
+from .matrices import Triangle
+from .series import Series, _kmul, _to_ints
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,59 @@ class QuasiRiordan(_Pair):
         return by * self * by.inverse()
 
 
+# -- order transforms ---------------------------------------------------------
+
+_Cleared = tuple[list[int], int]  # integer numerators over one denominator
+
+
+def _times(u: Sequence[Fraction], cols: Iterable[_Cleared]) -> Iterator[_Cleared]:
+    """Each column c / d, from the diagonal down, times u: one _kmul each."""
+    u, du = _to_ints(u)
+    return ((_kmul(c, u, len(c)), d * du) for c, d in cols)
+
+
+def _raised(ra: RiordanPair, cols: Iterable[_Cleared], m: int) -> Iterator[_Cleared]:
+    """The columns of [g, f]_m ([1] (+) T) from those of T: g, then f/t times each."""
+    return chain([_to_ints(ra.g.coeffs[:m])], _times(ra.f.coeffs[1:m], cols))
+
+
+def _columns(tri: Triangle) -> list[_Cleared]:
+    return [_to_ints([row[j] for row in tri.rows[j:]]) for j in range(tri.n)]
+
+
+def _section(cols: Iterable[_Cleared]) -> Triangle:
+    cols = [[Fraction(x, d) for x in c] for c, d in cols]
+    return Triangle([cols[k][i - k] for k in range(i + 1)] for i in range(len(cols)))
+
+
+def raise_order(ra: RiordanPair, tri: Triangle) -> Triangle:
+    """[g, f]_m ([1] (+) tri), m = tri.n + 1: (g, f)_m when tri is (g, f)_(m-1)."""
+    ra._check_order(tri.n + 1)
+    return _section(_raised(ra, _columns(tri), tri.n + 1))
+
+
+def lower_order(ra: RiordanPair, tri: Triangle) -> Triangle:
+    """The lower block of [g, f]_m^-1 tri, m = tri.n: (g, f)_(m-1) if tri is (g, f)_m.
+
+    Column j is t/f times column j + 1 of tri; of [g, f]^-1 only t/f is used.
+    """
+    m = tri.n
+    if m < 2:
+        raise RiordanError("cannot lower an order-1 triangle: there is no order 0")
+    ra._check_order(m)
+    t_over_f = ra.f.truncate(m - 1).shift_down().reciprocal()
+    return _section(_times(t_over_f.coeffs, _columns(tri)[1:]))
+
+
 def factorization_check(ra: RiordanPair, n: int) -> bool:
-    """Does (g,f)_n = [g,f]_n ([1] (+) (g,f)_{n-1}) hold exactly?"""
-    left = ra.triangle(n)
-    quasi = QuasiRiordan.of_pair(ra).matrix(n)
-    if n == 1:
-        return left == quasi
-    right = quasi @ direct_sum_one(Triangle(left.rows[:-1]))
-    return left == right
+    """Does (g,f)_n = [g,f]_n ([1] (+) (g,f)_{n-1}) hold exactly?
+
+    The columns of ``triangle(n)`` less their last entries, (g,f)_{n-1}, are
+    raised as in ``raise_order``; a raised b / e must equal a / d, a e == b d.
+    """
+    cols = _columns(ra.triangle(n))
+    upper = ((c[:-1], d) for c, d in cols[:-1])
+    return all(
+        all(a * e == b * d for a, b in zip(col, want, strict=True))
+        for (col, d), (want, e) in zip(cols, _raised(ra, upper, n))
+    )

@@ -1,17 +1,25 @@
-"""Quasi-Riordan group: layout, action, group law, factorization, normality."""
+"""Quasi-Riordan group: layout, action, group law, factorization, normality,
+and the order transforms against the quasi matrix products they stand for."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riordan import (
     QuasiRiordan,
+    RiordanError,
     RiordanPair,
     Series,
     Triangle,
     direct_sum_one,
     factorization_check,
+    group,
+    lower_order,
+    matrices,
+    raise_order,
 )
 from riordan.catalog import corpus, named_riordan, random_pair
 
@@ -210,12 +218,125 @@ class TestFactorization:
         for name, ra in corpus(prec=32).items():
             assert factorization_check(ra, 24), name
 
-    def test_perturbed_triangle_fails(self):
+    def test_perturbed_triangle_fails(self, monkeypatch):
         ra = named_riordan("pascal", 16)
-        left = ra.triangle(5)
-        quasi = QuasiRiordan.of_pair(ra).matrix(5)
-        right = quasi @ direct_sum_one(ra.triangle(4))
-        assert left == right
-        rows = [list(r) for r in right.rows]
-        rows[3][1] += 1
-        assert left != Triangle(rows)
+        n = 8
+        assert factorization_check(ra, n) is True
+        vertical = RiordanPair._vertical
+        # (row, column): column 0 and the corner of the last row are read by
+        # no product, so only the check against g and the last comparison
+        # can see them
+        for i, k in ((n - 1, 0), (4, 2), (n - 1, n - 1)):
+
+            def perturbed(self, n, i=i, k=k):
+                cols, dens = vertical(self, n)
+                cols[k][i] += 1
+                return cols, dens
+
+            monkeypatch.setattr(RiordanPair, "_vertical", perturbed)
+            assert factorization_check(ra, n) is False, (i, k)
+
+
+# -- order transforms ---------------------------------------------------------
+
+entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+sparse = st.one_of(st.just(Fraction(0)), entry)
+nonzero = entry.filter(lambda x: x != 0)
+
+
+@st.composite
+def pair_and_triangle(draw, min_n=1):
+    """(ra, tri): a random pair with f_1 != +-1 and a random n x n triangle.
+
+    The pair has precision n, enough to raise tri to order n + 1.
+    """
+    n = draw(st.integers(min_value=min_n, max_value=10))
+    g = [Fraction(1)] + draw(st.lists(sparse, min_size=n, max_size=n))
+    f1 = draw(nonzero.filter(lambda x: abs(x) != 1))
+    f = [Fraction(0), f1] + draw(st.lists(sparse, min_size=n - 1, max_size=n - 1))
+    rows = [[draw(sparse) for _ in range(i + 1)] for i in range(n)]
+    return RiordanPair(Series(g), Series(f)), Triangle(rows)
+
+
+def raised_oracle(ra, tri):
+    """[g, f]_m ([1] (+) tri), m = tri.n + 1, as the literal matrix product."""
+    return QuasiRiordan.of_pair(ra).matrix(tri.n + 1) @ direct_sum_one(tri)
+
+
+def lowered_oracle(ra, tri):
+    """The lower block of [g, f]_m^-1 tri, m = tri.n, as the literal product."""
+    full = QuasiRiordan.of_pair(ra).inverse().matrix(tri.n) @ tri
+    return Triangle([row[1:] for row in full.rows[1:]])
+
+
+class TestOrderTransforms:
+    @settings(max_examples=60, deadline=None)
+    @given(pair_and_triangle())
+    def test_raise_then_lower_round_trip(self, pair):
+        ra, tri = pair
+        raised = raise_order(ra, tri)
+        assert raised == raised_oracle(ra, tri)
+        assert lower_order(ra, raised) == tri
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_and_triangle(min_n=2))
+    def test_lower_against_the_inverse_product(self, pair):
+        ra, tri = pair
+        assert lower_order(ra, tri) == lowered_oracle(ra, tri)
+
+    def test_lower_then_raise_on_sections(self):
+        pairs = [named_riordan("catalan_bell", 20), *random_pairs(3, 20, seed=26)]
+        for ra in pairs:
+            for n in (2, 5, 13, 21):
+                section = ra.triangle(n)
+                lowered = lower_order(ra, section)
+                assert lowered == ra.triangle(n - 1)
+                assert raise_order(ra, lowered) == section
+
+    def test_repeated_raise_is_a_fourth_route(self, ten_pairs):
+        # 23 raises of [1]: a product of quasi matrices, against the
+        # vertical recursion and the closed form
+        for name, ra in ten_pairs.items():
+            tri = Triangle([[1]])
+            for _ in range(23):
+                tri = raise_order(ra, tri)
+            assert tri == ra.triangle(24), name
+            assert tri == ra.triangle_closed(24), name
+
+    def test_transforms_share_no_code_with_the_recursion(self, monkeypatch):
+        ra = random_pairs(1, 12, seed=4)[0]
+        section = ra.triangle(9)
+
+        def recursion(*args):
+            raise AssertionError("an order transform called the vertical recursion")
+
+        monkeypatch.setattr(RiordanPair, "triangle", recursion)
+        monkeypatch.setattr(RiordanPair, "_vertical", recursion)
+        for module in (matrices, group):
+            monkeypatch.setattr(module, "_cleared", recursion)
+        assert lower_order(ra, section).n == 8
+        assert raise_order(ra, section).n == 10
+
+    def test_check_builds_no_matrix(self, monkeypatch):
+        def generic(*args):
+            raise AssertionError("factorization_check built or multiplied a matrix")
+
+        monkeypatch.setattr(QuasiRiordan, "matrix", generic)
+        monkeypatch.setattr(Triangle, "__matmul__", generic)
+        monkeypatch.setattr(matrices, "direct_sum_one", generic)
+        for name, ra in corpus(prec=32).items():
+            assert factorization_check(ra, 24) is True, name
+
+    def test_raise_past_precision(self):
+        ra = named_riordan("pascal", 5)
+        assert raise_order(ra, ra.triangle(5)).n == 6
+        with pytest.raises(RiordanError, match=r"^order 7 needs precision 6, have 5$"):
+            raise_order(ra, Triangle.identity(6))
+
+    def test_lower_order_one(self):
+        ra = named_riordan("pascal", 5)
+        with pytest.raises(
+            RiordanError,
+            match=r"^cannot lower an order-1 triangle: there is no order 0$",
+        ):
+            lower_order(ra, Triangle([[1]]))

@@ -1,5 +1,5 @@
 """The README's CLI examples run as written and exit 0, and its library
-example gives the results its comments show."""
+examples give the results their comments show."""
 
 import math
 import shlex
@@ -68,3 +68,15 @@ def test_library_example_results():
     a, z = ns["az"].a, ns["az"].z
     assert a == Series.from_coeffs([1, 1], a.prec)
     assert z == Series.from_coeffs([1], z.prec)
+
+
+def test_quasi_example_result():
+    """The python block in the `riordan.quasi` module bullet."""
+    section = README.read_text(encoding="utf-8").split("- `riordan.quasi`", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    *setup, last = [line.strip() for line in block.splitlines() if line.strip()]
+    ns: dict = {}
+    exec("\n".join(setup), ns)
+    code, _, comment = (part.strip() for part in last.partition("#"))
+    assert comment == "True"
+    assert eval(code, ns) is True

@@ -12,10 +12,12 @@ The file holds, for the checkout this script sits in:
   each the median CPU time of 11 calls in reference ms, with the
   result's digest;
 - ``sections`` (L3): ``c_transform`` with the factorial weight,
-  ``C_transform`` with the Laguerre weight, and ``Triangle.from_csv`` and
-  ``Triangle.from_json`` of ``triangle(n)``, for the sweep's two pairs at
-  n in {32, 48, 64}, each the median CPU time of 11 calls in reference ms,
-  with the result's digest;
+  ``C_transform`` with the Laguerre weight, ``Triangle.from_csv`` and
+  ``Triangle.from_json`` of ``triangle(n)``, ``factorization_check`` at n,
+  ``raise_order`` of ``triangle(n - 1)`` and ``lower_order`` of
+  ``triangle(n)``, for the sweep's two pairs at n in {32, 48, 64}, each
+  the median CPU time of 11 calls in reference ms, with the result's
+  digest;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
   (CPU time scaled to the reference speed of ``bench/common.calibrate``);
@@ -164,21 +166,33 @@ def reciprocal_point() -> list[dict]:
 
 
 def sections_point() -> list[dict]:
-    """L3: the c/C transforms and the CSV/JSON reads of the sweep's pairs."""
-    from riordan import C_transform, Triangle, WeightSeq, WeightTri, c_transform
+    """L3: the c/C transforms, the CSV/JSON reads and the order transforms."""
+    from riordan import (
+        C_transform,
+        Triangle,
+        WeightSeq,
+        WeightTri,
+        c_transform,
+        factorization_check,
+        lower_order,
+        raise_order,
+    )
 
     rows = []
     for n in SECTION_ORDERS:
         fac, lag = WeightSeq.factorial(n), WeightTri.laguerre(n)
         fac.rho, lag.rho  # build the rho tables outside the timed calls
         for label, a in sweep_pairs(n).items():
-            section = a.triangle(n)
+            section, below = a.triangle(n), a.triangle(n - 1)
             csv, text = section.to_csv(), section.to_json()
             ops = {
                 "c_transform:factorial": lambda: c_transform(a, fac, n),
                 "C_transform:laguerre": lambda: C_transform(a, lag, n),
                 "Triangle.from_csv": lambda: Triangle.from_csv(csv),
                 "Triangle.from_json": lambda: Triangle.from_json(text),
+                "factorization_check": lambda: factorization_check(a, n),
+                "raise_order": lambda: raise_order(a, below),
+                "lower_order": lambda: lower_order(a, section),
             }
             for op, call in ops.items():
                 ms, out = timed(call)
