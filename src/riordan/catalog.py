@@ -116,11 +116,18 @@ class SpecError(ValueError):
     """Malformed input text: a bad number, or a missing or unexpected parameter."""
 
 
+def _shown(text: str) -> str:
+    """repr(text) for a message: at most 60 characters, then the full length."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def _number(text: str, kind=_rat):
     try:
         return kind(text)
     except ValueError:
-        raise SpecError(f"malformed number: {text.strip()!r}") from None
+        raise SpecError(f"malformed number: {_shown(text.strip())}") from None
 
 
 def _rationals(text: str) -> list[Fraction]:
@@ -130,7 +137,7 @@ def _rationals(text: str) -> list[Fraction]:
 def _build(table: dict, kind: str, name: str, param: str | None, size: int):
     """Build table[name] at size; param is None when the spec gave none."""
     if name not in table:
-        raise CatalogError(f"unknown {kind} name: {name!r}")
+        raise CatalogError(f"unknown {kind} name: {_shown(name)}")
     build, default = table[name]
     if param == "":
         raise SpecError(f"malformed {kind} spec: empty parameter after {name}:")
@@ -224,7 +231,7 @@ def pair_spec(text: str, prec: int) -> RiordanPair:
     if semi:
         return RiordanPair(series_spec(gtext, prec), series_spec(ftext, prec))
     if not _is_name(text):
-        raise SpecError(f"malformed pair spec: {text!r} is neither NAME nor G;F")
+        raise SpecError(f"malformed pair spec: {_shown(text)} is neither NAME nor G;F")
     name, param = _split(text)
     return named_riordan(name, prec, param)
 

@@ -114,19 +114,19 @@ class RiordanPair(_Pair):
         """The n x n leading principal submatrix, via the vertical recursion.
 
         Each entry is one reduced Fraction of the integer columns of
-        ``_vertical``.
+        ``_vertical``, read row by row.
         """
         cols, dens = self._vertical(n)
         return Triangle(
-            [Fraction(cols[k][i], dens[k]) for k in range(i + 1)] for i in range(n)
+            [Fraction(cols[k][i - k], dens[k]) for k in range(i + 1)] for i in range(n)
         )
 
     def _vertical(self, n: int) -> tuple[list[list[int]], list[int]]:
         """The vertical recursion's integer columns and their denominators.
 
         g and f are held as integer numerators over one denominator each,
-        dg and df.  Column k is the schoolbook convolution of column k-1
-        with f, over dg * df^k.
+        dg and df.  Column k, its n - k entries from the diagonal down, is
+        the schoolbook convolution of column k-1 with f/t, over dg * df^k.
         """
         self._check_order(n)
         g, dg = _cleared(self.g.coeffs[:n])
@@ -136,8 +136,7 @@ class RiordanPair(_Pair):
         for k in range(1, n):
             prev = cols[-1]
             cols.append(
-                [0] * k
-                + [sum(map(mul, f1, reversed(prev[k - 1 : m]))) for m in range(k, n)]
+                [sum(map(mul, f1, reversed(prev[:m]))) for m in range(1, n - k + 1)]
             )
         return cols, [dg * df**k for k in range(n)]
 
@@ -158,7 +157,7 @@ class RiordanPair(_Pair):
             if k:
                 col, den = _reduce(_kmul(col, u, n - k), den * du)
             cols.append(Series.from_coeffs([Fraction(c, den) for c in col], n - k - 1))
-        return Triangle([cols[k].coeffs[i - k] for k in range(i + 1)] for i in range(n))
+        return Triangle._from_columns([s.coeffs for s in cols])
 
     # -- group structure ------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 One matrix kernel serves both the finite sections of Riordan arrays and
 the block matrices of quasi-Riordan arrays; the distinction between the
-two is documentary.  Rows are ragged: row i holds entries for columns
-0..i.
+two is documentary.  Rows are ragged: row i holds columns 0..i.  A column
+k runs from the diagonal down, n - k entries; ``_columns`` reads them off
+the rows and ``Triangle._from_columns`` builds the rows from them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _columns(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Column k of ragged lower-triangular rows, from the diagonal down."""
+    return [[row[k] for row in rows[k:]] for k in range(len(rows))]
 
 
 def _dot(a: tuple[Iterable[int], int], b: tuple[Iterable[int], int]) -> Fraction:
@@ -94,6 +100,11 @@ class Triangle:
         return f"Triangle(n={self.n})"
 
     @classmethod
+    def _from_columns(cls, cols: Sequence[Sequence[Rat]]) -> "Triangle":
+        """The triangle whose column k, from the diagonal down, is cols[k]."""
+        return cls([cols[k][i - k] for k in range(i + 1)] for i in range(len(cols)))
+
+    @classmethod
     def identity(cls, n: int) -> "Triangle":
         return cls([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
 
@@ -101,9 +112,8 @@ class Triangle:
         """Product with rows of self and columns of other each cleared."""
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        n = self.n
         rows = [_cleared(row) for row in self.rows]
-        cols = [_cleared([other.rows[k][j] for k in range(j, n)]) for j in range(n)]
+        cols = [_cleared(col) for col in _columns(other.rows)]
         return Triangle(
             [_dot((a[j:], da), col) for j, col in enumerate(cols[: i + 1])]
             for i, (a, da) in enumerate(rows)
@@ -123,7 +133,7 @@ class Triangle:
         for j, dj in enumerate(dens):
             x, den = _solve_column(num, j)
             cols.append([Fraction(v * dj, den) for v in x])
-        return Triangle([cols[j][i - j] for j in range(i + 1)] for i in range(self.n))
+        return Triangle._from_columns(cols)
 
     def apply(self, vector: Sequence[Rat]) -> list[Fraction]:
         """Matrix times coefficient vector (vector length must be n)."""

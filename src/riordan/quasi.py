@@ -1,15 +1,17 @@
 """The quasi-Riordan group and the paper's order transforms.
 
-A quasi-Riordan array [g, f] has columns g, f, tf, t^2 f, ...; with
-ordinary matrix multiplication these form a group whose law and inverse
-have closed forms in terms of g and f, and conjugation in the group fixes
-the second component.  The paper's factorization (g, f)_m = [g, f]_m
-([1] (+) (g, f)_(m-1)) moves a finite array between orders:
-``raise_order`` and ``lower_order`` multiply each column of a section,
-from the diagonal down, by f/t or t/f, one Kronecker product per column.
-``factorization_check`` runs the same products on ``triangle(n)`` and
-cross-multiplies: it checks the schoolbook recursion against the kernel,
-not the quasi matrix, which the tests check against the literal product.
+A quasi-Riordan array [g, f] has columns g, f, tf, t^2 f, ..., so row i
+of its section is g_i, f_i, f_{i-1}, ..., f_1; with ordinary matrix
+multiplication these form a group whose law and inverse have closed forms
+in terms of g and f, and conjugation in the group fixes the second
+component.  The paper's factorization
+(g, f)_m = [g, f]_m ([1] (+) (g, f)_(m-1)) moves a finite array between
+orders: ``raise_order`` and ``lower_order`` multiply each column of a
+section, from the diagonal down as ``matrices`` lays it out, by f/t or
+t/f, one Kronecker product each.  ``factorization_check`` runs the same
+products on ``triangle(n)`` and cross-multiplies: it checks the schoolbook
+recursion against the kernel, not the quasi matrix, which the tests check
+against the literal product.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .group import RiordanError, RiordanPair, _Pair
-from .matrices import Triangle
+from .matrices import Triangle, _columns
 from .series import Series, _kmul, _to_ints
 
 
@@ -35,14 +37,8 @@ class QuasiRiordan(_Pair):
     def matrix(self, n: int) -> Triangle:
         """The n x n section: column 0 is g, column j >= 1 is t^{j-1} f."""
         self._check_order(n)
-        rows = []
-        for i in range(n):
-            row = [self.g[i]]
-            for j in range(1, i + 1):
-                # column j holds t^{j-1} f, whose t^i coefficient is f_{i-j+1}
-                row.append(self.f[i - j + 1])
-            rows.append(row)
-        return Triangle(rows)
+        g, f = self.g.coeffs, self.f.coeffs  # row i: g_i, f_i, f_{i-1}, ..., f_1
+        return Triangle([g[i], *f[i:0:-1]] for i in range(n))
 
     def apply(self, u: Series) -> Series:
         """The quasi fundamental-theorem action: g*u(0) + (f/t)(u - u(0))."""
@@ -86,19 +82,14 @@ def _raised(ra: RiordanPair, cols: Iterable[_Cleared], m: int) -> Iterator[_Clea
     return chain([_to_ints(ra.g.coeffs[:m])], _times(ra.f.coeffs[1:m], cols))
 
 
-def _columns(tri: Triangle) -> list[_Cleared]:
-    return [_to_ints([row[j] for row in tri.rows[j:]]) for j in range(tri.n)]
-
-
 def _section(cols: Iterable[_Cleared]) -> Triangle:
-    cols = [[Fraction(x, d) for x in c] for c, d in cols]
-    return Triangle([cols[k][i - k] for k in range(i + 1)] for i in range(len(cols)))
+    return Triangle._from_columns([[Fraction(x, d) for x in c] for c, d in cols])
 
 
 def raise_order(ra: RiordanPair, tri: Triangle) -> Triangle:
     """[g, f]_m ([1] (+) tri), m = tri.n + 1: (g, f)_m when tri is (g, f)_(m-1)."""
     ra._check_order(tri.n + 1)
-    return _section(_raised(ra, _columns(tri), tri.n + 1))
+    return _section(_raised(ra, map(_to_ints, _columns(tri.rows)), tri.n + 1))
 
 
 def lower_order(ra: RiordanPair, tri: Triangle) -> Triangle:
@@ -111,7 +102,7 @@ def lower_order(ra: RiordanPair, tri: Triangle) -> Triangle:
         raise RiordanError("cannot lower an order-1 triangle: there is no order 0")
     ra._check_order(m)
     t_over_f = ra.f.truncate(m - 1).shift_down().reciprocal()
-    return _section(_times(t_over_f.coeffs, _columns(tri)[1:]))
+    return _section(_times(t_over_f.coeffs, map(_to_ints, _columns(tri.rows)[1:])))
 
 
 def factorization_check(ra: RiordanPair, n: int) -> bool:
@@ -120,7 +111,7 @@ def factorization_check(ra: RiordanPair, n: int) -> bool:
     The columns of ``triangle(n)`` less their last entries, (g,f)_{n-1}, are
     raised as in ``raise_order``; a raised b / e must equal a / d, a e == b d.
     """
-    cols = _columns(ra.triangle(n))
+    cols = list(map(_to_ints, _columns(ra.triangle(n).rows)))
     upper = ((c[:-1], d) for c, d in cols[:-1])
     return all(
         all(a * e == b * d for a, b in zip(col, want, strict=True))

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .group import RiordanPair, _az_step
-from .matrices import Triangle, _cleared, _dot
+from .matrices import Triangle, _cleared, _columns, _dot
 from .series import PrecisionError, Rat, _rat
 
 
@@ -154,8 +154,7 @@ class WeightedTriangle:
 
     @cached_property
     def _d_cols(self) -> list[tuple[list[int], int]]:  # column k from row k
-        d = self._d
-        return [_cleared([row[k] for row in d[k:]]) for k in range(len(d))]
+        return [_cleared(col) for col in _columns(self._d)]
 
     @cached_property
     def _az(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
@@ -176,7 +175,7 @@ def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
     cols, dens = ra._vertical(n)
     rows = [
         [
-            Fraction(r.numerator * cols[k][i], r.denominator * dens[k])
+            Fraction(r.numerator * cols[k][i - k], r.denominator * dens[k])
             for k, r in enumerate(rho)
         ]
         for i, rho in enumerate(c.rho[:n])

@@ -184,6 +184,13 @@ class TestRegistry:
         with pytest.raises(CatalogError):
             named_riordan("nope", 8)
 
+    def test_messages_cut_long_text(self):
+        # at most 60 characters of the input, then its full length
+        with pytest.raises(CatalogError, match=r": 'x{60}'$"):
+            named_riordan("x" * 60, 8)
+        with pytest.raises(CatalogError, match=r": 'x{60}'\.\.\. \(61 characters\)$"):
+            named_riordan("x" * 61, 8)
+
     def test_corpus_shapes(self):
         pairs = corpus(prec=16)
         assert len(pairs) == 10

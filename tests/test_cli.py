@@ -388,6 +388,28 @@ class TestErrors:
         assert code == 64
         assert "malformed" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ("ctransform", "--name", "pascal", "--weight", "1," + "9" * 5000,
+                 "--order", "2"),
+                64,
+                "malformed number",
+            ),
+            (("triangle", "--name", "x" * 5000, "--order", "4"), 65, "unknown"),
+            (("triangle", "--name", "1" * 5000, "--order", "4"), 64, "malformed pair"),
+        ],
+        ids=["number", "name", "pair-spec"],
+    )
+    def test_long_input_is_cut_in_the_message(self, capsys, argv, code, message):
+        got, stdout, err = run_cli(capsys, *argv)
+        assert got == code
+        assert stdout == ""
+        assert message in err
+        assert "... (5000 characters)" in err
+        assert len(err) < 200
+
     def test_bad_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")
         assert code == 64

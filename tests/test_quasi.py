@@ -37,7 +37,32 @@ def pascal_quasi():
     return QuasiRiordan.of_pair(ra)
 
 
+def quasi_matrix(q, n):
+    """The n x n section entry by entry: column 0 is g, entry (i, j) is f_(i-j+1)."""
+    rows = []
+    for i in range(n):
+        row = [q.g[i]]
+        for j in range(1, i + 1):
+            row.append(q.f[i - j + 1])
+        rows.append(row)
+    return Triangle(rows)
+
+
 class TestMatrixLayout:
+    def test_against_the_entrywise_definition(self, monkeypatch):
+        sections = {}
+        for name, ra in corpus(prec=32).items():
+            q = QuasiRiordan.of_pair(ra)
+            for n in (1, 2, 24):
+                sections[name, n] = q, quasi_matrix(q, n)
+
+        def getitem(*args):
+            raise AssertionError("matrix read a coefficient through Series.__getitem__")
+
+        monkeypatch.setattr(Series, "__getitem__", getitem)
+        for (name, n), (q, want) in sections.items():
+            assert q.matrix(n) == want, (name, n)
+
     def test_pascal_columns(self, pascal_quasi):
         m = pascal_quasi.matrix(4)
         # column 0 is g = 1/(1-t); column j >= 1 holds t^{j-1} f for f = t/(1-t)
@@ -230,7 +255,7 @@ class TestFactorization:
 
             def perturbed(self, n, i=i, k=k):
                 cols, dens = vertical(self, n)
-                cols[k][i] += 1
+                cols[k][i - k] += 1
                 return cols, dens
 
             monkeypatch.setattr(RiordanPair, "_vertical", perturbed)

@@ -445,6 +445,14 @@ class TestCGroup:
         with pytest.raises(WeightError):
             c_group_mul(a, b)
 
+    def test_rejects_mismatched_orders(self):
+        ra = named_riordan("pascal", 8)
+        c = WeightSeq.factorial(6)
+        a, b = c_transform(ra, c, 4), c_transform(ra, c, 5)
+        for x, y in [(a, b), (b, a)]:
+            with pytest.raises(WeightError, match="mismatched orders"):
+                c_group_mul(x, y)
+
 
 class TestGeneralized:
     def test_catalan_rook_entry(self):
