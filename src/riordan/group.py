@@ -8,10 +8,13 @@ the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
 denominator per column, and the A/Z step on cleared rows, A and Z; both
-still return reduced Fractions.  The closed form runs on the series
-kernel instead, as one shifted integer chain: column k from row k on is
-g*(f/t)^k, n - k coefficients over its own denominator, one Kronecker
-product of column k-1 with f/t, and each column becomes one Series.
+still return reduced Fractions.  A/Z extraction builds K = (1 - 1/g)/t,
+the series whose value at fbar is Z, from the reciprocal recurrence's
+integers, with one conversion to Fractions.  The closed form runs on the
+series kernel instead, as one shifted integer chain: column k from row k
+on is g*(f/t)^k, n - k coefficients over its own denominator, one
+Kronecker product of column k-1 with f/t, and each column becomes one
+Series.
 Sharing no code, the closed form and the vertical recursion are each
 other's oracle.
 """
@@ -24,7 +27,7 @@ from operator import mul
 
 from .matrices import Triangle, _cleared, _dot
 from .series import PrecisionError, Series, SeriesError, _compose, _lagrange
-from .series import _kmul, _reduce, _to_ints
+from .series import _from_ints, _kmul, _krecip, _reduce, _to_ints
 
 
 class RiordanError(SeriesError):
@@ -185,10 +188,16 @@ class RiordanPair(_Pair):
 
         Both by ``_lagrange``: A = (f/t)(fbar), since f(fbar) = t, and
         Z = K(fbar) with K = (1 - 1/g)/t.  A has precision f.prec - 1 and
-        Z min(g.prec, f.prec) - 1.
+        Z min(g.prec, f.prec) - 1.  K is built on integers: with g cleared
+        over dg, 1/g = dg r / e by ``_krecip``, and g(0) = 1 makes
+        dg r_0 = e, so K = -dg r[1:] / e.
         """
-        k = (Series.one(self.g.prec) - self.g.reciprocal()).shift_down()
-        a, z = _lagrange(self.f, [self.f.shift_down(), k.truncate(self.prec - 1)])
+        if self.g.prec == 0:
+            raise PrecisionError("Z needs g to precision >= 1")
+        g, dg = _to_ints(self.g.coeffs[: self.prec + 1])
+        r, e = _krecip(g, self.prec + 1)
+        k = _from_ints([-dg * c for c in r[1:]], e)
+        a, z = _lagrange(self.f, [self.f.shift_down(), k])
         return AZSequences(a, z)
 
     def semidirect_split(self) -> tuple["RiordanPair", "RiordanPair"]:

@@ -31,9 +31,10 @@ go through one Lagrange-Buermann routine, ``_lagrange``:
 without composing with fbar.  It is evaluated by baby-step/giant-step
 (Brent & Kung 1978): about 2 sqrt(p) products of powers of t/f, shared by
 every H, about sqrt(p) more per H, then one integer dot product per
-coefficient.  Results are converted back to reduced ``Fraction``
-coefficients, so every public value is exactly what
-coefficient-by-coefficient rational arithmetic gives.
+coefficient.  A factor that is a constant, such as the u^0 block or the
+H' = 1 of fbar itself, is a scaling there, never a product.  Results are
+converted back to reduced ``Fraction`` coefficients, so every public value
+is exactly what coefficient-by-coefficient rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -147,12 +149,12 @@ def _krecip(a: Sequence[int], n: int) -> tuple[list[int], int]:
     b_m a_0^(m+1) has B_0 = 1 and B_m = -sum_i a_i a_0^(i-1) B_(m-i), one
     dot product each, and at the end each B_m is put over a_0^n.
     """
-    a0 = a[0]
-    c = [x * a0**i for i, x in enumerate(a[1:n])]
+    pw = list(accumulate(repeat(a[0], n - 1), mul, initial=1))  # a_0^0..a_0^(n-1)
+    c = list(map(mul, a[1:n], pw))
     b = [1]
     for _ in range(1, n):
         b.append(-sum(map(mul, c, reversed(b))))
-    return _reduce([x * a0 ** (n - 1 - m) for m, x in enumerate(b)], a0**n)
+    return _reduce(list(map(mul, b, reversed(pw))), pw[-1] * a[0])
 
 
 @dataclass(frozen=True)
@@ -328,8 +330,9 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
     while len(pows) <= k:
         pows.append(_kmul(pows[-1], fn, p + 1))
     big, dbig = pows.pop(), df**k
+    dpow = list(accumulate(repeat(df, k - 1), mul, initial=1))  # df^0..df^(k-1)
     # cols[i][r]: [t^i] f^r over df^(k-1)
-    cols = list(zip(*([x * df ** (k - 1 - r) for x in v] for r, v in enumerate(pows))))
+    cols = list(zip(*([x * s for x in v] for v, s in zip(pows, reversed(dpow)))))
     out = []
     for h, q in zip(hs, precs):
         c, dh = _to_ints(h.coeffs[: q + 1])
@@ -339,7 +342,7 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
                 acc, scale = _kmul(acc, big, q + 1 - k * j), scale * dbig
             block = [scale * x for x in c[k * j : k * j + k]]
             acc = [a + sum(map(mul, block, col)) for a, col in zip(acc, cols)]
-        out.append(_from_ints(acc, df ** (k - 1) * scale * dh))
+        out.append(_from_ints(acc, dpow[-1] * scale * dh))
     return out
 
 
@@ -351,8 +354,9 @@ def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:
     k = ceil(sqrt(p)), the baby powers u^0..u^k and the giant powers
     u^(kj) are built once, about 2 sqrt(p) products.  Each H then takes
     the products H' u^(kj), about sqrt(p) more, and reads each n = kj + r
-    as the dot product [t^(n-1)] u^r (H' u^(kj)).  H(fbar) has precision
-    min(H.prec, f.prec): coefficient n needs H and f through t^n.
+    as the dot product [t^(n-1)] u^r (H' u^(kj)).  A constant factor, as
+    u^0 = 1 or H' = 1 for fbar, only scales the other one.  H(fbar) has
+    precision min(H.prec, f.prec): coefficient n needs H and f through t^n.
     """
     if f.prec < 1:
         raise PrecisionError("comp_inverse: order unknown at precision 0")
@@ -365,6 +369,9 @@ def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:
     u = _reduce([da * c for c in u], du)  # t/f, as (numerators, den)
 
     def times(x, y, n=p):
+        for c, v in ((x, y), (y, x)):
+            if not any(c[0][1:]):  # a constant factor, such as 1: no product
+                return [c[0][0] * a for a in v[0][:n]], c[1] * v[1]
         return _reduce(_kmul(x[0], y[0], n), x[1] * y[1])
 
     k = math.isqrt(p - 1) + 1

@@ -15,6 +15,7 @@ from riordan import (
     Triangle,
     reconstruct_from_az,
 )
+from riordan import series
 from riordan.catalog import catalan_number, named_riordan
 
 from conftest import random_pairs, rationals, series_strategy
@@ -195,8 +196,9 @@ def mismatched_pairs(draw):
     return RiordanPair(Series([1] + g), f)
 
 
-def assert_az_equal(ra):
-    got, want = ra.extract_az(), extract_az_by_compositions(ra)
+def assert_az_equal(ra, got=None):
+    got = ra.extract_az() if got is None else got
+    want = extract_az_by_compositions(ra)
     assert got.a == want.a and got.a.prec == want.a.prec
     assert got.z == want.z and got.z.prec == want.z.prec
     assert ra.f.shift_down() == got.a.compose(ra.f)  # f = t A(f)
@@ -208,8 +210,9 @@ def inverse_by_composition(ra):
     return RiordanPair(ra.g.compose(fbar).reciprocal(), fbar)
 
 
-def assert_inverse_equal(ra):
-    got, want = ra.inverse(), inverse_by_composition(ra)
+def assert_inverse_equal(ra, got=None):
+    got = ra.inverse() if got is None else got
+    want = inverse_by_composition(ra)
     assert got.g == want.g and got.g.prec == want.g.prec
     assert got.f == want.f and got.f.prec == want.f.prec
 
@@ -302,6 +305,68 @@ class TestAZSequences:
     def test_improper_a_sequence(self):
         with pytest.raises(RiordanError):
             AZSequences(Series([0, 1]), Series([1]))
+
+
+# Precisions at the edges of the Lagrange blocks, k = ceil(sqrt(p)).
+BLOCK_EDGES = (1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50)
+
+
+def lagrange_test_pairs(p):
+    """catalan_bell and three random pairs with f_1 != +-1, at precision p."""
+    rnd = [ra for ra in random_pairs(12, 50, seed=28) if abs(ra.f[1]) != 1][:3]
+    pairs = [named_riordan("catalan_bell", 50), *rnd]
+    return [RiordanPair(ra.g.truncate(p), ra.f.truncate(p)) for ra in pairs]
+
+
+@pytest.mark.parametrize("p", BLOCK_EDGES)
+def test_lagrange_makes_no_product_by_one(monkeypatch, p):
+    """inverse, extract_az and comp_inverse never hand the constant 1 to _kmul.
+
+    Only the calls under test run with the guard; the oracles, which
+    multiply by 1 freely, run after it is removed.
+    """
+    kmul = series._kmul
+
+    def no_one(a, b, n):
+        for v in (a, b):
+            assert not (v[0] == 1 and not any(v[1:])), "product by the constant 1"
+        return kmul(a, b, n)
+
+    for ra in lagrange_test_pairs(p):
+        with monkeypatch.context() as m:
+            m.setattr(series, "_kmul", no_one)
+            inv, az, fbar = ra.inverse(), ra.extract_az(), ra.f.comp_inverse()
+        assert_inverse_equal(ra, inv)
+        assert_az_equal(ra, az)
+        assert fbar == inv.f and ra.f.compose(fbar) == Series.t(p)
+
+
+def z_by_series_k(ra):
+    """Z as K(fbar), with K = (1 - 1/g)/t built by Series operations."""
+    g = ra.g
+    k = (Series.one(g.prec) - g.reciprocal()).shift_down().truncate(ra.prec - 1)
+    return k.compose(ra.f.comp_inverse())
+
+
+class TestZOnIntegers:
+    """extract_az builds K on integers; Z must equal K(fbar) from Series ops."""
+
+    @staticmethod
+    def pair(gp, fp):
+        g = Series([1] + [Fraction((-1) ** j * (j % 5 + 1), j % 3 + 1) for j in range(gp)])
+        f = Series([0, Fraction(-2, 3)] + [Fraction(j % 4 - 1, 3) for j in range(fp - 1)])
+        return RiordanPair(g, f)
+
+    def test_every_precision(self):
+        for p in range(1, 51):
+            z, want = self.pair(p, p).extract_az().z, z_by_series_k(self.pair(p, p))
+            assert z == want and z.prec == want.prec == p - 1, p
+
+    @pytest.mark.parametrize("gp, fp", [(1, 5), (5, 1), (3, 9), (9, 3), (50, 7), (7, 50)])
+    def test_mismatched_precisions(self, gp, fp):
+        ra = self.pair(gp, fp)
+        z, want = ra.extract_az().z, z_by_series_k(ra)
+        assert z == want and z.prec == want.prec == min(gp, fp) - 1
 
 
 def test_pascal_identity_vertical():
