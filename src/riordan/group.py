@@ -8,13 +8,14 @@ the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
 denominator per column, and the A/Z step on cleared rows, A and Z; both
-still return reduced Fractions.  A/Z extraction builds K = (1 - 1/g)/t,
-the series whose value at fbar is Z, from the reciprocal recurrence's
-integers, with one conversion to Fractions.  The closed form runs on the
-series kernel instead, as one shifted integer chain: column k from row k
-on is g*(f/t)^k, n - k coefficients over its own denominator, one
-Kronecker product of column k-1 with f/t, and each column becomes one
-Series.
+still return reduced Fractions.  The inverse and A/Z extraction each
+build one set of powers of t/f and read all by Lagrange off it: A as the
+power -1 of fbar/t, one dot product per coefficient, and fbar, 1/g(fbar)
+and Z = K(fbar), K = (1 - 1/g)/t, with 1/g handed over as the reciprocal
+recurrence's integers.  The closed form runs on the series kernel
+instead, as one shifted integer chain: column k from row k on is
+g*(f/t)^k, n - k coefficients over its own denominator, one Kronecker
+product of column k-1 with f/t, and each column becomes one Series.
 Sharing no code, the closed form and the vertical recursion are each
 other's oracle.
 """
@@ -26,8 +27,8 @@ from fractions import Fraction
 from operator import mul
 
 from .matrices import Triangle, _cleared, _dot
-from .series import PrecisionError, Series, SeriesError, _compose, _lagrange
-from .series import _from_ints, _kmul, _krecip, _reduce, _to_ints
+from .series import PrecisionError, Series, SeriesError, _compose, _kmul, _krecip
+from .series import _lagrange_powers, _lagrange_read, _reduce, _to_ints
 
 
 class RiordanError(SeriesError):
@@ -172,10 +173,18 @@ class RiordanPair(_Pair):
     def inverse(self) -> "RiordanPair":
         """(g, f)^-1 = (1 / g(fbar), fbar) = ((1/g)(fbar), t(fbar)).
 
-        Both by ``_lagrange``: fbar at f.prec, 1/g(fbar) at min(g.prec, f.prec).
+        Both read by Lagrange off one set of powers of t/f: fbar at f.prec,
+        and 1/g(fbar), from 1/g as integers, at min(g.prec, f.prec).
         """
-        fbar, h = _lagrange(self.f, [Series.t(self.f.prec), self.g.reciprocal()])
-        return RiordanPair(h, fbar)
+        powers = _lagrange_powers(self.f, self.f.prec)
+        fbar = _lagrange_read(powers, [0, 1] + [0] * (self.f.prec - 1), 1)
+        return RiordanPair(_lagrange_read(powers, *self._g_reciprocal()), fbar)
+
+    def _g_reciprocal(self) -> tuple[list[int], int]:
+        """1/g to precision self.prec, (numerators, den): dg r / e by ``_krecip``."""
+        g, dg = _to_ints(self.g.coeffs[: self.prec + 1])
+        r, e = _krecip(g, self.prec + 1)
+        return _reduce([dg * c for c in r], e)
 
     def apply(self, h: Series) -> Series:
         """The fundamental-theorem action: (g, f) h = g * h(f)."""
@@ -186,19 +195,25 @@ class RiordanPair(_Pair):
     def extract_az(self) -> "AZSequences":
         """A(t) = t / fbar(t);  Z(t) = (1 - 1/g(fbar)) / fbar(t).
 
-        Both by ``_lagrange``: A = (f/t)(fbar), since f(fbar) = t, and
-        Z = K(fbar) with K = (1 - 1/g)/t.  A has precision f.prec - 1 and
-        Z min(g.prec, f.prec) - 1.  K is built on integers: with g cleared
-        over dg, 1/g = dg r / e by ``_krecip``, and g(0) = 1 makes
-        dg r_0 = e, so K = -dg r[1:] / e.
+        Both by Lagrange off one set of powers of u = t/f, to f.prec.  A,
+        the power -1 of fbar/t, takes no product: a_0 = f_1, a_1 = f_2/f_1
+        and a_n = -[t^n] u^(n-1) / (n-1), one dot product of a baby and a
+        giant power (A = (f/t)(fbar) too, as f(fbar) = t).  Z = K(fbar),
+        K = (1 - 1/g)/t = -(1/g)[1:] on integers.  A has precision
+        f.prec - 1 and Z min(g.prec, f.prec) - 1.
         """
         if self.g.prec == 0:
             raise PrecisionError("Z needs g to precision >= 1")
-        g, dg = _to_ints(self.g.coeffs[: self.prec + 1])
-        r, e = _krecip(g, self.prec + 1)
-        k = _from_ints([-dg * c for c in r[1:]], e)
-        a, z = _lagrange(self.f, [self.f.shift_down(), k])
-        return AZSequences(a, z)
+        baby, giant = powers = _lagrange_powers(self.f, self.f.prec)
+        k, f = len(baby) - 1, self.f.coeffs
+        a = [f[1], *(c / f[1] for c in f[2:3])]
+        for n in range(2, self.f.prec):
+            (x, dx), (y, dy) = baby[(n - 1) % k], giant[(n - 1) // k]
+            dot = sum(map(mul, x[: n + 1], reversed(y[: n + 1])))
+            a.append(Fraction(-dot, (n - 1) * dx * dy))
+        r, e = self._g_reciprocal()
+        z = _lagrange_read(powers, [-c for c in r[1:]], e)
+        return AZSequences(Series(a), z)
 
     def semidirect_split(self) -> tuple["RiordanPair", "RiordanPair"]:
         """(g, f) = (g, t)(1, f): Appell factor times Lagrange factor."""

@@ -10,7 +10,10 @@ Coefficients are ``fractions.Fraction`` throughout.  Every number given
 in (to a series, triangle or weight) passes one rule, ``_rat``: an int, a
 ``Fraction`` or a string ("1/3", "0.1") is exact, and a float is refused.
 A canonical string, as ``str(Fraction)`` writes it ("-3", "-3/4"), is read
-by ``int()``; every other string by ``Fraction``.
+by ``int()``.  A decimal literal ("0.1", "1e9") is sized before it is
+built: past ``sys.get_int_max_str_digits()`` digits it is refused, as
+``int()`` refuses the same number written out.  Other strings go to
+``Fraction``.
 
 Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
 work on integer numerators over one common denominator (the layout of
@@ -26,13 +29,14 @@ the powers f^0..f^k, k about sqrt(p), are built once and shared by every
 H, each block of k coefficients of H is an integer combination of them,
 and the blocks are joined by about p/k products with f^k per H.
 ``comp_inverse`` and the pair inverse and A/Z-sequences in ``group`` all
-go through one Lagrange-Buermann routine, ``_lagrange``:
-[t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n gives any series H(fbar)
-without composing with fbar.  It is evaluated by baby-step/giant-step
-(Brent & Kung 1978): about 2 sqrt(p) products of powers of t/f, shared by
-every H, about sqrt(p) more per H, then one integer dot product per
-coefficient.  A factor that is a constant, such as the u^0 block or the
-H' = 1 of fbar itself, is a scaling there, never a product.  Results are
+use Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n, which
+gives any series H(fbar) without composing with fbar, by baby-step/
+giant-step (Brent & Kung 1978): ``_lagrange_powers`` builds the powers of
+t/f, about 2 sqrt(p) products, once per caller, and ``_lagrange_read``
+reads each H, as cleared integers, off them with about sqrt(p) more
+products and one integer dot product per coefficient.  A constant factor,
+such as the u^0 block or the H' = 1 of fbar itself, is a scaling there,
+never a product.  Results are
 converted back to reduced ``Fraction`` coefficients, so every public value
 is exactly what coefficient-by-coefficient rational arithmetic gives.
 """
@@ -40,6 +44,8 @@ is exactly what coefficient-by-coefficient rational arithmetic gives.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -69,6 +75,14 @@ class PrecisionError(SeriesError):
     """An operation would need a coefficient beyond the trusted precision."""
 
 
+# Fraction's decimal literal: sign, digits, optional fraction and exponent,
+# with digit groups joined by underscores from Python 3.11 on.
+_D = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
+_DECIMAL = re.compile(
+    rf"\s*([-+]?)(?=\d|\.\d)(\d*|{_D})(?:\.(\d*|{_D}))?(?:[eE]([-+]?{_D}))?\s*"
+)
+
+
 def _rat(x: Rat) -> Fraction:
     """x as an exact Fraction; a float, a binary approximation, is refused."""
     # Fraction() of a Fraction rebuilds it through an ABC check.
@@ -83,9 +97,28 @@ def _rat(x: Rat) -> Fraction:
             num, slash, den = x.partition("/")
             if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(x)
+        m = _DECIMAL.fullmatch(x) if type(x) is str else None
+        return _decimal(m) if m else Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def _decimal(m: re.Match) -> Fraction:
+    """A decimal literal, refused before it is built if the numerator or
+    denominator of its value would have more digits than
+    ``sys.get_int_max_str_digits()`` (0: no limit), as int() refuses them."""
+    sign, num, frac, exp = (g.replace("_", "") for g in m.groups(""))
+    man, e = int(num + frac or "0"), int(exp or "0") - len(frac)  # ±man 10^e
+    if not man:
+        return Fraction(0)
+    # Python before 3.10.7 has neither the limit nor its getter
+    digits, limit = len(str(man)), getattr(sys, "get_int_max_str_digits", int)()
+    # man 10^e has digits + e digits; man / 10^-e a denominator >= 10^-e / man.
+    if not limit or (digits + e <= limit if e >= 0 else -e - digits < limit):
+        q = Fraction(man * 10**e) if e >= 0 else Fraction(man, 10**-e)
+        if not limit or -e < limit or q.denominator < 10**limit:
+            return -q if sign == "-" else q
+    raise ValueError(f"{digits}-digit number times 10^{e} is past {limit} digits")
 
 
 # -- integer kernel -----------------------------------------------------------
@@ -346,53 +379,62 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
     return out
 
 
-def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:
-    """[H(fbar) for H in hs], fbar the compositional inverse of f.
+def _times(x: tuple[list[int], int], y: tuple[list[int], int], n: int):
+    """The first n coefficients of x y, each (numerators, den); a constant
+    factor, such as u^0 = 1 or H' = 1 for fbar, only scales the other."""
+    for c, v in ((x, y), (y, x)):
+        if not any(c[0][1:]):
+            return [c[0][0] * a for a in v[0][:n]], c[1] * v[1]
+    return _reduce(_kmul(x[0], y[0], n), x[1] * y[1])
 
-    Lagrange-Buermann: [t^n] H(fbar) = (1/n) [t^(n-1)] H' u^n for n >= 1,
-    with u = t/f, so no series is ever composed with fbar.  With
-    k = ceil(sqrt(p)), the baby powers u^0..u^k and the giant powers
-    u^(kj) are built once, about 2 sqrt(p) products.  Each H then takes
-    the products H' u^(kj), about sqrt(p) more, and reads each n = kj + r
-    as the dot product [t^(n-1)] u^r (H' u^(kj)).  A constant factor, as
-    u^0 = 1 or H' = 1 for fbar, only scales the other one.  H(fbar) has
-    precision min(H.prec, f.prec): coefficient n needs H and f through t^n.
-    """
+
+def _lagrange_powers(f: Series, p: int) -> tuple[list, list]:
+    """(baby, giant), u^0..u^k and u^0, u^k, ..., u^(k(p//k)) for u = t/f:
+    k = ceil(sqrt(p)), about 2 sqrt(p) products, so u^(kj + r) is
+    baby[r] giant[j].  Each is (numerators, den), p coefficients long."""
     if f.prec < 1:
         raise PrecisionError("comp_inverse: order unknown at precision 0")
     if f.order() != 1:
         raise NoCompositionalInverseError("no compositional inverse: order is not 1")
-    precs = [min(h.prec, f.prec) for h in hs]
-    p = max([1, *precs])
     a, da = _to_ints(f.coeffs[1 : p + 1])
     u, du = _krecip(a, p)
     u = _reduce([da * c for c in u], du)  # t/f, as (numerators, den)
-
-    def times(x, y, n=p):
-        for c, v in ((x, y), (y, x)):
-            if not any(c[0][1:]):  # a constant factor, such as 1: no product
-                return [c[0][0] * a for a in v[0][:n]], c[1] * v[1]
-        return _reduce(_kmul(x[0], y[0], n), x[1] * y[1])
-
     k = math.isqrt(p - 1) + 1
     baby = [([1] + [0] * (p - 1), 1), u]  # u^0..u^k
     while len(baby) <= k:
-        baby.append(times(baby[-1], u))
+        baby.append(_times(baby[-1], u, p))
     giant = [baby[0], baby[k]]  # u^0, u^k, u^2k, ...
     while len(giant) <= p // k:
-        giant.append(times(giant[-1], baby[k]))
-    out = []
-    for h, q in zip(hs, precs):
-        c, dc = _to_ints(h.coeffs[: q + 1])
-        dh = ([n * c[n] for n in range(1, q + 1)], dc)  # H', length q
-        # n = kj + r reads H' u^(kj) only below t^(k(j+1)).
-        hg = [
-            times(dh, y, min(q, k * j + k)) for j, y in enumerate(giant[: q // k + 1])
-        ] if q else []
-        coeffs = [h.coeffs[0]]
-        for n in range(1, q + 1):
-            (x, dx), (y, dy) = baby[n % k], hg[n // k]
-            dot = sum(map(mul, x[:n], reversed(y[:n])))
-            coeffs.append(Fraction(dot, n * dx * dy))
-        out.append(Series(coeffs))
-    return out
+        giant.append(_times(giant[-1], baby[k], p))
+    return baby, giant
+
+
+def _lagrange_read(powers: tuple[list, list], nums: list[int], den: int) -> Series:
+    """H(fbar), H = nums / den of precision q <= p, off ``_lagrange_powers``.
+
+    Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' u^n: about
+    sqrt(p) products H' u^(kj), then n = kj + r is the dot product
+    [t^(n-1)] u^r (H' u^(kj)).  H(fbar) has precision q.
+    """
+    baby, giant = powers
+    k, q = len(baby) - 1, len(nums) - 1
+    dh = ([n * nums[n] for n in range(1, q + 1)], den)  # H', length q
+    # n = kj + r reads H' u^(kj) only below t^(k(j+1)).
+    js = range(q // k + 1 if q else 0)
+    hg = [_times(dh, giant[j], min(q, k * j + k)) for j in js]
+    coeffs = [Fraction(nums[0], den)]
+    for n in range(1, q + 1):
+        (x, dx), (y, dy) = baby[n % k], hg[n // k]
+        dot = sum(map(mul, x[:n], reversed(y[:n])))
+        coeffs.append(Fraction(dot, n * dx * dy))
+    return Series(coeffs)
+
+
+def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:
+    """[H(fbar) for H in hs], fbar the compositional inverse of f, each at
+    precision min(H.prec, f.prec): coefficient n needs H and f through t^n."""
+    precs = [min(h.prec, f.prec) for h in hs]
+    powers = _lagrange_powers(f, max([1, *precs]))
+    return [
+        _lagrange_read(powers, *_to_ints(h.coeffs[: q + 1])) for h, q in zip(hs, precs)
+    ]

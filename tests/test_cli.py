@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import riordan
-from riordan import Triangle, harness
+from riordan import Triangle, cli, harness
 from riordan.catalog import CatalogError, named_riordan, series_spec, weight_spec
 from riordan.cli import main
 
@@ -409,6 +409,18 @@ class TestErrors:
         assert message in err
         assert "... (5000 characters)" in err
         assert len(err) < 200
+
+    def test_exponent_literal_past_the_limit_is_refused_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("c_transform ran")
+
+        monkeypatch.setattr(cli, "c_transform", no_work)
+        argv = ("ctransform", "--name", "pascal", "--weight", "1,1e99999", "--order", "2")
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (64, "")
+        assert "malformed number: '1e99999'" in err
 
     def test_bad_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.ring_series import rs_series_inversion, rs_series_reversion
+from sympy.polys.rings import ring
 
 from riordan import (
     AZSequences,
@@ -15,8 +18,8 @@ from riordan import (
     Triangle,
     reconstruct_from_az,
 )
-from riordan import series
-from riordan.catalog import catalan_number, named_riordan
+from riordan import group, series
+from riordan.catalog import catalan_number, named_riordan, pair_spec
 
 from conftest import random_pairs, rationals, series_strategy
 
@@ -339,6 +342,84 @@ def test_lagrange_makes_no_product_by_one(monkeypatch, p):
         assert_inverse_equal(ra, inv)
         assert_az_equal(ra, az)
         assert fbar == inv.f and ra.f.compose(fbar) == Series.t(p)
+
+
+R, X, Y = ring("x,y", QQ)
+
+
+def a_sequence_by_reversion(f):
+    """A = t/fbar by sympy: the series reversion of f, then a series inversion.
+
+    Shares no code with the Lagrange routines that extract_az reads A off.
+    """
+    p = f.prec
+    fx = sum(
+        (QQ(c.numerator, c.denominator) * X**i for i, c in enumerate(f.coeffs)), R.zero
+    )
+    fbar_over_t = sum(
+        (c * X ** (m[1] - 1) for m, c in rs_series_reversion(fx, X, p + 1, Y).items()),
+        R.zero,
+    )
+    a = [Fraction(0)] * p
+    for m, c in rs_series_inversion(fbar_over_t, X, p).items():
+        a[m[0]] = Fraction(int(c.numerator), int(c.denominator))
+    return a
+
+
+def a_oracle_bases(p):
+    """Pairs whose f has f_1 not +-1 and precision p, with a g of precision
+    below (from p = 2 on) and one above p."""
+    rnd = [ra for ra in random_pairs(12, 60, seed=29) if abs(ra.f[1]) != 1][:2]
+    for ra in [pair_spec("1,1/2;0,2/3,1", 60), *rnd]:
+        f = ra.f.truncate(p)
+        yield f, [RiordanPair(ra.g.truncate(gp), f) for gp in (max(1, p // 2), p + 3)]
+
+
+@pytest.mark.parametrize("p", BLOCK_EDGES)
+def test_a_sequence_matches_reversion_then_inversion(p):
+    for f, pairs in a_oracle_bases(p):
+        assert abs(f[1]) != 1
+        want = a_sequence_by_reversion(f)
+        for ra in pairs:
+            a = ra.extract_az().a
+            assert a.prec == p - 1
+            assert list(a.coeffs) == want
+
+
+@pytest.mark.parametrize("p, calls", [(32, 14), (48, 17)])
+def test_extract_az_makes_no_more_products_than_inverse(monkeypatch, p, calls):
+    """A is read off the powers of t/f that Z needs anyway, with no product
+    of its own, so extract_az costs no more _kmul calls than inverse."""
+    kmul, made = series._kmul, []
+
+    def counting(a, b, n):
+        made.append(n)
+        return kmul(a, b, n)
+
+    ra = named_riordan("catalan_bell", p)
+    monkeypatch.setattr(series, "_kmul", counting)
+    ra.extract_az()
+    az_calls = len(made)
+    made.clear()
+    ra.inverse()
+    assert az_calls == calls
+    assert az_calls <= len(made)
+
+
+def test_inverse_and_az_hand_1_over_g_to_lagrange_as_integers(monkeypatch):
+    """No reduced Fraction series is built for 1/g or K and cleared again."""
+
+    def detour(*args):
+        raise AssertionError("a Fraction detour")
+
+    for ra in lagrange_test_pairs(17):
+        with monkeypatch.context() as m:
+            m.setattr(Series, "reciprocal", detour)
+            m.setattr(series, "_from_ints", detour)
+            m.setattr(group, "_from_ints", detour, raising=False)
+            inv, az = ra.inverse(), ra.extract_az()
+        assert_inverse_equal(ra, inv)
+        assert_az_equal(ra, az)
 
 
 def z_by_series_k(ra):

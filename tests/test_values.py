@@ -4,12 +4,14 @@ Series, sections, weights and pairs are values: they cannot be changed
 after construction, and two of them are equal, hash equal and interchange
 as dict keys exactly when their class and contents agree.  A copy, a deep
 copy or a pickle round trip gives an equal value of the same class.
-Every number given to them passes one rule: a float is refused, and a
-decimal string is exact.
+Every number given to them passes one rule: a float is refused, a
+decimal string is exact, and a literal whose value has more digits than
+the interpreter's int-string limit is refused, however it is written.
 """
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,13 +105,22 @@ def test_float_refused_and_decimal_string_exact(build, error):
 
 
 def assert_reads_like_fraction(text):
-    """_rat(text) equals Fraction(text), or both refuse it (_rat by ValueError)."""
+    """_rat(text) equals Fraction(text), or both refuse it (_rat by ValueError).
+
+    Fraction builds any exponent, so a short literal such as "1e99999" gives
+    it a value with more digits than int() reads; _rat refuses that value.
+    """
+    limit = sys.get_int_max_str_digits()
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ValueError):
             _rat(text)
     else:
+        if limit and max(abs(want.numerator), want.denominator) >= 10**limit:
+            with pytest.raises(ValueError):
+                _rat(text)
+            return
         got = _rat(text)
         assert type(got) is Fraction
         assert got == want
@@ -138,3 +149,56 @@ LITERALS = st.one_of(
 @given(LITERALS)
 def test_strings_read_as_fraction_reads_them(text):
     assert_reads_like_fraction(text)
+
+
+@pytest.fixture
+def int_digits():
+    """Sets the interpreter's int-string limit for one test, then restores it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def exponent_and_digit_forms(e):
+    """(exponent literal, the same value as str(Fraction) writes it) pairs."""
+    texts = (f"1e{e}", f"-25e{e - 1}", f"1e-{e}", f"2.5e-{e}", f"4e-{e}", f"5e-{e}")
+    texts += ("0." + "0" * (e - 1) + "1", f"0e{e}", f"0.0e-{e}")
+    return [(text, str(Fraction(text))) for text in texts]
+
+
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_exponent_and_digit_forms_share_the_int_string_limit(int_digits, limit):
+    """On both sides of the limit, a value is read or refused alike in either
+    form: 10^e has e + 1 digits, and 4e-e reduces to 1 / (25 10^(e-2))."""
+    cases = [
+        pair for e in range(limit - 2, limit + 3) for pair in exponent_and_digit_forms(e)
+    ]
+    int_digits(limit)
+    read = []
+    for exp_form, digit_form in cases:
+        try:
+            want = _rat(digit_form)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _rat(exp_form)
+        else:
+            assert _rat(exp_form) == want
+            read.append(exp_form)
+    assert f"1e{limit - 1}" in read and f"1e{limit}" not in read
+    assert f"1e-{limit - 1}" in read and f"1e-{limit}" not in read
+    assert f"4e-{limit}" in read and f"4e-{limit + 1}" not in read
+    assert f"0e{limit + 2}" in read
+
+
+def test_no_int_string_limit_reads_every_exponent(int_digits):
+    int_digits(0)
+    assert _rat("3e5000") == 3 * 10**5000
+    assert _rat("-1e-5000") == Fraction(-1, 10**5000)
+
+
+def test_exponent_literal_past_the_limit_is_refused():
+    with pytest.raises(ValueError, match="past"):
+        _rat("1e99999")
+    with pytest.raises(ValueError, match="past"):
+        _rat("-1.5e-99999")
+    assert _rat("0e99999") == _rat("-0.0e-99999") == 0
