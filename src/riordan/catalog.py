@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .group import RiordanPair
-from .series import Series, _rat
+from .series import Series, _DigitLimitError, _rat
 from .weighted import WeightSeq, WeightTri
 
 
@@ -126,8 +126,9 @@ def _shown(text: str) -> str:
 def _number(text: str, kind=_rat):
     try:
         return kind(text)
-    except ValueError:
-        raise SpecError(f"malformed number: {_shown(text.strip())}") from None
+    except ValueError as exc:
+        why = exc if isinstance(exc, _DigitLimitError) else "malformed number"
+        raise SpecError(f"{why}: {_shown(text.strip())}") from None
 
 
 def _rationals(text: str) -> list[Fraction]:

@@ -6,12 +6,14 @@ a weight by --weight, the precision by --prec, and --format only where a
 triangle prints.  Specs are parsed by riordan.catalog (pair_spec,
 weight_spec); this module only reads flags and maps errors to exit codes:
 0 success, 64 usage error (a bad flag, a malformed spec, a missing or
-unexpected parameter), 65 an unknown catalog name or a value the maths
-rejects, 73 only an --out file that cannot be written (an empty path
-included).  The verify subcommand instead uses the report contract
-(0 all verified, 1 counterexample, 2 inconclusive), and 73 as above; it
-prints each report line as its check ends.  A reader that closes stdout
-early never changes any subcommand's exit code.
+unexpected parameter, a number past the int-string digit limit), 65 an
+unknown catalog name, a value the maths rejects, or a computed entry past
+that limit (named, with its digits; PYTHONINTMAXSTRDIGITS=0 lifts the
+limit), 73 only an --out file that cannot be written (an empty path included).
+The verify subcommand instead uses the report contract (0 all verified,
+1 counterexample, 2 inconclusive), and 73 as above; it prints each report
+line as its check ends.  A reader that closes stdout early never changes
+any subcommand's exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
+from typing import Callable, Iterable
 
 from . import harness
 from .catalog import CatalogError, SpecError, catalog_names, pair_spec, weight_spec
@@ -39,6 +43,33 @@ def _series_line(s: Series) -> str:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return ", ".join(str(c) for c in coeffs)
+
+
+def _lines(**named: Series) -> str:
+    """One "name: c_0, c_1, ..." line per series."""
+    return _written(
+        lambda: "".join(f"{k}: {_series_line(s)}\n" for k, s in named.items()),
+        ((f"{k}_{n}", c) for k, s in named.items() for n, c in enumerate(s.coeffs)),
+    )
+
+
+def _written(write: Callable[[], str], cells: Iterable[tuple[str, Fraction]]) -> str:
+    """write(), or if str() refuses a number past the int-string digit limit,
+    a ValueError that names the first such cell, looked for only then."""
+    try:
+        return write()
+    except ValueError:
+        from decimal import Decimal  # sizes an int with no str(), which is refused
+
+        limit = sys.get_int_max_str_digits()
+        for where, x in cells:
+            digits = 1 + max(Decimal(v).adjusted() for v in x.as_integer_ratio())
+            if digits > limit:
+                raise ValueError(
+                    f"{where} has {digits} digits, past the int-string limit of "
+                    f"{limit} digits; set PYTHONINTMAXSTRDIGITS=0 to write it"
+                ) from None
+        raise
 
 
 def _emit(text: str, out: str | None = None) -> None:
@@ -130,16 +161,20 @@ def _text(args: argparse.Namespace, prec: int) -> str:
         ra = ra.inverse()
     if args.command == "az":
         az = ra.extract_az()
-        return f"A: {_series_line(az.a)}\nZ: {_series_line(az.z)}\n"
+        return _lines(A=az.a, Z=az.z)
     if args.order is None:  # mul or inv
-        return f"g: {_series_line(ra.g)}\nf: {_series_line(ra.f)}\n"
+        return _lines(g=ra.g, f=ra.f)
     if args.command == "quasi":
         tri = QuasiRiordan.of_pair(ra).matrix(args.order)
     elif args.command == "ctransform":
         tri = c_transform(ra, weight_spec(args.weight, args.order - 1), args.order).entries
     else:  # triangle, or mul / inv with --order
         tri = ra.triangle(args.order)
-    return tri.to_json() + "\n" if args.format == "json" else tri.to_csv()
+    rows = enumerate(tri.rows)
+    return _written(
+        lambda: tri.to_json() + "\n" if args.format == "json" else tri.to_csv(),
+        ((f"entry ({n}, {k})", x) for n, row in rows for k, x in enumerate(row)),
+    )
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -11,10 +11,10 @@ denominator per column, and the A/Z step on cleared rows, A and Z; both
 still return reduced Fractions.  The inverse and A/Z extraction each
 build one set of powers of t/f and read all by Lagrange off it: A as the
 power -1 of fbar/t, one dot product per coefficient, and fbar, 1/g(fbar)
-and Z = K(fbar), K = (1 - 1/g)/t, with 1/g handed over as the reciprocal
-recurrence's integers.  The closed form runs on the series kernel
-instead, as one shifted integer chain: column k from row k on is
-g*(f/t)^k, n - k coefficients over its own denominator, one Kronecker
+and Z = K(fbar), K = (1 - 1/g)/t, with 1/g as integers from the series
+kernel's one reciprocal routine.  The closed form runs on the kernel's
+one product routine instead, as one shifted integer chain: column k from
+row k on is g*(f/t)^k, n - k coefficients over its own denominator, the
 product of column k-1 with f/t, and each column becomes one Series.
 Sharing no code, the closed form and the vertical recursion are each
 other's oracle.
@@ -27,8 +27,8 @@ from fractions import Fraction
 from operator import mul
 
 from .matrices import Triangle, _cleared, _dot
-from .series import PrecisionError, Series, SeriesError, _compose, _kmul, _krecip
-from .series import _lagrange_powers, _lagrange_read, _reduce, _to_ints
+from .series import PrecisionError, Series, SeriesError, _compose, _krecip
+from .series import _lagrange_powers, _lagrange_read, _times, _to_ints
 
 
 class RiordanError(SeriesError):
@@ -149,18 +149,18 @@ class RiordanPair(_Pair):
 
         Column k is zero above row k, and from row k on it is g*(f/t)^k,
         n - k coefficients long.  g and f/t are cleared once on the series
-        kernel; column k is then one Kronecker product of column k-1 with
-        f/t, truncated to n - k, over its own denominator with the content
+        kernel; column k is then ``_times`` of column k-1 and f/t,
+        truncated to n - k, over its own denominator with the content
         divided out.  Each column becomes one Series of reduced Fractions.
         """
         self._check_order(n)
-        u, du = _to_ints(self.f.coeffs[1:n])
-        col, den = _to_ints(self.g.coeffs[:n])
+        u, col = _to_ints(self.f.coeffs[1:n]), _to_ints(self.g.coeffs[:n])
         cols = []
         for k in range(n):
             if k:
-                col, den = _reduce(_kmul(col, u, n - k), den * du)
-            cols.append(Series.from_coeffs([Fraction(c, den) for c in col], n - k - 1))
+                col = _times(col, u, n - k)
+            nums, den = col
+            cols.append(Series.from_coeffs([Fraction(c, den) for c in nums], n - k - 1))
         return Triangle._from_columns([s.coeffs for s in cols])
 
     # -- group structure ------------------------------------------------------
@@ -178,13 +178,8 @@ class RiordanPair(_Pair):
         """
         powers = _lagrange_powers(self.f, self.f.prec)
         fbar = _lagrange_read(powers, [0, 1] + [0] * (self.f.prec - 1), 1)
-        return RiordanPair(_lagrange_read(powers, *self._g_reciprocal()), fbar)
-
-    def _g_reciprocal(self) -> tuple[list[int], int]:
-        """1/g to precision self.prec, (numerators, den): dg r / e by ``_krecip``."""
-        g, dg = _to_ints(self.g.coeffs[: self.prec + 1])
-        r, e = _krecip(g, self.prec + 1)
-        return _reduce([dg * c for c in r], e)
+        g_inv = _lagrange_read(powers, *_krecip(self.g.coeffs, self.prec + 1))
+        return RiordanPair(g_inv, fbar)
 
     def apply(self, h: Series) -> Series:
         """The fundamental-theorem action: (g, f) h = g * h(f)."""
@@ -211,7 +206,7 @@ class RiordanPair(_Pair):
             (x, dx), (y, dy) = baby[(n - 1) % k], giant[(n - 1) // k]
             dot = sum(map(mul, x[: n + 1], reversed(y[: n + 1])))
             a.append(Fraction(-dot, (n - 1) * dx * dy))
-        r, e = self._g_reciprocal()
+        r, e = _krecip(self.g.coeffs, self.prec + 1)
         z = _lagrange_read(powers, [-c for c in r[1:]], e)
         return AZSequences(Series(a), z)
 

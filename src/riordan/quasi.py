@@ -7,11 +7,11 @@ in terms of g and f, and conjugation in the group fixes the second
 component.  The paper's factorization
 (g, f)_m = [g, f]_m ([1] (+) (g, f)_(m-1)) moves a finite array between
 orders: ``raise_order`` and ``lower_order`` multiply each column of a
-section, from the diagonal down as ``matrices`` lays it out, by f/t or
-t/f, one Kronecker product each.  ``factorization_check`` runs the same
-products on ``triangle(n)`` and cross-multiplies: it checks the schoolbook
-recursion against the kernel, not the quasi matrix, which the tests check
-against the literal product.
+section, from the diagonal down, by f/t or t/f with the series kernel's
+one product and one reciprocal routine.  ``factorization_check`` runs
+the same products on ``triangle(n)`` and cross-multiplies: it checks the
+schoolbook recursion against the kernel, not the quasi matrix, which the
+tests check against the literal product.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .group import RiordanError, RiordanPair, _Pair
 from .matrices import Triangle, _columns
-from .series import Series, _kmul, _to_ints
+from .series import Series, _Cleared, _krecip, _times, _to_ints
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,10 @@ class QuasiRiordan(_Pair):
 
 # -- order transforms ---------------------------------------------------------
 
-_Cleared = tuple[list[int], int]  # integer numerators over one denominator
-
-
-def _times(u: Sequence[Fraction], cols: Iterable[_Cleared]) -> Iterator[_Cleared]:
-    """Each column c / d, from the diagonal down, times u: one _kmul each."""
-    u, du = _to_ints(u)
-    return ((_kmul(c, u, len(c)), d * du) for c, d in cols)
-
-
 def _raised(ra: RiordanPair, cols: Iterable[_Cleared], m: int) -> Iterator[_Cleared]:
     """The columns of [g, f]_m ([1] (+) T) from those of T: g, then f/t times each."""
-    return chain([_to_ints(ra.g.coeffs[:m])], _times(ra.f.coeffs[1:m], cols))
+    u = _to_ints(ra.f.coeffs[1:m])  # f/t
+    return chain([_to_ints(ra.g.coeffs[:m])], (_times(c, u, len(c[0])) for c in cols))
 
 
 def _section(cols: Iterable[_Cleared]) -> Triangle:
@@ -101,8 +93,9 @@ def lower_order(ra: RiordanPair, tri: Triangle) -> Triangle:
     if m < 2:
         raise RiordanError("cannot lower an order-1 triangle: there is no order 0")
     ra._check_order(m)
-    t_over_f = ra.f.truncate(m - 1).shift_down().reciprocal()
-    return _section(_times(t_over_f.coeffs, map(_to_ints, _columns(tri.rows)[1:])))
+    u = _krecip(ra.f.coeffs[1:m], m - 1)  # t/f
+    cols = map(_to_ints, _columns(tri.rows)[1:])
+    return _section(_times(c, u, len(c[0])) for c in cols)
 
 
 def factorization_check(ra: RiordanPair, n: int) -> bool:

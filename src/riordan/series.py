@@ -12,33 +12,31 @@ in (to a series, triangle or weight) passes one rule, ``_rat``: an int, a
 A canonical string, as ``str(Fraction)`` writes it ("-3", "-3/4"), is read
 by ``int()``.  A decimal literal ("0.1", "1e9") is sized before it is
 built: past ``sys.get_int_max_str_digits()`` digits it is refused, as
-``int()`` refuses the same number written out.  Other strings go to
-``Fraction``.
+``int()`` refuses the same number written out, and either refusal is a
+``ValueError`` that names the limit.  Other strings go to ``Fraction``.
 
 Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
 work on integer numerators over one common denominator (the layout of
-FLINT's ``fmpq_poly``).  The reciprocal is a one-pass integer recurrence,
-a dot product per coefficient; only products, compositions and Lagrange
-inversion use Kronecker substitution, where each integer vector is packed
-into one integer, a slot per coefficient, and one multiply does the whole
-convolution.  Chained products divide out the content, the gcd of the
-denominator and all numerators, after each step so the numbers stay
-small.  Every composition, ``compose`` and the pair product and action
-in ``group``, goes through one Paterson-Stockmeyer routine, ``_compose``:
-the powers f^0..f^k, k about sqrt(p), are built once and shared by every
-H, each block of k coefficients of H is an integer combination of them,
-and the blocks are joined by about p/k products with f^k per H.
-``comp_inverse`` and the pair inverse and A/Z-sequences in ``group`` all
-use Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n, which
-gives any series H(fbar) without composing with fbar, by baby-step/
-giant-step (Brent & Kung 1978): ``_lagrange_powers`` builds the powers of
-t/f, about 2 sqrt(p) products, once per caller, and ``_lagrange_read``
-reads each H, as cleared integers, off them with about sqrt(p) more
-products and one integer dot product per coefficient.  A constant factor,
-such as the u^0 block or the H' = 1 of fbar itself, is a scaling there,
-never a product.  Results are
-converted back to reduced ``Fraction`` coefficients, so every public value
-is exactly what coefficient-by-coefficient rational arithmetic gives.
+FLINT's ``fmpq_poly``), and each kernel job has one routine, which
+``group`` and ``quasi`` share: ``_krecip`` clears a series and takes its
+reciprocal by a one-pass integer recurrence, a dot product per
+coefficient; ``_times`` multiplies two cleared vectors, truncated, by
+Kronecker substitution (each vector packed into one integer, a slot per
+coefficient, so one multiply does the convolution), or only scales when
+a factor is a constant, and divides out the content; ``_powers`` builds
+x^0..x^m by ``_times`` from 1.  Composition, ``compose`` and the pair
+product and action in ``group``, is one Paterson-Stockmeyer routine,
+``_compose``: one table f^0..f^k, k about sqrt(p), shared by every H;
+each block of k coefficients of H is an integer combination of it, and
+the blocks are joined by about p/k products with f^k per H.
+``comp_inverse`` and the pair inverse and A/Z-sequences in ``group`` use
+Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n, by
+baby-step/giant-step (Brent & Kung 1978): ``_lagrange_powers`` builds two
+tables of powers of t/f once per caller, and ``_lagrange_read`` reads
+each H, as cleared integers, off them, about sqrt(p) more products and
+one dot product per coefficient.  Results are converted back to reduced
+``Fraction`` coefficients, so every public value is exactly what
+coefficient-by-coefficient rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -75,6 +73,14 @@ class PrecisionError(SeriesError):
     """An operation would need a coefficient beyond the trusted precision."""
 
 
+class _DigitLimitError(ValueError):
+    """A number int() refuses: more digits than sys.get_int_max_str_digits()."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"number past the int-string limit of {limit} digits")
+
+
 # Fraction's decimal literal: sign, digits, optional fraction and exponent,
 # with digit groups joined by underscores from Python 3.11 on.
 _D = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
@@ -96,7 +102,10 @@ def _rat(x: Rat) -> Fraction:
             # with int(), not Fraction's regex; anything else goes there.
             num, slash, den = x.partition("/")
             if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                try:  # only digits: int() refuses them past the int-string limit
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                except ValueError:
+                    raise _DigitLimitError() from None
         m = _DECIMAL.fullmatch(x) if type(x) is str else None
         return _decimal(m) if m else Fraction(x)
     except ZeroDivisionError:
@@ -108,7 +117,10 @@ def _decimal(m: re.Match) -> Fraction:
     denominator of its value would have more digits than
     ``sys.get_int_max_str_digits()`` (0: no limit), as int() refuses them."""
     sign, num, frac, exp = (g.replace("_", "") for g in m.groups(""))
-    man, e = int(num + frac or "0"), int(exp or "0") - len(frac)  # ±man 10^e
+    try:  # only digits, as in _rat
+        man, e = int(num + frac or "0"), int(exp or "0") - len(frac)  # ±man 10^e
+    except ValueError:
+        raise _DigitLimitError() from None
     if not man:
         return Fraction(0)
     # Python before 3.10.7 has neither the limit nor its getter
@@ -118,12 +130,15 @@ def _decimal(m: re.Match) -> Fraction:
         q = Fraction(man * 10**e) if e >= 0 else Fraction(man, 10**-e)
         if not limit or -e < limit or q.denominator < 10**limit:
             return -q if sign == "-" else q
-    raise ValueError(f"{digits}-digit number times 10^{e} is past {limit} digits")
+    raise _DigitLimitError()
 
 
 # -- integer kernel -----------------------------------------------------------
 
-def _to_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+_Cleared = tuple[list[int], int]  # integer numerators over one denominator
+
+
+def _to_ints(coeffs: Sequence[Fraction]) -> _Cleared:
     """Integer numerators over the lcm of the denominators."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -134,7 +149,7 @@ def _from_ints(nums: Iterable[int], den: int) -> "Series":
     return Series([Fraction(c, den) for c in nums])
 
 
-def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
+def _reduce(nums: list[int], den: int) -> _Cleared:
     """Divide the numerators and the denominator by their common content."""
     g = math.gcd(den, *nums)
     if g == 1:
@@ -175,19 +190,39 @@ def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     ]
 
 
-def _krecip(a: Sequence[int], n: int) -> tuple[list[int], int]:
-    """(r, e) with r / e the first n coefficients of 1 / a; a[0] != 0.
+def _krecip(coeffs: Sequence[Fraction], n: int) -> _Cleared:
+    """1 / x for x the first n of coeffs, x_0 != 0, as reduced (numerators, den).
 
-    One pass of a_0 b_m = -sum_(i=1..m) a_i b_(m-i) on integers: B_m =
-    b_m a_0^(m+1) has B_0 = 1 and B_m = -sum_i a_i a_0^(i-1) B_(m-i), one
-    dot product each, and at the end each B_m is put over a_0^n.
+    x = a / d is cleared first; then one pass of a_0 b_m = -sum_(i=1..m)
+    a_i b_(m-i) on integers: B_m = b_m a_0^(m+1) has B_0 = 1 and B_m =
+    -sum_i a_i a_0^(i-1) B_(m-i), one dot product each, and at the end
+    each d B_m is put over a_0^n.
     """
+    a, d = _to_ints(coeffs[:n])
     pw = list(accumulate(repeat(a[0], n - 1), mul, initial=1))  # a_0^0..a_0^(n-1)
     c = list(map(mul, a[1:n], pw))
     b = [1]
     for _ in range(1, n):
         b.append(-sum(map(mul, c, reversed(b))))
-    return _reduce(list(map(mul, b, reversed(pw))), pw[-1] * a[0])
+    return _reduce([d * x * y for x, y in zip(b, reversed(pw))], pw[-1] * a[0])
+
+
+def _times(x: _Cleared, y: _Cleared, n: int) -> _Cleared:
+    """The first n coefficients of x y, each (numerators, den), with the
+    content divided out: one ``_kmul``, or none when a factor is a
+    constant, such as u^0 = 1 or H' = 1 for fbar, which only scales the
+    other."""
+    for c, v in ((x, y), (y, x)):
+        if not any(c[0][1:]):
+            return _reduce([c[0][0] * a for a in v[0][:n]], c[1] * v[1])
+    return _reduce(_kmul(x[0], y[0], n), x[1] * y[1])
+
+
+def _powers(x: _Cleared, m: int, n: int) -> list[_Cleared]:
+    """x^0..x^m, the first n coefficients of each as reduced (numerators,
+    den), by ``_times`` from 1: x^1 = 1 x is a scaling, so m - 1 products."""
+    one = ([1] + [0] * (n - 1), 1)
+    return list(accumulate(repeat(x, m), lambda a, b: _times(a, b, n), initial=one))
 
 
 @dataclass(frozen=True)
@@ -324,9 +359,7 @@ class Series:
         """Multiplicative inverse; requires order 0."""
         if self.coeffs[0] == 0:
             raise NotAUnitError("not a unit: constant term is zero")
-        a, den = _to_ints(self.coeffs)
-        r, e = _krecip(a, self.prec + 1)  # 1 / (a / den) = den * r / e
-        return _from_ints([den * c for c in r], e)
+        return _from_ints(*_krecip(self.coeffs, self.prec + 1))
 
     def compose(self, f: "Series") -> "Series":
         """self(f(t)), requires f(0) = 0: the one-series case of ``_compose``."""
@@ -358,34 +391,21 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
     precs = [min(h.prec, f.prec) for h in hs]
     p = max(precs, default=0)
     k = math.isqrt(p) + 1
-    fn, df = _to_ints(f.coeffs[: p + 1])
-    pows = [[1] + [0] * p, fn]  # f^r is pows[r] / df^r
-    while len(pows) <= k:
-        pows.append(_kmul(pows[-1], fn, p + 1))
-    big, dbig = pows.pop(), df**k
-    dpow = list(accumulate(repeat(df, k - 1), mul, initial=1))  # df^0..df^(k-1)
-    # cols[i][r]: [t^i] f^r over df^(k-1)
-    cols = list(zip(*([x * s for x in v] for v, s in zip(pows, reversed(dpow)))))
+    *pows, (big, dbig) = _powers(_to_ints(f.coeffs[: p + 1]), k, p + 1)
+    dcol = math.lcm(*(d for _, d in pows))
+    # cols[i][r]: [t^i] f^r over dcol
+    cols = list(zip(*([x * (dcol // d) for x in v] for v, d in pows)))
     out = []
     for h, q in zip(hs, precs):
         c, dh = _to_ints(h.coeffs[: q + 1])
         acc, scale = [0] * (q + 1 - k * (q // k)), 1
         for j in range(q // k, -1, -1):
-            if j < q // k:  # acc = sum_(i>j) B_i F^(i-j), over df^(k-1) scale
+            if j < q // k:  # acc = sum_(i>j) B_i F^(i-j), over dcol scale
                 acc, scale = _kmul(acc, big, q + 1 - k * j), scale * dbig
             block = [scale * x for x in c[k * j : k * j + k]]
             acc = [a + sum(map(mul, block, col)) for a, col in zip(acc, cols)]
-        out.append(_from_ints(acc, dpow[-1] * scale * dh))
+        out.append(_from_ints(acc, dcol * scale * dh))
     return out
-
-
-def _times(x: tuple[list[int], int], y: tuple[list[int], int], n: int):
-    """The first n coefficients of x y, each (numerators, den); a constant
-    factor, such as u^0 = 1 or H' = 1 for fbar, only scales the other."""
-    for c, v in ((x, y), (y, x)):
-        if not any(c[0][1:]):
-            return [c[0][0] * a for a in v[0][:n]], c[1] * v[1]
-    return _reduce(_kmul(x[0], y[0], n), x[1] * y[1])
 
 
 def _lagrange_powers(f: Series, p: int) -> tuple[list, list]:
@@ -396,17 +416,9 @@ def _lagrange_powers(f: Series, p: int) -> tuple[list, list]:
         raise PrecisionError("comp_inverse: order unknown at precision 0")
     if f.order() != 1:
         raise NoCompositionalInverseError("no compositional inverse: order is not 1")
-    a, da = _to_ints(f.coeffs[1 : p + 1])
-    u, du = _krecip(a, p)
-    u = _reduce([da * c for c in u], du)  # t/f, as (numerators, den)
     k = math.isqrt(p - 1) + 1
-    baby = [([1] + [0] * (p - 1), 1), u]  # u^0..u^k
-    while len(baby) <= k:
-        baby.append(_times(baby[-1], u, p))
-    giant = [baby[0], baby[k]]  # u^0, u^k, u^2k, ...
-    while len(giant) <= p // k:
-        giant.append(_times(giant[-1], baby[k], p))
-    return baby, giant
+    baby = _powers(_krecip(f.coeffs[1 : p + 1], p), k, p)  # powers of t/f
+    return baby, _powers(baby[k], p // k, p)
 
 
 def _lagrange_read(powers: tuple[list, list], nums: list[int], den: int) -> Series:

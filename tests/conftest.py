@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,14 @@ def unit_series(prec: int):
     return st.tuples(
         nonzero, st.lists(rationals, min_size=prec, max_size=prec)
     ).map(lambda t: Series([t[0]] + t[1]))
+
+
+@pytest.fixture
+def int_digits():
+    """Sets the interpreter's int-string limit for one test, then restores it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import riordan
 from riordan import Triangle, cli, harness
 from riordan.catalog import CatalogError, named_riordan, series_spec, weight_spec
 from riordan.cli import main
+from riordan.weighted import c_transform
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench/reference/verify_builtin.json"
 
@@ -395,7 +396,7 @@ class TestErrors:
                 ("ctransform", "--name", "pascal", "--weight", "1," + "9" * 5000,
                  "--order", "2"),
                 64,
-                "malformed number",
+                "number past the int-string limit of",
             ),
             (("triangle", "--name", "x" * 5000, "--order", "4"), 65, "unknown"),
             (("triangle", "--name", "1" * 5000, "--order", "4"), 64, "malformed pair"),
@@ -420,7 +421,24 @@ class TestErrors:
         argv = ("ctransform", "--name", "pascal", "--weight", "1,1e99999", "--order", "2")
         code, stdout, err = run_cli(capsys, *argv)
         assert (code, stdout) == (64, "")
-        assert "malformed number: '1e99999'" in err
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"usage error: number past the int-string limit of {limit} digits: '1e99999'\n"
+        )
+
+    def test_a_literal_past_the_limit_reads_the_same_in_either_form(self, capsys):
+        """Written out or as an exponent, the number is refused in the same
+        words, and malformed text still reads as malformed."""
+        said = {}
+        for form in ("1e99999", "9" * 5000, "1/" + "9" * 5000, "1.5e-99999", "1/-4", "1e"):
+            argv = ("ctransform", "--name", "pascal", "--weight", f"1,{form}", "--order", "2")
+            code, stdout, err = run_cli(capsys, *argv)
+            assert (code, stdout) == (64, "")
+            said[form] = err.partition(": '")[0]
+        limit = sys.get_int_max_str_digits()
+        past = f"usage error: number past the int-string limit of {limit} digits"
+        assert set(said.values()) == {past, "usage error: malformed number"}
+        assert said["1/-4"] == said["1e"] == "usage error: malformed number"
 
     def test_bad_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")
@@ -535,3 +553,65 @@ class TestParsers:
     def test_parse_weight_unknown(self):
         with pytest.raises(CatalogError):
             weight_spec("bogus", 4)
+
+
+# The lowest nonzero limit sys.set_int_max_str_digits takes; W = 10^640 - 1
+# has 640 digits, so it is read, and 2 W, with 641, is not written.
+W = "9" * 640
+
+
+def past_limit(out):
+    """ctransform whose entry (2, 1) is 2 W, written to --out."""
+    return ("ctransform", "--name", "pascal", "--weight", f"1,1,{W}", "--order", "3",
+            "--out", str(out))
+
+
+class TestEntryPastTheIntStringLimit:
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["csv", "json"])
+    def test_names_the_first_entry_and_writes_no_file(
+        self, capsys, tmp_path, int_digits, fmt
+    ):
+        int_digits(640)
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_cli(capsys, *past_limit(out), *fmt)
+        assert (code, stdout) == (65, "")
+        assert err == (
+            "error: entry (2, 1) has 641 digits, past the int-string limit of 640 "
+            "digits; set PYTHONINTMAXSTRDIGITS=0 to write it\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            # g = 1 + W t, f = t: Z = W - W^2 t + ...
+            (("--prec", "3", "az", "--name", f"1,{W};0,1"), "Z_1 has 1280"),
+            # f = W t, so 1/g(fbar) = 1 - t/W + t^2/W^2 - ...
+            (("--prec", "3", "inv", "--name", f"1,1;0,{W}"), "g_2 has 1280"),
+            # g = (1 + W t)^2 = 1 + 2W t + W^2 t^2
+            (("--prec", "3", "mul", "--a", f"1,{W};0,1", "--b", f"1,{W};0,1"), "g_1 has 641"),
+        ],
+        ids=["az", "inv", "mul"],
+    )
+    def test_names_the_first_series_coefficient(self, capsys, int_digits, argv, where):
+        int_digits(640)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (65, "")
+        assert err == (
+            f"error: {where} digits, past the int-string limit of 640 digits; "
+            "set PYTHONINTMAXSTRDIGITS=0 to write it\n"
+        )
+
+    def test_the_same_run_with_no_limit_writes_the_triangle(self, tmp_path, int_digits):
+        out = tmp_path / "t.csv"
+        src = str(Path(riordan.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONINTMAXSTRDIGITS="0")
+        cmd = [sys.executable, "-m", "riordan.cli", *past_limit(out)]
+        proc = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        int_digits(0)
+        ra = named_riordan("pascal", 2)
+        want = c_transform(ra, weight_spec(f"1,1,{W}", 2), 3).entries
+        assert Triangle.from_csv(out.read_text()) == want
+        assert want.rows[2][1] == 2 * int(W)

@@ -16,6 +16,8 @@ from riordan import (
     RiordanPair,
     Series,
     Triangle,
+    factorization_check,
+    raise_order,
     reconstruct_from_az,
 )
 from riordan import group, series
@@ -404,6 +406,42 @@ def test_extract_az_makes_no_more_products_than_inverse(monkeypatch, p, calls):
     ra.inverse()
     assert az_calls == calls
     assert az_calls <= len(made)
+
+
+KMUL_CALLS = {  # catalan_bell at n = 2, 24, 48
+    "compose": (2, 8, 12),
+    "pair_mul": (4, 13, 19),
+    "triangle_closed": (0, 23, 47),
+    "raise_order": (0, 22, 46),
+    "factorization_check": (0, 22, 46),
+}
+
+
+@pytest.mark.parametrize("op", KMUL_CALLS)
+def test_column_and_power_products_through_one_routine(monkeypatch, op):
+    """_kmul calls per op.  Paterson-Stockmeyer compose makes about 2 sqrt(p);
+    the column ops one per column of the section, n - 1, less each product
+    with a one-coefficient factor, which is a scaling: f/t at n = 2 and the
+    last column of raise_order (on (g, f)_(n-1)) and factorization_check."""
+    kmul, made = series._kmul, []
+
+    def counting(a, b, n):
+        made.append(n)
+        return kmul(a, b, n)
+
+    monkeypatch.setattr(series, "_kmul", counting)
+    for n, calls in zip((2, 24, 48), KMUL_CALLS[op]):
+        ra = named_riordan("catalan_bell", n)
+        section = ra.triangle(n - 1)
+        made.clear()
+        {
+            "compose": lambda: ra.g.compose(ra.f),
+            "pair_mul": lambda: ra * ra,
+            "triangle_closed": lambda: ra.triangle_closed(n),
+            "raise_order": lambda: raise_order(ra, section),
+            "factorization_check": lambda: factorization_check(ra, n),
+        }[op]()
+        assert len(made) == calls, n
 
 
 def test_inverse_and_az_hand_1_over_g_to_lagrange_as_integers(monkeypatch):

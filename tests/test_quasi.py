@@ -342,6 +342,18 @@ class TestOrderTransforms:
         assert lower_order(ra, section).n == 8
         assert raise_order(ra, section).n == 10
 
+    def test_lower_order_builds_no_series_reciprocal(self, monkeypatch):
+        """t/f comes from the kernel's integer reciprocal, not a Fraction series."""
+        pairs = [named_riordan("catalan_bell", 20), *random_pairs(3, 20, seed=26)]
+        cases = [(ra, ra.triangle(n), ra.triangle(n - 1)) for ra in pairs for n in (2, 5, 21)]
+
+        def detour(*args):
+            raise AssertionError("lower_order built a Series reciprocal")
+
+        monkeypatch.setattr(Series, "reciprocal", detour)
+        for ra, section, want in cases:
+            assert lower_order(ra, section) == want
+
     def test_check_builds_no_matrix(self, monkeypatch):
         def generic(*args):
             raise AssertionError("factorization_check built or multiplied a matrix")

@@ -151,14 +151,6 @@ def test_strings_read_as_fraction_reads_them(text):
     assert_reads_like_fraction(text)
 
 
-@pytest.fixture
-def int_digits():
-    """Sets the interpreter's int-string limit for one test, then restores it."""
-    old = sys.get_int_max_str_digits()
-    yield sys.set_int_max_str_digits
-    sys.set_int_max_str_digits(old)
-
-
 def exponent_and_digit_forms(e):
     """(exponent literal, the same value as str(Fraction) writes it) pairs."""
     texts = (f"1e{e}", f"-25e{e - 1}", f"1e-{e}", f"2.5e-{e}", f"4e-{e}", f"5e-{e}")
