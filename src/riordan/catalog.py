@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .group import RiordanPair
-from .series import Series, _DigitLimitError, _rat
+from .series import Series, _DigitLimitError, _rat, _sized
 from .weighted import WeightSeq, WeightTri
 
 
@@ -55,7 +55,7 @@ def fuss_catalan(m: int, n: int, r: int) -> Fraction:
         raise ValueError(f"need m >= 1 and n >= 0, got ({m},{n})")
     if m * n + r == 0:
         raise ValueError(f"singular case: mn + r = 0 at (m,n,r)=({m},{n},{r})")
-    return Fraction(r, m * n + r) * binomial(m * n + r, n)
+    return Fraction(r * binomial(m * n + r, n), m * n + r)
 
 
 def fuss_power_coeff(m: int, n: int, r: int) -> Fraction:
@@ -82,7 +82,7 @@ def rook_entry(n: int, k: int) -> Fraction:
     """r_{n,k} = (n!/k!) binomial(n,k) = (n-k)! binomial(n,k)^2."""
     if not 0 <= k <= n:
         raise ValueError(f"rook entry ({n},{k}) out of range")
-    return Fraction(math.factorial(n), math.factorial(k)) * math.comb(n, k)
+    return Fraction(math.factorial(n - k) * math.comb(n, k) ** 2)
 
 
 def remainder_entry(n: int, k: int) -> Fraction:
@@ -91,11 +91,8 @@ def remainder_entry(n: int, k: int) -> Fraction:
         raise ValueError(f"remainder entry ({n},{k}) out of range")
     if k == n + 1:
         return Fraction(1)
-    return (
-        Fraction(n * n + n + k, n - k + 1)
-        * math.factorial(n - k)
-        * math.comb(n, k) ** 2
-    )
+    num = (n * n + n + k) * math.factorial(n - k) * math.comb(n, k) ** 2
+    return Fraction(num, n - k + 1)
 
 
 def laguerre_entry(n: int, k: int) -> Fraction:
@@ -125,7 +122,7 @@ def _shown(text: str) -> str:
 
 def _number(text: str, kind=_rat):
     try:
-        return kind(text)
+        return kind(_sized(text))
     except ValueError as exc:
         why = exc if isinstance(exc, _DigitLimitError) else "malformed number"
         raise SpecError(f"{why}: {_shown(text.strip())}") from None

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .matrices import Triangle, _cleared, _dot
+# _dot is unused here, but the route-independence tests patch it in this module
+from .matrices import Triangle, _cleared, _dot  # noqa: F401
 from .series import PrecisionError, Series, SeriesError, _compose, _krecip
 from .series import _lagrange_powers, _lagrange_read, _times, _to_ints
 
@@ -268,14 +269,16 @@ def _az_step(
     z: tuple[list[int], int],
     prev: tuple[list[int], int],
     k: int,
-) -> Fraction:
+) -> tuple[int, int]:
     """Entry k of the row after prev: sum_j z_j prev_j, or sum_j a_j prev_{k-1+j}.
 
     A, Z and prev are integer numerators over one denominator each, as
     ``matrices._cleared`` gives them, with A and Z cleared over all their
-    coefficients 0..prec.  The step is one integer dot product and one
-    Fraction; a step that needs a coefficient past prec raises
-    PrecisionError rather than reading it as zero.
+    coefficients 0..prec.  The step is one integer dot product, returned
+    unnormalised as (sum, denominator), so that a caller that scales it
+    builds its one Fraction from the product; a step that needs a
+    coefficient past prec raises PrecisionError rather than reading it as
+    zero.
     """
     (c, dc), (p, dp) = z if k == 0 else a, prev
     p = p[max(k - 1, 0) :]
@@ -283,7 +286,7 @@ def _az_step(
         raise PrecisionError(
             f"the A/Z step needs coefficient {len(p) - 1}, have {len(c) - 1}"
         )
-    return _dot((c, dc), (p, dp))
+    return sum(map(mul, c, p)), dc * dp
 
 
 def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
@@ -301,5 +304,5 @@ def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     rows: list[list[Fraction]] = [[Fraction(1)]]
     for r in range(n - 1):
         prev = _cleared(rows[r])
-        rows.append([_az_step(a, z, prev, k) for k in range(r + 2)])
+        rows.append([Fraction(*_az_step(a, z, prev, k)) for k in range(r + 2)])
     return Triangle(rows)

@@ -17,7 +17,9 @@ in a route on first use: a raise makes only its rows inconclusive.
 The convolution and the rook and Laguerre vertical routes sum integer
 numerators over one cleared denominator (matrices._cleared) and build one
 Fraction per entry, as the weighted recursions do; none uses the series
-kernel, which the closed forms and the series rows run on.
+kernel, which the closed forms and the series rows run on.  The Fuss
+series route reads [t^(n-k)] F_m^(k+1) off one table of cleared powers
+(series._powers), one Fraction per compared entry.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate
-from operator import mul
 from typing import Callable, Iterator
 
 from . import catalog
 from .catalog import catalan_power_coeff, fuss_power_coeff, remainder_entry
 from .matrices import _cleared, _dot
 from .quasi import factorization_check
-from .series import Series
+from .series import Series, _powers, _to_ints
 from .weighted import (
     WeightSeq,
     WeightTri,
@@ -176,17 +176,18 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
     """[t^(n-k)] F_m^(k+1) by closed form, by convolution and by series."""
 
     @cache
-    def powers() -> list[Series]:  # F_m^0, F_m^1, ..., F_m^(n_max+1)
-        fm = catalog.fuss_series(m, n_max)
-        return list(accumulate([fm] * (n_max + 1), mul, initial=Series.one(n_max)))
+    def powers() -> list[tuple[list[int], int]]:  # F_m^0, ..., F_m^(n_max+1)
+        fm = _to_ints(catalog.fuss_series(m, n_max).coeffs)
+        return _powers(fm, n_max + 1, n_max + 1)
+
+    def power_entry(n: int, k: int) -> Fraction:  # [t^(n-k)] F_m^(k+1)
+        nums, den = powers()[k + 1]
+        return Fraction(nums[n - k], den)
 
     coeff = cache(partial(fuss_power_coeff, m))  # one memo per suite run
     closed = ("[t^(n-k)] F_m^(k+1), closed form", lambda n, k: coeff(n - k, k + 1))
     convolution = _convolution("F_m", coeff, n_max)
-    series = (
-        "[t^(n-k)] of the multiplied-out series F_m^(k+1)",
-        lambda n, k: powers()[k + 1][n - k],
-    )
+    series = ("[t^(n-k)] of the multiplied-out series F_m^(k+1)", power_entry)
     return [
         (f"fuss-convolution-m{m}", closed, convolution, n_max, "1 <= k <= n"),
         (f"fuss-series-coefficients-m{m}", closed, series, n_max, "0 <= k <= n"),

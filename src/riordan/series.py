@@ -97,7 +97,9 @@ def _rat(x: Rat) -> Fraction:
     if isinstance(x, float):
         raise ValueError(f"float {x!r} is not exact; give an int, Fraction or string")
     try:
-        if type(x) is str and x.isascii():
+        if type(x) is not str:
+            return Fraction(x)
+        if x.isascii():
             # str(Fraction) writes -?digits or -?digits/digits: read those
             # with int(), not Fraction's regex; anything else goes there.
             num, slash, den = x.partition("/")
@@ -106,10 +108,21 @@ def _rat(x: Rat) -> Fraction:
                     return Fraction(int(num), int(den)) if slash else Fraction(int(num))
                 except ValueError:
                     raise _DigitLimitError() from None
-        m = _DECIMAL.fullmatch(x) if type(x) is str else None
-        return _decimal(m) if m else Fraction(x)
+        m = _DECIMAL.fullmatch(x)
+        return _decimal(m) if m else Fraction(_sized(x))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def _sized(text: str) -> str:
+    """text, refused if it has a run of more digits than int() reads
+    (``sys.get_int_max_str_digits()``, 0: no limit), so that a number too
+    long is refused as one, not as malformed."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    runs = re.findall(r"\d+", text.replace("_", "")) if limit else ()
+    if any(len(run) > limit for run in runs):
+        raise _DigitLimitError()
+    return text
 
 
 def _decimal(m: re.Match) -> Fraction:

@@ -17,7 +17,9 @@ d = xhat/rho of the weighted triangle itself: the A/Z step on row n-1
 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1} (vert_recursion_C), each one
 integer dot product over inputs cleared to one denominator on first use
 (rows and columns of d, A, Z and f; a transform that is never recursed on
-pays nothing for them).  Conjugating by the weights is what turns these
+pays nothing for them).  rho(n,k) scales the integer sum and its
+denominator, so there is one Fraction per recursion entry, as per
+transform entry.  Conjugating by the weights is what turns these
 linear recursions into nonlinear ones like those of the rook and Laguerre
 triangles.  The (c)-weighted arrays again
 form a group under matrix multiplication; the (C)-class does not, so the
@@ -30,10 +32,11 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .group import RiordanPair, _az_step
-from .matrices import Triangle, _cleared, _columns, _dot
+from .matrices import Triangle, _cleared, _columns
 from .series import PrecisionError, Rat, _rat
 
 
@@ -209,7 +212,8 @@ def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     """
     if not (0 <= k <= n and 1 <= n < min(len(x.weight), x.n + 1)):
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    return x.weight.rho[n][k] * _az_step(*x._az, x._d_rows[n - 1], k)
+    r, (s, den) = x.weight.rho[n][k], _az_step(*x._az, x._d_rows[n - 1], k)
+    return Fraction(r.numerator * s, r.denominator * den)
 
 
 def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
@@ -225,7 +229,8 @@ def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     (f, df), (d, dd), m = x._f, x._d_cols[k - 1], n - k + 1
     if m >= len(f):
         raise PrecisionError(f"coefficient {m} beyond precision {len(f) - 1}")
-    return x.weight.rho[n][k] * _dot((f[1 : m + 1], df), (reversed(d[:m]), dd))
+    r, s = x.weight.rho[n][k], sum(map(mul, f[1 : m + 1], reversed(d[:m])))
+    return Fraction(r.numerator * s, r.denominator * df * dd)
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

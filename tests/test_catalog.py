@@ -127,6 +127,39 @@ class TestRookAndFriends:
                 b = binomial(n, k)
                 assert rook_entry(n, k) == math.factorial(n - k) * b * b
 
+    def test_closed_forms_match_their_written_formulas(self):
+        """Each closed form is one Fraction of an integer expression; here
+        each is the Fraction product its docstring writes."""
+        import math
+
+        def falling(top, n):  # binomial(top, n) for any integer top
+            return Fraction(math.prod(top - i for i in range(n)), math.factorial(n))
+
+        for m in range(1, 6):
+            for r in range(-3, 6):
+                for n in range(16):
+                    if m * n + r == 0:
+                        with pytest.raises(ValueError):
+                            fuss_catalan(m, n, r)
+                        continue
+                    want = Fraction(r, m * n + r) * falling(m * n + r, n)
+                    got = fuss_catalan(m, n, r)
+                    assert type(got) is Fraction and got == want, (m, n, r)
+        for n in range(16):
+            for k in range(n + 2):
+                got = remainder_entry(n, k)
+                if k == n + 1:
+                    assert type(got) is Fraction and got == 1
+                    continue
+                want = (
+                    Fraction(n * n + n + k, n - k + 1)
+                    * math.factorial(n - k)
+                    * math.comb(n, k) ** 2
+                )
+                assert type(got) is Fraction and got == want, (n, k)
+                rook = Fraction(math.factorial(n), math.factorial(k)) * math.comb(n, k)
+                assert type(rook_entry(n, k)) is Fraction and rook_entry(n, k) == rook
+
     def test_classical_duality(self):
         # r_{n,n-k} = (-1)^{n-k} n! L_{n,k}
         import math

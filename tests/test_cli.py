@@ -440,6 +440,25 @@ class TestErrors:
         assert set(said.values()) == {past, "usage error: malformed number"}
         assert said["1/-4"] == said["1e"] == "usage error: malformed number"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triangle", "--name", "fuss_bell:" + "9" * 5000, "--order", "3"),
+            ("ctransform", "--name", "pascal", "--weight", "1,+1/" + "9" * 5000,
+             "--order", "2"),
+        ],
+        ids=["integer-parameter", "signed-ratio"],
+    )
+    def test_every_form_past_the_limit_names_it(self, capsys, argv):
+        """An integer parameter, and a ratio that only Fraction's parser
+        reads, are sized before they are read: the message names the limit."""
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (64, "")
+        limit = sys.get_int_max_str_digits()
+        assert err.startswith(
+            f"usage error: number past the int-string limit of {limit} digits: '"
+        )
+
     def test_bad_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "pascal", "--order", "0")
         assert code == 64

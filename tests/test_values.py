@@ -11,6 +11,7 @@ the interpreter's int-string limit is refused, however it is written.
 
 import copy
 import pickle
+import re
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from riordan import QuasiRiordan, Series, Triangle, WeightError, WeightSeq, WeightTri
 from riordan.catalog import named_riordan
-from riordan.series import _rat
+from riordan.series import _DigitLimitError, _rat
 
 ROWS = [[1], [1, 2], [1, Fraction(1, 3), 4]]
 
@@ -104,13 +105,41 @@ def test_float_refused_and_decimal_string_exact(build, error):
     assert build("2/4") == Fraction(1, 2)
 
 
+# An exponent at the end of a literal, as Fraction's parser reads it.
+EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def assert_reads_like_fraction(text):
     """_rat(text) equals Fraction(text), or both refuse it (_rat by ValueError).
 
     Fraction builds any exponent, so a short literal such as "1e99999" gives
     it a value with more digits than int() reads; _rat refuses that value.
+    Fraction(text) builds 10^|e| even for a zero mantissa ("0e811111" takes
+    a fifth of a second), so the exponent is read first: the mantissa is
+    Fraction(text) with the exponent's digits replaced by 0, a zero mantissa
+    must read as 0, and a value whose numerator or denominator is sure to
+    pass the limit must be refused.  Fraction(text) is called only on the
+    rest, where |e| is at most the limit plus the mantissa's digits.
     """
     limit = sys.get_int_max_str_digits()
+    m = EXPONENT.search(text)
+    if m:
+        e = int(m[1]) * (-1 if "-" in m[0] else 1)
+        try:
+            q = Fraction(text[: m.start(1)] + "0" + text[m.end(1) :])
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                _rat(text)
+            return
+        if q == 0:
+            assert _rat(text) == 0
+            return
+        # q 10^e: numerator >= 10^e / den, or denominator >= 10^-e / |num|
+        sure = len(str(q.denominator)) if e > 0 else len(str(abs(q.numerator)))
+        if limit and abs(e) >= limit + sure:
+            with pytest.raises(ValueError):
+                _rat(text)
+            return
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -148,6 +177,15 @@ LITERALS = st.one_of(
 
 @given(LITERALS)
 def test_strings_read_as_fraction_reads_them(text):
+    assert_reads_like_fraction(text)
+
+
+# Exponents whose power of ten Fraction(text) takes from a fifth of a
+# second ("0e811111") to seconds ("0e9999999") to build.
+@pytest.mark.parametrize(
+    "text", ["0e811111", "-0.0e-9999999", "69e99661", "1_0e+9_999_999", "2.5e-9999999"]
+)
+def test_long_exponents_read_as_fraction_reads_them(text):
     assert_reads_like_fraction(text)
 
 
@@ -194,3 +232,12 @@ def test_exponent_literal_past_the_limit_is_refused():
     with pytest.raises(ValueError, match="past"):
         _rat("-1.5e-99999")
     assert _rat("0e99999") == _rat("-0.0e-99999") == 0
+
+
+@pytest.mark.parametrize("text", ["+1/" + "9" * 5000, " 1/" + "9" * 5000, "1_0/" + "9" * 5000])
+def test_ratio_literal_past_the_limit_is_refused_as_one(text):
+    """A ratio that Fraction's parser reads is sized before it is built, so
+    the refusal names the limit, as for the digits-only form."""
+    with pytest.raises(_DigitLimitError, match="past the int-string limit"):
+        _rat(text)
+    assert _rat(text.replace("9" * 5000, "9" * sys.get_int_max_str_digits())) > 0

@@ -202,6 +202,46 @@ class TestTransformOracle:
         assert [c_transform(ra, w, 12).entries for w in weights] == want
 
 
+def random_weight_with_fractional_negative_diagonal(rng, size):
+    """A (C)-weight of `size` rows: c_{n,n} < 0 and not an integer for n >= 1."""
+    def entry():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    def diagonal():  # odd over even
+        return -F(2 * rng.randint(0, 9) + 1, 2 * rng.randint(1, 4))
+
+    rows = [[1]] + [[1, *(entry() for _ in range(1, i)), diagonal()] for i in range(1, size)]
+    return WeightTri(rows)
+
+
+class TestRecursionArithmetic:
+    """Each recursion entry is one Fraction of an integer sum; here each is
+    rho times a sum of Fraction products, d read off the entries."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_recursions_match_fraction_sums(self, seed):
+        rng = random.Random(seed)
+        ra = random_pair(rng, 24)
+        w = random_weight_with_fractional_negative_diagonal(rng, 21)
+        assert all(row[-1] < 0 and row[-1].denominator > 1 for row in w.rows[1:])
+        x = c_transform(ra, w, 20)
+        rho = [[row[i] / v for v in row] for i, row in enumerate(w.rows)]
+        d = [[v / r for v, r in zip(row, rr)] for row, rr in zip(x.entries.rows, rho)]
+        az, f = ra.extract_az(), ra.f
+        for n in range(1, 21):
+            for k in range(n + 1):
+                if k == 0:
+                    s = sum((az.z[j] * v for j, v in enumerate(d[n - 1])), F(0))
+                else:
+                    s = sum((az.a[j] * v for j, v in enumerate(d[n - 1][k - 1 :])), F(0))
+                got = horiz_recursion_C(x, n, k)
+                assert type(got) is F and got == rho[n][k] * s, (n, k)
+            for k in range(1, n + 1):
+                s = sum((f[j] * d[n - j][k - 1] for j in range(1, n - k + 2)), F(0))
+                got = vert_recursion_C(x, n, k)
+                assert type(got) is F and got == rho[n][k] * s, (n, k)
+
+
 class TestCopies:
     """Copies and pickles carry the fields; cached tables rebuild on first read."""
 
