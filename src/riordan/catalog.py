@@ -45,10 +45,6 @@ def catalan_power_coeff(n: int, k: int) -> Fraction:
     return fuss_power_coeff(2, n, k)
 
 
-def catalan_number(n: int) -> Fraction:
-    return catalan_power_coeff(n, 1)
-
-
 def fuss_catalan(m: int, n: int, r: int) -> Fraction:
     """F_m(n, r) = (r/(mn+r)) binomial(mn+r, n)."""
     if m < 1 or n < 0:

@@ -12,18 +12,22 @@ still return reduced Fractions.  The inverse and A/Z extraction each
 build one set of powers of t/f and read all by Lagrange off it: A as the
 power -1 of fbar/t, one dot product per coefficient, and fbar, 1/g(fbar)
 and Z = K(fbar), K = (1 - 1/g)/t, with 1/g as integers from the series
-kernel's one reciprocal routine.  The closed form runs on the kernel's
-one product routine instead, as one shifted integer chain: column k from
-row k on is g*(f/t)^k, n - k coefficients over its own denominator, the
-product of column k-1 with f/t, and each column becomes one Series.
+kernel's one reciprocal routine.  The public extract_az computes afresh
+on every call; the weighted recursions read A and Z cleared once per pair
+(_az), and copies and pickles of a pair carry g and f alone.  The closed
+form runs on the kernel's one product routine instead, as one shifted
+integer chain: column k from row k on is g*(f/t)^k, n - k coefficients
+over its own denominator, the product of column k-1 with f/t, and each
+column becomes one Series.
 Sharing no code, the closed form and the vertical recursion are each
 other's oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 # _dot is unused here, but the route-independence tests patch it in this module
@@ -36,6 +40,12 @@ class RiordanError(SeriesError):
     """Invalid Riordan pair or out-of-range entry request."""
 
 
+def _fields_state(self) -> dict:
+    # Copies and pickles carry the fields alone; the cached tables (A/Z
+    # cleared, rho, _d, _d_rows, ...) rebuild from them on first read.
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class _Pair:
     """Validation and value semantics shared by the Riordan and quasi pairs.
@@ -46,6 +56,8 @@ class _Pair:
 
     g: Series
     f: Series
+
+    __getstate__ = _fields_state
 
     def __post_init__(self):
         if self.g.coeffs[0] != 1:
@@ -210,6 +222,16 @@ class RiordanPair(_Pair):
         r, e = _krecip(self.g.coeffs, self.prec + 1)
         z = _lagrange_read(powers, [-c for c in r[1:]], e)
         return AZSequences(Series(a), z)
+
+    @cached_property
+    def _az(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+        """A and Z cleared over all their coefficients, for ``_az_step``.
+
+        Built once per pair, for the weighted recursions; the public
+        ``extract_az`` stays uncached.
+        """
+        az = self.extract_az()
+        return _cleared(az.a.coeffs), _cleared(az.z.coeffs)
 
     def semidirect_split(self) -> tuple["RiordanPair", "RiordanPair"]:
         """(g, f) = (g, t)(1, f): Appell factor times Lagrange factor."""

@@ -14,12 +14,17 @@ through verify.  It hands each report to an optional hook as soon as its
 check ends, so the CLI prints each line while the later checks still run.
 Every check and row input (F_m powers, transforms, the corpus) is built
 in a route on first use: a raise makes only its rows inconclusive.
-The convolution and the rook and Laguerre vertical routes sum integer
-numerators over one cleared denominator (matrices._cleared) and build one
-Fraction per entry, as the weighted recursions do; none uses the series
-kernel, which the closed forms and the series rows run on.  The Fuss
-series route reads [t^(n-k)] F_m^(k+1) off one table of cleared powers
-(series._powers), one Fraction per compared entry.
+The paper's vertical relation d_{n,k} = sum_j f_j d_{n-j,k-1} has one
+builder, _vertical_relation: it puts a closed form through given weights,
+clearing each column k-1 of the closed form once per row to integer
+numerators over one denominator (matrices._cleared), so each entry is one
+matrices._dot and one Fraction, as in the weighted recursions.  The
+Pascal, rook and Laguerre vertical rows and the convolutions (the Bell
+pair's case, _convolution) come from it; none uses the series kernel,
+which the closed forms and the series rows run on.  The Fuss series route
+and 1 + t F_m^m read tables of cleared powers (series._powers), one
+Fraction per compared entry.  The weighted rows clear each base pair's
+A and Z once (RiordanPair._az), however many weights it meets.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import catalog
 from .catalog import catalan_power_coeff, fuss_power_coeff, remainder_entry
@@ -152,24 +157,43 @@ def exit_code(reports: list[VerificationReport]) -> int:
 _EXPECTED = ("expected", lambda n, k: Fraction(1))
 
 
-def _convolution(name: str, coeff: Callable[[int, int], Fraction], n_max: int) -> tuple:
-    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k.
+def _vertical_relation(
+    entry: Callable[[int, int], Fraction | int],
+    weights: Callable[[int, int], tuple[Iterable[int], int]],
+    n_max: int,
+) -> Callable[[int, int], Fraction]:
+    """The route sum_{j=1}^{n-k+1} w_j entry(n-j, k-1) / den, the paper's
+    vertical relation, where weights(n, k) = ((w_1, w_2, ...), den).
 
-    Column k of S^k, coefficients 0..n_max+1-k (all that rows up to n_max
-    read; column 1 also serves k = 0), is built once per row as integer
-    numerators over one denominator (matrices._cleared), so each entry is
-    one matrices._dot of columns 1 and k.  n_max must be the row's own.
+    Column k-1 of the closed form, rows k-1..n_max-1 (all that rows up to
+    n_max read), is built once per row as integer numerators over one
+    denominator (matrices._cleared), so each entry is one matrices._dot;
+    weights past w_(n-k+1) are not read.  n_max must be the row's own.
     """
 
     @cache
     def column(k: int) -> tuple[list[int], int]:
-        return _cleared([coeff(i, k) for i in range(n_max + 2 - k)])
+        return _cleared([entry(i, k) for i in range(k, n_max)])
 
-    def entry(n: int, k: int) -> Fraction:
-        (s, ds), (c, dc), m = column(1), column(k), n - k + 1
-        return _dot((s[:m], ds), (reversed(c[:m]), dc))
+    def route(n: int, k: int) -> Fraction:
+        c, dc = column(k - 1)
+        return _dot(weights(n, k), (reversed(c[: n - k + 1]), dc))
 
-    return f"sum_j [t^j] {name} [t^(n-j-k)] {name}^k", entry
+    return route
+
+
+def _convolution(name: str, coeff: Callable[[int, int], Fraction], n_max: int) -> tuple:
+    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k.
+
+    This is the vertical relation of the Bell pair (S, tS), whose entries
+    are d_{n,k} = [t^(n-k)] S^(k+1) and whose weights f_j = [t^(j-1)] S
+    are cleared once per row; row n, column -1 stands for [t^(n+1)] S^0.
+    """
+    s = cache(lambda: _cleared([coeff(i, 1) for i in range(n_max + 1)]))
+    route = _vertical_relation(
+        lambda n, k: coeff(n - k, k + 1), lambda n, k: s(), n_max
+    )
+    return f"sum_j [t^j] {name} [t^(n-j-k)] {name}^k", route
 
 
 def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
@@ -198,10 +222,10 @@ def _fuss_functional_row(m: int, prec: int = 40) -> tuple:
     """F_m = 1 + t F_m^m, coefficient by coefficient."""
 
     @cache
-    def sides() -> tuple[Series, Series]:
+    def sides() -> tuple[Series, list[Fraction]]:
         fm = catalog.fuss_series(m, prec)
-        power = math.prod([fm] * m, start=Series.one(prec))
-        return fm, Series.one(prec) + power.shift_up().truncate(prec)
+        nums, den = _powers(_to_ints(fm.coeffs), m, prec)[m]  # F_m^m to t^(prec-1)
+        return fm, [Fraction(1), *(Fraction(c, den) for c in nums)]
 
     return (
         f"fuss-functional-equation-m{m}",
@@ -247,7 +271,7 @@ def _rows() -> Iterator[tuple]:
     binomial = ("binomial(n,k)", lambda n, k: Fraction(choose(n, k)))
     binomial_vertical = (
         "sum_{j=1}^{n-k+1} binomial(n-j,k-1)",
-        lambda n, k: Fraction(sum(choose(n - j, k - 1) for j in range(1, n - k + 2))),
+        _vertical_relation(choose, lambda n, k: ([1] * (n - k + 1), 1), 50),
     )
     yield "pascal-vertical-recursion", binomial, binomial_vertical, 50, "1 <= k <= n"
     for m in range(1, 6):
@@ -270,22 +294,6 @@ def _rows() -> Iterator[tuple]:
     yield from _weighted_rows()
 
 
-def _vertical_sum(
-    weight: Callable[[int], int],
-    entry: Callable[[int, int], Fraction],
-    n: int,
-    k: int,
-    den: int,
-) -> Fraction:
-    """sum_{j=1}^{n-k+1} weight(j) entry(n-j, k-1) / den, for integer weights.
-
-    The entries are cleared over one denominator (matrices._cleared), so
-    the sum is one matrices._dot.
-    """
-    js = range(1, n - k + 2)
-    return _dot((map(weight, js), den), _cleared([entry(n - j, k - 1) for j in js]))
-
-
 def _closed_form_rows() -> list[tuple]:
     """The rook and Laguerre recursions against their closed forms."""
     # One memo per suite run: the routes read the same (n, k) many times.
@@ -302,9 +310,13 @@ def _closed_form_rows() -> list[tuple]:
         "n r_{n-1,0}",
         lambda n, k: Fraction(n) * rook_entry(n - 1, 0) if n >= 1 else Fraction(1),
     )
+
+    def rook_weights(n: int, k: int) -> tuple[list[int], int]:  # (n)_j over k
+        return [math.perm(n, j) for j in range(1, n - k + 2)], k
+
     rook_vertical = (
         "sum_j ((n)_j / k) r_{n-j,k-1}",
-        lambda n, k: _vertical_sum(partial(math.perm, n), rook_entry, n, k, k),
+        _vertical_relation(rook_entry, rook_weights, 30),
     )
     lag = ("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
     lag_horizontal = (
@@ -319,15 +331,15 @@ def _closed_form_rows() -> list[tuple]:
         if n >= 1
         else Fraction(1),
     )
+
+    def lag_weights(n: int, k: int) -> tuple[list[int], int]:
+        m = n - k  # (-1)^(j-1) (m-j+1)! over m!, j = 1..m+1
+        w = [(-1) ** i * math.factorial(m - i) for i in range(m + 1)]
+        return w, math.factorial(m)
+
     lag_vertical = (
         "(1/(n-k)!) sum_j (-1)^(j-1) (n-k-j+1)! L_{n-j,k-1}",
-        lambda n, k: _vertical_sum(
-            lambda j: (-1) ** (j - 1) * math.factorial(n - k - j + 1),
-            laguerre_entry,
-            n,
-            k,
-            math.factorial(n - k),
-        ),
+        _vertical_relation(laguerre_entry, lag_weights, 30),
     )
     expansion = (
         "fact (ii) at x^(n+1-j): r_{n+1,j} = [j = 0] + sum_{i>=j-1} E_{i,j}, all j",

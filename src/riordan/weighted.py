@@ -17,7 +17,9 @@ d = xhat/rho of the weighted triangle itself: the A/Z step on row n-1
 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1} (vert_recursion_C), each one
 integer dot product over inputs cleared to one denominator on first use
 (rows and columns of d, A, Z and f; a transform that is never recursed on
-pays nothing for them).  rho(n,k) scales the integer sum and its
+pays nothing for them).  A and Z are cleared once per base pair
+(RiordanPair._az), so transforms of one base under several weights
+extract them once.  rho(n,k) scales the integer sum and its
 denominator, so there is one Fraction per recursion entry, as per
 transform entry.  Conjugating by the weights is what turns these
 linear recursions into nonlinear ones like those of the rook and Laguerre
@@ -29,25 +31,19 @@ group law here rejects C-weighted inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .group import RiordanPair, _az_step
+from .group import RiordanPair, _az_step, _fields_state
 from .matrices import Triangle, _cleared, _columns
 from .series import PrecisionError, Rat, _rat
 
 
 class WeightError(ValueError):
     """Invalid weight table or mismatched weights."""
-
-
-def _fields_state(self) -> dict:
-    # Copies and pickles carry the fields alone; the cached tables (rho,
-    # _d, _d_rows, ...) rebuild from them on first read.
-    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -161,10 +157,9 @@ class WeightedTriangle:
 
     @cached_property
     def _az(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
-        # A and Z over all their coefficients; _az_step raises
+        # The base pair's A and Z, cleared once per pair; _az_step raises
         # PrecisionError for a step that needs more.
-        az = self.base.extract_az()
-        return _cleared(az.a.coeffs), _cleared(az.z.coeffs)
+        return self.base._az
 
     @cached_property
     def _f(self) -> tuple[list[int], int]:

@@ -1,5 +1,6 @@
 """Catalan/Fuss-Catalan numbers, rook and Laguerre triangles, named registry."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from riordan import RiordanPair, Series
 from riordan.catalog import (
     CatalogError,
     binomial,
-    catalan_number,
     catalan_power_coeff,
     catalan_series,
     catalog_names,
@@ -43,7 +43,8 @@ class TestBinomial:
 
 class TestCatalanFuss:
     def test_catalan_numbers(self):
-        assert [catalan_number(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429]
+        assert [catalan_power_coeff(n, 1) for n in range(8)] == catalan
 
     def test_ternary_numbers(self):
         # Fuss-Catalan m=3, r=1
@@ -62,7 +63,7 @@ class TestCatalanFuss:
     def test_fuss_m2_is_catalan(self):
         # 1 + t F^2 = F is the Catalan functional equation
         for n in range(10):
-            assert fuss_catalan(2, n, 1) == catalan_number(n)
+            assert fuss_catalan(2, n, 1) == math.comb(2 * n, n) // (n + 1)
 
     def test_r_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from riordan import (
     reconstruct_from_az,
 )
 from riordan import group, series
-from riordan.catalog import catalan_number, named_riordan, pair_spec
+from riordan.catalog import named_riordan, pair_spec
 
 from conftest import random_pairs, rationals, series_strategy
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from riordan import RiordanPair, catalog, harness
+from riordan import RiordanPair, catalog, group, harness
 from riordan.harness import (
     K_POLICIES,
     Counterexample,
@@ -269,3 +269,76 @@ class TestBuiltinSuite:
         assert all("RuntimeError('synthetic')" in r.detail for r in reports)
         assert exit_code(reports) == 2
         assert all(harness._check(*row).status == "verified" for row in kept)
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its arguments to a list."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestOneBuildPerInput:
+    """The suite builds each closed-form column and each base's A/Z once."""
+
+    def test_suite_extracts_az_once_per_base(self, monkeypatch):
+        calls = _counting(monkeypatch, RiordanPair, "extract_az")
+        reports = harness.builtin_suite()
+        assert exit_code(reports) == 0
+        assert len(calls) == 3
+        assert len({pair for (pair,) in calls}) == 3
+
+    def test_public_extract_az_stays_uncached(self, monkeypatch):
+        calls = _counting(monkeypatch, group, "_lagrange_powers")
+        ra = catalog.named_riordan("catalan_bell", 16)
+        first, second = ra.extract_az(), ra.extract_az()
+        assert len(calls) == 2
+        assert first == second and first is not second
+        ra._az
+        ra._az
+        assert len(calls) == 3
+        ra.extract_az()
+        assert len(calls) == 4
+
+    def test_builder_reads_each_entry_once(self):
+        def entry(n, k):
+            return Fraction(catalog.binomial(n, k), k + 1)
+
+        reads = []
+        n_max = 12
+        route = harness._vertical_relation(
+            lambda n, k: reads.append((n, k)) or entry(n, k),
+            lambda n, k: ([1] * (n - k + 1), 1),
+            n_max,
+        )
+        for n in range(1, n_max + 1):
+            for k in range(1, n + 1):
+                want = sum(entry(n - j, k - 1) for j in range(1, n - k + 2))
+                assert route(n, k) == want, (n, k)
+        assert len(reads) == len(set(reads))
+        assert set(reads) == {(i, k) for k in range(n_max) for i in range(k, n_max)}
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("pascal-vertical-recursion", 0),
+            ("rook-vertical", 0),
+            ("laguerre-vertical", 0),
+            ("catalan-convolution", 1),
+            *((f"fuss-convolution-m{m}", 1) for m in range(1, 6)),
+        ],
+    )
+    def test_each_column_is_cleared_once_per_row(self, monkeypatch, name, extra):
+        # one _cleared per column k - 1 the row reads, and one for the
+        # weights of a convolution (the Bell pair's f)
+        calls = _counting(monkeypatch, harness, "_cleared")
+        row = next(row for row in harness._rows() if row[0] == name)
+        assert harness._check(*row).status == "verified"
+        n_max, k_policy = row[3:]
+        columns = {k - 1 for n in range(n_max + 1) for k in K_POLICIES[k_policy](n)}
+        assert len(calls) == len(columns) + extra

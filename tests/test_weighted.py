@@ -278,6 +278,21 @@ class TestCopies:
             ] == entries
 
 
+    def test_pair_state_is_its_fields(self):
+        ra = named_riordan("catalan_bell", 24)
+        before = pickle.dumps(ra)
+        x = c_transform(ra, WeightSeq.factorial(20), 20)
+        cells = [(n, k) for n in range(1, 20) for k in range(n + 1)]
+        entries = [horiz_recursion_C(x, n, k) for n, k in cells]
+        assert "_az" in vars(ra)
+        assert len(pickle.dumps(ra)) == len(before)
+        for clone in copy.copy(ra), copy.deepcopy(ra), pickle.loads(pickle.dumps(ra)):
+            assert clone == ra
+            assert vars(clone).keys() == {"g", "f"}
+            y = c_transform(clone, x.weight, 20)
+            assert [horiz_recursion_C(y, n, k) for n, k in cells] == entries
+
+
 class TestRecursions:
     def test_rook_horizontal_spot(self):
         x = generalized_rook(named_riordan("pascal", 16), 6)
