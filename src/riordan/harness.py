@@ -1,11 +1,14 @@
 """Engine for comparing two independently computed entry generators.
 
 Every numbered identity of the library is phrased as two closures
-(n, k) -> Fraction whose values must agree exactly over a finite index
-range.  The engine walks the range in lexicographic (n, k) order, stops
-at the first mismatch, and turns generator exceptions into an
+(n, k) -> int or Fraction whose values must agree exactly over a finite
+index range.  The engine walks the range in lexicographic (n, k) order,
+stops at the first mismatch, and turns generator exceptions into an
 "inconclusive" report rather than a silent pass.  There is no tolerance
-parameter: over the rationals equality is equality.
+parameter: two values agree when their exact ratios (as_integer_ratio)
+are equal, which skips Fraction's comparison through the numbers ABCs,
+and a value with no exact ratio (None, a str) is "inconclusive" at its
+(n, k), with a detail naming its type.
 
 The builtin suite is a table of identities: each row names an identity,
 gives its two described entry routes, the range n_max and the label of
@@ -25,6 +28,12 @@ which the closed forms and the series rows run on.  The Fuss series route
 and 1 + t F_m^m read tables of cleared powers (series._powers), one
 Fraction per compared entry.  The weighted rows clear each base pair's
 A and Z once (RiordanPair._az), however many weights it meets.
+The budget per compared entry, once a row's inputs are built, is at most
+one Fraction normalisation per route and no Fraction arithmetic: the
+Pascal binomial and the 0/1 rows are ints, the rook and Laguerre
+recursions are one Fraction of an integer expression in the closed
+forms' numerators and denominators, the expansion row compares cleared
+integers, and each vertical row's weights are built once per row.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from . import catalog
@@ -67,7 +78,7 @@ class EntryGenerator:
     """A described closure over some module's entry computation."""
 
     description: str
-    eval: Callable[[int, int], Fraction]
+    eval: Callable[[int, int], Fraction | int]
 
 
 @dataclass(frozen=True)
@@ -133,10 +144,25 @@ def verify(
                 right = rhs.eval(n, k)
             except Exception as exc:  # noqa: BLE001 - reported, never swallowed
                 return report("inconclusive", detail=f"at ({n},{k}): {exc!r}")
-            if left != right:
+            try:  # Fraction's own != goes through the numbers ABCs
+                differ = left.as_integer_ratio() != right.as_integer_ratio()
+            except Exception:  # noqa: BLE001 - None, a str, a NaN: nothing exact
+                detail = _no_ratio((lhs, left), (rhs, right))
+                return report("inconclusive", detail=f"at ({n},{k}): {detail}")
+            if differ:
                 ce = Counterexample(n, k, str(left), str(right))
                 return report("counterexample", ce)
     return report("verified")
+
+
+def _no_ratio(*sides: tuple[EntryGenerator, object]) -> str:
+    """Name the first route whose value has no exact ratio, and its type."""
+    for gen, value in sides:
+        try:
+            value.as_integer_ratio()
+        except Exception:  # noqa: BLE001
+            break
+    return f"{gen.description!r} gave a {type(value).__name__}, not an exact ratio"
 
 
 def exit_code(reports: list[VerificationReport]) -> int:
@@ -154,7 +180,7 @@ def exit_code(reports: list[VerificationReport]) -> int:
 # rhs are (description, eval) pairs: two independent routes to the same
 # entries.  The k_policy labels are part of the report format.
 
-_EXPECTED = ("expected", lambda n, k: Fraction(1))
+_EXPECTED = ("expected", lambda n, k: 1)
 
 
 def _vertical_relation(
@@ -239,7 +265,7 @@ def _fuss_functional_row(m: int, prec: int = 40) -> tuple:
 def _transform_rows(tag: str, base: Callable, w, n_max: int) -> Iterator[tuple]:
     """The horizontal and vertical rows of one base pair and one weight."""
     x = cache(lambda: c_transform(base(), w, n_max + 1))
-    direct = (f"{w.kind}-transform entries", lambda n, k: x().entries.entry(n, k))
+    direct = (f"{w.kind}-transform entries", lambda n, k: x().entries.rows[n][k])
     horiz = ("weighted A/Z recursion", lambda n, k: horiz_recursion_C(x(), n, k))
     vert = ("weighted vertical recursion", lambda n, k: vert_recursion_C(x(), n, k))
     yield f"{w.kind}-horizontal-{tag}", direct, horiz, n_max, "0 <= k <= n, n >= 1"
@@ -268,10 +294,10 @@ def _rows() -> Iterator[tuple]:
     """The builtin identities in report order, each built just before use."""
     # One memo per closed form per suite run: the routes re-read arguments.
     choose = cache(catalog.binomial)
-    binomial = ("binomial(n,k)", lambda n, k: Fraction(choose(n, k)))
+    binomial = ("binomial(n,k)", choose)
     binomial_vertical = (
         "sum_{j=1}^{n-k+1} binomial(n-j,k-1)",
-        _vertical_relation(choose, lambda n, k: ([1] * (n - k + 1), 1), 50),
+        _vertical_relation(choose, lambda n, k: (repeat(1), 1), 50),
     )
     yield "pascal-vertical-recursion", binomial, binomial_vertical, 50, "1 <= k <= n"
     for m in range(1, 6):
@@ -287,7 +313,7 @@ def _rows() -> Iterator[tuple]:
     for name in catalog.CORPUS_NAMES:
         holds = (
             "factorization holds",
-            lambda n, k, p=name: Fraction(int(factorization_check(corpus()[p], 24))),
+            lambda n, k, p=name: int(factorization_check(corpus()[p], 24)),
         )
         yield f"quasi-factorization-{name}", holds, _EXPECTED, 0, "k = 0"
     yield from _closed_form_rows()
@@ -295,74 +321,100 @@ def _rows() -> Iterator[tuple]:
 
 
 def _closed_form_rows() -> list[tuple]:
-    """The rook and Laguerre recursions against their closed forms."""
+    """The rook and Laguerre recursions against their closed forms.
+
+    Each recursion route is one Fraction of an integer expression in the
+    closed forms' numerators and denominators, and each vertical row
+    builds its weights once per n (rook) or n - k (Laguerre).
+    """
     # One memo per suite run: the routes read the same (n, k) many times.
     rook_entry = cache(catalog.rook_entry)
     laguerre_entry = cache(catalog.laguerre_entry)
-    rook = ("rook entry r_{n,k}", lambda n, k: rook_entry(n, k))
-    rook_horizontal = (
-        "n r_{n-1,k} + (n/k) r_{n-1,k-1}",
-        lambda n, k: n * (rook_entry(n - 1, k) if k <= n - 1 else Fraction(0))
-        + Fraction(n, k) * rook_entry(n - 1, k - 1),
-    )
-    rook0 = ("r_{n,0}", lambda n, k: rook_entry(n, 0))
-    rook0_recursion = (
-        "n r_{n-1,0}",
-        lambda n, k: Fraction(n) * rook_entry(n - 1, 0) if n >= 1 else Fraction(1),
-    )
+    remainder = cache(remainder_entry)
 
-    def rook_weights(n: int, k: int) -> tuple[list[int], int]:  # (n)_j over k
-        return [math.perm(n, j) for j in range(1, n - k + 2)], k
+    def scaled(p: int, q: int, x: Fraction) -> Fraction:  # (p/q) x
+        a, b = x.as_integer_ratio()
+        return Fraction(p * a, q * b)
 
-    rook_vertical = (
-        "sum_j ((n)_j / k) r_{n-j,k-1}",
-        _vertical_relation(rook_entry, rook_weights, 30),
-    )
-    lag = ("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
-    lag_horizontal = (
-        "L_{n-1,k-1} - (1/(n-k)) L_{n-1,k}",
-        lambda n, k: laguerre_entry(n - 1, k - 1)
-        - Fraction(1, n - k) * laguerre_entry(n - 1, k),
-    )
-    lag0 = ("L_{n,0}", lambda n, k: laguerre_entry(n, 0))
-    lag0_recursion = (
-        "-(1/n) L_{n-1,0}",
-        lambda n, k: -Fraction(1, n) * laguerre_entry(n - 1, 0)
-        if n >= 1
-        else Fraction(1),
-    )
+    def rook_sum(n: int, k: int) -> Fraction:  # n a + (n/k) b
+        a, da = rook_entry(n - 1, k).as_integer_ratio() if k <= n - 1 else (0, 1)
+        b, db = rook_entry(n - 1, k - 1).as_integer_ratio()
+        return Fraction(n * (k * a * db + b * da), k * da * db)
 
-    def lag_weights(n: int, k: int) -> tuple[list[int], int]:
-        m = n - k  # (-1)^(j-1) (m-j+1)! over m!, j = 1..m+1
+    def lag_difference(n: int, k: int) -> Fraction:  # a - b / (n-k)
+        a, da = laguerre_entry(n - 1, k - 1).as_integer_ratio()
+        b, db = laguerre_entry(n - 1, k).as_integer_ratio()
+        return Fraction((n - k) * a * db - b * da, (n - k) * da * db)
+
+    @cache
+    def falling(n: int) -> list[int]:  # (n)_1, ..., (n)_n
+        return list(accumulate(range(n, 0, -1), mul))
+
+    @cache
+    def lag_weights(m: int) -> tuple[list[int], int]:
+        # (-1)^(j-1) (m-j+1)! over m!, j = 1..m+1, for m = n - k
         w = [(-1) ** i * math.factorial(m - i) for i in range(m + 1)]
         return w, math.factorial(m)
 
+    rook = ("rook entry r_{n,k}", lambda n, k: rook_entry(n, k))
+    rook_horizontal = ("n r_{n-1,k} + (n/k) r_{n-1,k-1}", rook_sum)
+    rook0 = ("r_{n,0}", lambda n, k: rook_entry(n, 0))
+    rook0_recursion = (
+        "n r_{n-1,0}",
+        lambda n, k: scaled(n, 1, rook_entry(n - 1, 0)) if n >= 1 else 1,
+    )
+    rook_vertical = (
+        "sum_j ((n)_j / k) r_{n-j,k-1}",
+        _vertical_relation(rook_entry, lambda n, k: (falling(n), k), 30),
+    )
+    lag = ("Laguerre entry L_{n,k}", lambda n, k: laguerre_entry(n, k))
+    lag_horizontal = ("L_{n-1,k-1} - (1/(n-k)) L_{n-1,k}", lag_difference)
+    lag0 = ("L_{n,0}", lambda n, k: laguerre_entry(n, 0))
+    lag0_recursion = (
+        "-(1/n) L_{n-1,0}",
+        lambda n, k: scaled(-1, n, laguerre_entry(n - 1, 0)) if n >= 1 else 1,
+    )
     lag_vertical = (
         "(1/(n-k)!) sum_j (-1)^(j-1) (n-k-j+1)! L_{n-j,k-1}",
-        _vertical_relation(laguerre_entry, lag_weights, 30),
+        _vertical_relation(laguerre_entry, lambda n, k: lag_weights(n - k), 30),
     )
+
+    small = 12  # n_max of the expansion, remainder and duality rows
+
+    @cache
+    def remainder_column(j: int) -> tuple[list[int], int]:
+        # E_{i,j}, i = max(j-1, 0)..small: all that the expansion row reads
+        return _cleared([remainder(i, j) for i in range(max(j - 1, 0), small + 1)])
+
+    def expansion_holds(n: int, k: int) -> int:
+        # r_{n+1,j} - [j = 0] = a / da against the first n + 2 - max(j, 1)
+        # entries of column j of E, compared cross-multiplied
+        for j in range(n + 2):
+            a, da = rook_entry(n + 1, j).as_integer_ratio()
+            e, de = remainder_column(j)
+            if (a - (j == 0) * da) * de != sum(e[: n + 2 - max(j, 1)]) * da:
+                return 0
+        return 1
+
+    def rook_remainder_sum(n: int, k: int) -> Fraction:
+        a, da = rook_entry(n, k).as_integer_ratio() if k <= n else (0, 1)
+        b, db = remainder(n, k).as_integer_ratio()
+        return Fraction(a * db + b * da, da * db)
+
     expansion = (
         "fact (ii) at x^(n+1-j): r_{n+1,j} = [j = 0] + sum_{i>=j-1} E_{i,j}, all j",
-        lambda n, k: Fraction(int(all(
-            rook_entry(n + 1, j) - (j == 0)
-            == sum(remainder_entry(i, j) for i in range(max(j - 1, 0), n + 1))
-            for j in range(n + 2)
-        ))),
+        expansion_holds,
     )
     rook_next = ("r_{n+1,k}", lambda n, k: rook_entry(n + 1, k))
-    rook_plus_remainder = (
-        "r_{n,k} + E_{n,k}",
-        lambda n, k: (rook_entry(n, k) if k <= n else Fraction(0))
-        + remainder_entry(n, k),
-    )
+    rook_plus_remainder = ("r_{n,k} + E_{n,k}", rook_remainder_sum)
     rook_reversed = ("r_{n,n-k}", lambda n, k: rook_entry(n, n - k))
     lag_scaled = (
         "(-1)^(n-k) n! L_{n,k}",
-        lambda n, k: Fraction((-1) ** (n - k))
-        * math.factorial(n)
-        * laguerre_entry(n, k),
+        lambda n, k: scaled(
+            (-1) ** (n - k) * math.factorial(n), 1, laguerre_entry(n, k)
+        ),
     )
-    positive, full, past_diag = "1 <= k <= n, n >= 1", "0 <= k <= n", "0 <= k <= n+1"
+    positive, full, past = "1 <= k <= n, n >= 1", "0 <= k <= n", "0 <= k <= n+1"
     return [
         ("rook-horizontal", rook, rook_horizontal, 30, positive),
         ("rook-column0", rook0, rook0_recursion, 30, "k = 0"),
@@ -370,9 +422,9 @@ def _closed_form_rows() -> list[tuple]:
         ("laguerre-horizontal", lag, lag_horizontal, 30, "1 <= k <= n-1"),
         ("laguerre-column0", lag0, lag0_recursion, 30, "k = 0"),
         ("laguerre-vertical", lag, lag_vertical, 30, positive),
-        ("rook-expansion", expansion, _EXPECTED, 12, "k = 0"),
-        ("rook-remainder-consistency", rook_next, rook_plus_remainder, 12, past_diag),
-        ("rook-laguerre-duality-classical", rook_reversed, lag_scaled, 12, full),
+        ("rook-expansion", expansion, _EXPECTED, small, "k = 0"),
+        ("rook-remainder-consistency", rook_next, rook_plus_remainder, small, past),
+        ("rook-laguerre-duality-classical", rook_reversed, lag_scaled, small, full),
     ]
 
 

@@ -13,7 +13,8 @@ integer columns and their denominators, so each entry rho(n,k) d_{n,k} is
 normalised once, as one Fraction.  Copies and pickles carry the fields
 alone; the cached tables rebuild on first read.  Each recursion is
 rho(n,k) times a linear Riordan step on the unweighted entries
-d = xhat/rho of the weighted triangle itself: the A/Z step on row n-1
+d = xhat/rho of the weighted triangle itself (each d one Fraction of the
+cross-multiplied numerators and denominators): the A/Z step on row n-1
 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1} (vert_recursion_C), each one
 integer dot product over inputs cleared to one denominator on first use
 (rows and columns of d, A, Z and f; a transform that is never recursed on
@@ -140,7 +141,10 @@ class WeightedTriangle:
     @cached_property
     def _d(self) -> list[list[Fraction]]:  # d = xhat / rho, off the entries
         return [
-            [v / r for v, r in zip(row, rho)]
+            [
+                Fraction(v.numerator * r.denominator, v.denominator * r.numerator)
+                for v, r in zip(row, rho)
+            ]
             for row, rho in zip(self.entries.rows, self.weight.rho)
         ]
 

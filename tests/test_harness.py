@@ -2,12 +2,13 @@
 
 import inspect
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from riordan import RiordanPair, catalog, group, harness
+from riordan import RiordanPair, catalog, group, harness, series
 from riordan.harness import (
     K_POLICIES,
     Counterexample,
@@ -114,6 +115,36 @@ class TestVerify:
         a = verify("same", binom_gen(), binom_gen(), 8)
         b = verify("same", binom_gen(), binom_gen(), 8)
         assert a == b  # seconds excluded from comparison
+
+
+class TestExactRatios:
+    """verify compares exact ratios, so a route may return an int or a Fraction."""
+
+    def test_int_route_against_equal_fraction_route(self):
+        ints = EntryGenerator("binomial", math.comb)
+        assert verify("mixed", ints, binom_gen(), 12).status == "verified"
+        assert verify("mixed", binom_gen(), ints, 12).status == "verified"
+
+    def test_mismatch_keeps_the_strings(self):
+        lhs = EntryGenerator("four", lambda n, k: 4)
+        rhs = EntryGenerator("third", lambda n, k: Fraction(1, 3))
+        r = verify("mismatch", lhs, rhs, 3)
+        assert r.status == "counterexample"
+        assert r.counterexample == Counterexample(0, 0, "4", "1/3")
+        half = EntryGenerator("half", lambda n, k: Fraction(1, 2))
+        assert verify("same numerator", rhs, half, 0).status == "counterexample"
+
+    @pytest.mark.parametrize(
+        "value, kind", [(None, "NoneType"), ("1/3", "str"), (float("nan"), "float")]
+    )
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_value_with_no_exact_ratio_is_inconclusive(self, value, kind, side):
+        odd = EntryGenerator("odd", lambda n, k: value if (n, k) == (2, 1) else n)
+        plain = EntryGenerator("plain", lambda n, k: n)
+        lhs, rhs = (odd, plain) if side == "lhs" else (plain, odd)
+        r = verify("odd", lhs, rhs, 4)
+        assert r.status == "inconclusive"
+        assert r.detail == f"at (2,1): 'odd' gave a {kind}, not an exact ratio"
 
 
 class TestExitCode:
@@ -342,3 +373,97 @@ class TestOneBuildPerInput:
         n_max, k_policy = row[3:]
         columns = {k - 1 for n in range(n_max + 1) for k in K_POLICIES[k_policy](n)}
         assert len(calls) == len(columns) + extra
+
+
+# -- the closed-form routes against the paper's formulas ------------------------
+
+# Each closed form is read through a scale, so that the routes also meet
+# denominators where the paper's entries have none.  A scale by column
+# with c_0 = 1 keeps the expansion and remainder identities true.
+SCALES = {
+    "paper": lambda n, k: 1,
+    "by-column": lambda n, k: Fraction(k + 1, 2 * k + 1),
+    "by-entry": lambda n, k: Fraction(-1, n + k + 2),
+}
+
+
+def formulas(r, lag, e):
+    """The rows' recursions in plain Fraction arithmetic, one term at a time."""
+
+    def r0(n, k):  # r_{n,k}, 0 past the diagonal
+        return r(n, k) if k <= n else Fraction(0)
+
+    def expansion(n, k):
+        return Fraction(int(all(
+            r(n + 1, j) - (j == 0)
+            == sum((e(i, j) for i in range(max(j - 1, 0), n + 1)), Fraction(0))
+            for j in range(n + 2)
+        )))
+
+    return {
+        "rook-horizontal": lambda n, k: n * r0(n - 1, k)
+        + Fraction(n, k) * r(n - 1, k - 1),
+        "rook-column0": lambda n, k: n * r(n - 1, 0) if n else Fraction(1),
+        "laguerre-horizontal": lambda n, k: lag(n - 1, k - 1)
+        - Fraction(1, n - k) * lag(n - 1, k),
+        "laguerre-column0": lambda n, k: -Fraction(1, n) * lag(n - 1, 0)
+        if n
+        else Fraction(1),
+        "rook-expansion": expansion,
+        "rook-remainder-consistency": lambda n, k: r0(n, k) + e(n, k),
+        "rook-laguerre-duality-classical": lambda n, k: (-1) ** (n - k)
+        * math.factorial(n)
+        * lag(n, k),
+    }
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", formulas(None, None, None))
+def test_closed_form_route_matches_the_papers_formula(monkeypatch, name, scale):
+    forms = {}
+    for owner, attr in ((catalog, "rook_entry"), (catalog, "laguerre_entry"),
+                        (harness, "remainder_entry")):
+        form = getattr(owner, attr)
+        forms[attr] = lambda n, k, form=form: form(n, k) * SCALES[scale](n, k)
+        monkeypatch.setattr(owner, attr, forms[attr])
+    formula = formulas(*forms.values())[name]
+    row = next(row for row in harness._closed_form_rows() if row[0] == name)
+    lhs, rhs, n_max, k_policy = row[1:]
+    route = (lhs if rhs is harness._EXPECTED else rhs)[1]
+    walked = [(n, k) for n in range(n_max + 1) for k in K_POLICIES[k_policy](n)]
+    assert len(walked) >= n_max + 1
+    for n, k in walked:
+        assert route(n, k) == formula(n, k), (n, k)
+    if name == "rook-expansion" and scale != "by-entry":
+        assert all(formula(n, k) == 1 for n, k in walked)
+
+
+def test_compared_entries_do_no_fraction_arithmetic(monkeypatch):
+    # Once every input of a row is built, each compared entry is at most
+    # one Fraction normalisation per route, and the comparison none.
+    rows = list(harness._rows())
+    assert all(harness._check(*row).status == "verified" for row in rows)
+
+    def raising(*args):
+        raise RuntimeError("Fraction arithmetic on a compared entry")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", raising)
+        monkeypatch.setattr(Fraction, f"__r{op}__", raising)
+    for op in ("__neg__", "__pow__", "__eq__"):
+        monkeypatch.setattr(Fraction, op, raising)
+    reports = [harness._check(*row) for row in rows]
+    assert [(r.name, r.detail) for r in reports if r.status != "verified"] == []
+
+
+def test_closed_form_rows_use_no_triangle_or_series_kernel(monkeypatch):
+    def raising(*args):
+        raise RuntimeError("a closed-form route must not use the pair or the kernel")
+
+    for owner, name in ((series, "_kmul"), (series, "_to_ints"), (harness, "_to_ints"),
+                        (RiordanPair, "triangle"), (RiordanPair, "triangle_closed")):
+        monkeypatch.setattr(owner, name, raising)
+    closed = ("pascal-", "rook-", "laguerre-")
+    rows = [row for row in harness._rows() if row[0].startswith(closed)]
+    assert len(rows) == 10
+    assert [harness._check(*row).status for row in rows] == ["verified"] * 10

@@ -21,7 +21,10 @@ The file holds, for the checkout this script sits in:
   with the result's digest;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
-  (CPU time scaled to the reference speed of ``bench/common.calibrate``);
+  (CPU time scaled to the reference speed of ``bench/common.calibrate``),
+  with the number of entries the family compares (counted from each
+  row's ``n_max`` and k-policy in ``harness.K_POLICIES``) and its
+  reference time per entry in us, the row inputs' construction included;
 - ``workloads`` (L5): the JSON line of ``bench/run.py --workload W
   --seed 1 --seconds 15 --trace 0`` for each of the three workloads.
 
@@ -88,8 +91,11 @@ cal = calibrate()
 start = time.thread_time()
 reports = harness.builtin_suite()
 total = time.thread_time() - start
+entries = {r.name: sum(len(harness.K_POLICIES[r.k_policy](n))
+                      for n in range(r.n_max + 1)) for r in reports}
 print(json.dumps({"calibration_s": (cal + calibrate()) / 2, "total_s": total,
-                  "rows": {r.name: r.seconds for r in reports}}))
+                  "rows": {r.name: r.seconds for r in reports},
+                  "entries": entries}))
 """
 
 
@@ -117,17 +123,20 @@ def suite_point(processes: int = SUITE_PROCESSES) -> dict:
 
     scales = [CAL_REF_S / run["calibration_s"] for run in runs]
 
-    def summary(times: list[float]) -> dict:
-        scaled = [t * s for t, s in zip(times, scales)]
+    def summary(times: list[float], entries: int) -> dict:
+        scaled = median([t * s for t, s in zip(times, scales)])
         return {"cpu_ms": round(median(times) * 1e3, 1),
-                "reference_ms": round(median(scaled) * 1e3, 1)}
+                "reference_ms": round(scaled * 1e3, 1),
+                "entries": entries,
+                "reference_us_per_entry": round(scaled * 1e6 / entries, 2)}
 
     families = {
         label: {"rows": len(names)}
-        | summary([sum(run["rows"][n] for n in names) for run in runs])
+        | summary([sum(run["rows"][n] for n in names) for run in runs],
+                  sum(runs[0]["entries"][n] for n in names))
         for label, names in rows.items()
     }
-    total = summary([run["total_s"] for run in runs])
+    total = summary([run["total_s"] for run in runs], sum(runs[0]["entries"].values()))
     return {"processes": processes, "total": total, "families": families}
 
 
