@@ -42,7 +42,7 @@ class RiordanError(SeriesError):
 
 def _fields_state(self) -> dict:
     # Copies and pickles carry the fields alone; the cached tables (A/Z
-    # cleared, rho, _d, _d_rows, ...) rebuild from them on first read.
+    # cleared, rho, _d_rows, _d_cols, ...) rebuild from them on first read.
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

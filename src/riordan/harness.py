@@ -21,16 +21,19 @@ The paper's vertical relation d_{n,k} = sum_j f_j d_{n-j,k-1} has one
 builder, _vertical_relation: it puts a closed form through given weights,
 clearing each column k-1 of the closed form once per row to integer
 numerators over one denominator (matrices._cleared), so each entry is one
-matrices._dot and one Fraction, as in the weighted recursions.  The
+integer dot product, returned as an int when the weights' and the
+column's denominators are both 1 and as one Fraction otherwise.  The
 Pascal, rook and Laguerre vertical rows and the convolutions (the Bell
 pair's case, _convolution) come from it; none uses the series kernel,
 which the closed forms and the series rows run on.  The Fuss series route
-and 1 + t F_m^m read tables of cleared powers (series._powers), one
-Fraction per compared entry.  The weighted rows clear each base pair's
+and 1 + t F_m^m read tables of cleared powers (series._powers); the
+series route's entries are ints, as its table's denominator is 1, and
+1 + t F_m^m's one Fraction each.  The weighted rows clear each base pair's
 A and Z once (RiordanPair._az), however many weights it meets.
 The budget per compared entry, once a row's inputs are built, is at most
 one Fraction normalisation per route and no Fraction arithmetic: the
-Pascal binomial and the 0/1 rows are ints, the rook and Laguerre
+Pascal binomial, its vertical relation, the convolutions, the Fuss
+series route and the 0/1 rows are ints, the rook and Laguerre
 recursions are one Fraction of an integer expression in the closed
 forms' numerators and denominators, the expansion row compares cleared
 integers, and each vertical row's weights are built once per row.
@@ -50,7 +53,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import catalog
 from .catalog import catalan_power_coeff, fuss_power_coeff, remainder_entry
-from .matrices import _cleared, _dot
+from .matrices import _cleared
 from .quasi import factorization_check
 from .series import Series, _powers, _to_ints
 from .weighted import (
@@ -193,17 +196,20 @@ def _vertical_relation(
 
     Column k-1 of the closed form, rows k-1..n_max-1 (all that rows up to
     n_max read), is built once per row as integer numerators over one
-    denominator (matrices._cleared), so each entry is one matrices._dot;
-    weights past w_(n-k+1) are not read.  n_max must be the row's own.
+    denominator (matrices._cleared), so each entry is one integer dot
+    product: an int when den and the column's denominator are both 1, one
+    Fraction otherwise.  Weights past w_(n-k+1) are not read.  n_max must
+    be the row's own.
     """
 
     @cache
     def column(k: int) -> tuple[list[int], int]:
         return _cleared([entry(i, k) for i in range(k, n_max)])
 
-    def route(n: int, k: int) -> Fraction:
-        c, dc = column(k - 1)
-        return _dot(weights(n, k), (reversed(c[: n - k + 1]), dc))
+    def route(n: int, k: int) -> Fraction | int:
+        (w, dw), (c, dc) = weights(n, k), column(k - 1)
+        s, den = sum(map(mul, w, reversed(c[: n - k + 1]))), dw * dc
+        return s if den == 1 else Fraction(s, den)
 
     return route
 
@@ -230,9 +236,9 @@ def _fuss_rows(m: int, n_max: int = 25) -> list[tuple]:
         fm = _to_ints(catalog.fuss_series(m, n_max).coeffs)
         return _powers(fm, n_max + 1, n_max + 1)
 
-    def power_entry(n: int, k: int) -> Fraction:  # [t^(n-k)] F_m^(k+1)
+    def power_entry(n: int, k: int) -> Fraction | int:  # [t^(n-k)] F_m^(k+1)
         nums, den = powers()[k + 1]
-        return Fraction(nums[n - k], den)
+        return nums[n - k] if den == 1 else Fraction(nums[n - k], den)
 
     coeff = cache(partial(fuss_power_coeff, m))  # one memo per suite run
     closed = ("[t^(n-k)] F_m^(k+1), closed form", lambda n, k: coeff(n - k, k + 1))

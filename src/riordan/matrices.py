@@ -26,8 +26,9 @@ def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     recursion clears with this one, so that it shares no code with the
     closed form it is checked against.
     """
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _columns(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

@@ -153,8 +153,9 @@ _Cleared = tuple[list[int], int]  # integer numerators over one denominator
 
 def _to_ints(coeffs: Sequence[Fraction]) -> _Cleared:
     """Integer numerators over the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _from_ints(nums: Iterable[int], den: int) -> "Series":

@@ -5,20 +5,22 @@ array's entries d_{n,k} to xhat_{n,k} = rho(n,k) d_{n,k}, with the weight
 ratio rho(n,k) = c_{n,n}/c_{n,k}.  A (c)-weight, the sequence c (c_0 = 1),
 is the (C)-table c_{n,k} = c_k (WeightSeq is a WeightTri built from its
 rows), where rho(n,k) = c_n/c_k.  So one class validates a weight and holds
-its rho table (rho, built on first read and shared by every transform and
-recursion over that weight), and one transform multiplies the triangle by
+its rho table (rho, each ratio one Fraction of cross-multiplied integers,
+built on first read and shared by every transform and recursion over that
+weight), and one transform multiplies the triangle by
 it entrywise (c_transform takes either kind; C_transform is the same map
 under the paper's name).  The transform reads the vertical recursion's
 integer columns and their denominators, so each entry rho(n,k) d_{n,k} is
 normalised once, as one Fraction.  Copies and pickles carry the fields
 alone; the cached tables rebuild on first read.  Each recursion is
 rho(n,k) times a linear Riordan step on the unweighted entries
-d = xhat/rho of the weighted triangle itself (each d one Fraction of the
-cross-multiplied numerators and denominators): the A/Z step on row n-1
+d = xhat/rho of the weighted triangle itself: the A/Z step on row n-1
 (horiz_recursion_C) or sum_j f_j d_{n-j,k-1} (vert_recursion_C), each one
 integer dot product over inputs cleared to one denominator on first use
 (rows and columns of d, A, Z and f; a transform that is never recursed on
-pays nothing for them).  A and Z are cleared once per base pair
+pays nothing for them).  No d is a Fraction: for xhat = a/b and rho = c/e
+each row or column of d is the integers a e over the lcm of its b c
+(_quotients).  A and Z are cleared once per base pair
 (RiordanPair._az), so transforms of one base under several weights
 extract them once.  rho(n,k) scales the integer sum and its
 denominator, so there is one Fraction per recursion entry, as per
@@ -41,6 +43,8 @@ from typing import Sequence
 from .group import RiordanPair, _az_step, _fields_state
 from .matrices import Triangle, _cleared, _columns
 from .series import PrecisionError, Rat, _rat
+
+_ratio = Fraction.as_integer_ratio
 
 
 class WeightError(ValueError):
@@ -75,7 +79,11 @@ class WeightTri:
     @cached_property
     def rho(self) -> tuple[tuple[Fraction, ...], ...]:
         """rho(i, j) = c_{i,i} / c_{i,j} for 0 <= j <= i < len, built once."""
-        return tuple(tuple(r[i] / v for v in r) for i, r in enumerate(self.rows))
+        rho = []
+        for i, r in enumerate(self.rows):  # each ratio one Fraction
+            c, e = r[i].as_integer_ratio()
+            rho.append(tuple(Fraction(c * b, e * a) for a, b in map(_ratio, r)))
+        return tuple(rho)
 
     @classmethod
     def laguerre(cls, n: int) -> "WeightTri":
@@ -139,25 +147,20 @@ class WeightedTriangle:
         return self.entries.n
 
     @cached_property
-    def _d(self) -> list[list[Fraction]]:  # d = xhat / rho, off the entries
-        return [
-            [
-                Fraction(v.numerator * r.denominator, v.denominator * r.numerator)
-                for v, r in zip(row, rho)
-            ]
-            for row, rho in zip(self.entries.rows, self.weight.rho)
-        ]
+    def _reach(self) -> int:  # the recursions define rows 1 .. _reach - 1
+        return min(len(self.weight), self.n + 1)
 
     # The recursions' inputs as integer numerators over one denominator
-    # each (matrices._cleared), built on first use.
+    # each, built on first use: d = xhat / rho off the entries (_quotients).
 
     @cached_property
     def _d_rows(self) -> list[tuple[list[int], int]]:  # for the A/Z step
-        return [_cleared(row) for row in self._d]
+        return list(map(_quotients, self.entries.rows, self.weight.rho))
 
     @cached_property
     def _d_cols(self) -> list[tuple[list[int], int]]:  # column k from row k
-        return [_cleared(col) for col in _columns(self._d)]
+        rho = _columns(self.weight.rho[: self.n])
+        return list(map(_quotients, _columns(self.entries.rows), rho))
 
     @cached_property
     def _az(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
@@ -170,6 +173,20 @@ class WeightedTriangle:
         return _cleared(self.base.f.coeffs)
 
 
+def _quotients(
+    xs: Sequence[Fraction], rs: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """x_i / r_i as integer numerators over one positive denominator.
+
+    Each quotient is (a e) / (b c) for x_i = a/b and r_i = c/e, unreduced;
+    the denominator is the lcm of the b c, which is positive, so a negative
+    c puts its sign into the numerator through den // (b c).
+    """
+    pq = [(a * e, b * c) for (a, b), (c, e) in zip(map(_ratio, xs), map(_ratio, rs))]
+    den = math.lcm(*(q for _, q in pq))
+    return [p * (den // q) for p, q in pq], den
+
+
 def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
     """The first n rows of rho(n, k) d_{n,k}, with rho = c.rho."""
     if len(c) < n:
@@ -177,8 +194,8 @@ def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
     cols, dens = ra._vertical(n)
     rows = [
         [
-            Fraction(r.numerator * cols[k][i - k], r.denominator * dens[k])
-            for k, r in enumerate(rho)
+            Fraction(p * cols[k][i - k], q * dens[k])
+            for k, (p, q) in enumerate(map(_ratio, rho))
         ]
         for i, rho in enumerate(c.rho[:n])
     ]
@@ -209,10 +226,10 @@ def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     base pair's own extract_az.  Row n = x.n is defined when the weight
     reaches index n.
     """
-    if not (0 <= k <= n and 1 <= n < min(len(x.weight), x.n + 1)):
+    if not (0 <= k <= n and 1 <= n < x._reach):
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
-    r, (s, den) = x.weight.rho[n][k], _az_step(*x._az, x._d_rows[n - 1], k)
-    return Fraction(r.numerator * s, r.denominator * den)
+    (p, q), (s, den) = _ratio(x.weight.rho[n][k]), _az_step(*x._az, x._d_rows[n - 1], k)
+    return Fraction(p * s, q * den)
 
 
 def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
@@ -223,13 +240,13 @@ def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
     cleared f with column k-1 of d.  Reading f past its precision raises
     PrecisionError.
     """
-    if not 1 <= k <= n < min(len(x.weight), x.n + 1):
+    if not 1 <= k <= n < x._reach:
         raise WeightError(f"entry ({n},{k}) not defined by the vertical recursion")
     (f, df), (d, dd), m = x._f, x._d_cols[k - 1], n - k + 1
     if m >= len(f):
         raise PrecisionError(f"coefficient {m} beyond precision {len(f) - 1}")
-    r, s = x.weight.rho[n][k], sum(map(mul, f[1 : m + 1], reversed(d[:m])))
-    return Fraction(r.numerator * s, r.denominator * df * dd)
+    (p, q), s = _ratio(x.weight.rho[n][k]), sum(map(mul, f[1 : m + 1], reversed(d[:m])))
+    return Fraction(p * s, q * df * dd)
 
 
 # -- generalized rook and Laguerre triangles ----------------------------------

@@ -467,3 +467,25 @@ def test_closed_form_rows_use_no_triangle_or_series_kernel(monkeypatch):
     rows = [row for row in harness._rows() if row[0].startswith(closed)]
     assert len(rows) == 10
     assert [harness._check(*row).status for row in rows] == ["verified"] * 10
+
+
+def test_integer_valued_routes_return_ints():
+    # A route over a denominator of 1 returns its integer sum; one over a
+    # larger denominator (rook: k, Laguerre: (n-k)! in the weights) stays
+    # an exact Fraction, however the sum divides.
+    rows = {row[0]: row for row in harness._rows()}
+
+    def types(name, wanted=lambda n, k: True):
+        _, _, (_, route), n_max, k_policy = rows[name]
+        return {
+            type(route(n, k)) for n in range(n_max + 1)
+            for k in K_POLICIES[k_policy](n) if wanted(n, k)
+        }
+
+    ints = ["pascal-vertical-recursion", "catalan-convolution"]
+    for m in range(1, 6):
+        ints += [f"fuss-convolution-m{m}", f"fuss-series-coefficients-m{m}"]
+    assert {name: types(name) for name in ints} == {name: {int} for name in ints}
+    assert types("rook-vertical", lambda n, k: k >= 2) == {Fraction}
+    assert types("laguerre-vertical", lambda n, k: n - k >= 2) == {Fraction}
+    assert all(harness._check(*rows[name]).status == "verified" for name in ints)

@@ -1,6 +1,7 @@
 """Weighted Riordan classes: (c)-sequences, (C)-triangles, recursions, duality."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from riordan import (
     rook_laguerre_duality,
     vert_recursion_C,
 )
-from riordan import group, series, weighted
+from riordan import group, matrices, series, weighted
 from riordan.catalog import corpus, named_riordan, random_pair
 
 F = Fraction
@@ -242,6 +243,39 @@ class TestRecursionArithmetic:
                 assert type(got) is F and got == rho[n][k] * s, (n, k)
 
 
+class TestClearedInputs:
+    """The recursions read d = xhat / rho, row by row (_d_rows) and column
+    by column (_d_cols), as integers over one positive denominator each,
+    built from the entries and rho with no Fraction per d."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: WeightTri.laguerre(20),  # rho = (-1)^(n-k) / (n-k)!
+            lambda rng: random_weight_with_fractional_negative_diagonal(rng, 21),
+        ],
+        ids=["laguerre", "random-C"],
+    )
+    def test_cleared_d_matches_plain_fractions(self, make):
+        rng = random.Random(34)
+        ra = random_pair(rng, 24)
+        w = make(rng)
+        x = c_transform(ra, w, 20)
+        rho = [[row[i] / v for v in row] for i, row in enumerate(w.rows)]
+        assert list(map(list, w.rho)) == rho
+        assert any(r < 0 and r.denominator > 1 for row in rho for r in row)
+        d = [[v / r for v, r in zip(row, rr)] for row, rr in zip(x.entries.rows, rho)]
+        assert any(v < 0 and v.denominator > 1 for row in d for v in row)
+        cols = [[row[k] for row in d[k:]] for k in range(len(d))]
+        for got, want in ((x._d_rows, d), (x._d_cols, cols)):
+            assert len(got) == len(want) == 20
+            for (nums, den), plain in zip(got, want):
+                assert den > 0
+                assert [F(v, den) for v in nums] == plain
+                g = math.gcd(den, *nums)  # in lowest terms, the plain clear
+                assert ([v // g for v in nums], den // g) == matrices._cleared(plain)
+
+
 class TestCopies:
     """Copies and pickles carry the fields; cached tables rebuild on first read."""
 
@@ -265,7 +299,7 @@ class TestCopies:
             for n in range(1, 20)
             for k in range(1, n + 1)
         ]
-        assert {"_d", "_d_rows", "_d_cols", "_az", "_f"} <= vars(x).keys()
+        assert {"_d_rows", "_d_cols", "_az", "_f"} <= vars(x).keys()
         assert len(pickle.dumps(x)) == len(before)
         for clone in copy.copy(x), copy.deepcopy(x), pickle.loads(before):
             assert clone == x

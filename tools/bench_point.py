@@ -25,6 +25,9 @@ The file holds, for the checkout this script sits in:
   with the number of entries the family compares (counted from each
   row's ``n_max`` and k-policy in ``harness.K_POLICIES``) and its
   reference time per entry in us, the row inputs' construction included;
+  under ``second_pass`` the same for a second check of every row over the
+  inputs the first one built, the comparison alone, so that the two
+  passes' difference is the time spent building inputs;
 - ``workloads`` (L5): the JSON line of ``bench/run.py --workload W
   --seed 1 --seconds 15 --trace 0`` for each of the three workloads.
 
@@ -81,20 +84,28 @@ FAMILIES = (
 
 # One suite in a fresh process.  A report's seconds are read off the
 # harness clock, so the harness is given the thread CPU clock: each row's
-# seconds are then its CPU time, its inputs' construction included.
+# seconds are then its CPU time, its inputs' construction included.  Each
+# row is then checked a second time over the inputs its first check built
+# (its routes' memos), which times the comparison alone.
 SUITE_CHILD = """
 import json, time, types
 from common import calibrate
 from riordan import harness
 harness.time = types.SimpleNamespace(perf_counter=time.thread_time)
+rows, check = [], harness._check
+harness._check = lambda *row: rows.append(row) or check(*row)
 cal = calibrate()
 start = time.thread_time()
 reports = harness.builtin_suite()
 total = time.thread_time() - start
+start = time.thread_time()
+again = {row[0]: check(*row).seconds for row in rows}
+total_again = time.thread_time() - start
 entries = {r.name: sum(len(harness.K_POLICIES[r.k_policy](n))
                       for n in range(r.n_max + 1)) for r in reports}
 print(json.dumps({"calibration_s": (cal + calibrate()) / 2, "total_s": total,
                   "rows": {r.name: r.seconds for r in reports},
+                  "second_total_s": total_again, "second_rows": again,
                   "entries": entries}))
 """
 
@@ -130,13 +141,19 @@ def suite_point(processes: int = SUITE_PROCESSES) -> dict:
                 "entries": entries,
                 "reference_us_per_entry": round(scaled * 1e6 / entries, 2)}
 
+    def passes(first: list[float], second: list[float], entries: int) -> dict:
+        return summary(first, entries) | {"second_pass": summary(second, entries)}
+
     families = {
         label: {"rows": len(names)}
-        | summary([sum(run["rows"][n] for n in names) for run in runs],
-                  sum(runs[0]["entries"][n] for n in names))
+        | passes([sum(run["rows"][n] for n in names) for run in runs],
+                 [sum(run["second_rows"][n] for n in names) for run in runs],
+                 sum(runs[0]["entries"][n] for n in names))
         for label, names in rows.items()
     }
-    total = summary([run["total_s"] for run in runs], sum(runs[0]["entries"].values()))
+    total = passes([run["total_s"] for run in runs],
+                   [run["second_total_s"] for run in runs],
+                   sum(runs[0]["entries"].values()))
     return {"processes": processes, "total": total, "families": families}
 
 
