@@ -32,8 +32,8 @@ from operator import mul
 
 # _dot is unused here, but the route-independence tests patch it in this module
 from .matrices import Triangle, _cleared, _dot  # noqa: F401
-from .series import PrecisionError, Series, SeriesError, _compose, _krecip
-from .series import _lagrange_powers, _lagrange_read, _times, _to_ints
+from .series import PrecisionError, Series, SeriesError, _compose, _from_ints, _krecip
+from .series import _lagrange_powers, _lagrange_read, _powers, _times, _to_ints
 
 
 class RiordanError(SeriesError):
@@ -256,11 +256,10 @@ class RiordanPair(_Pair):
             labels.add("appell")
         if self.g.agrees_with(one):
             labels.add("lagrange")
-        gk = self.g
+        gks = _powers(_to_ints(self.g.coeffs[: p + 1]), 8, p + 1)
         for k in range(1, 9):
-            if self.f.agrees_with(gk.shift_up()):
+            if self.f.agrees_with(_from_ints(*gks[k]).shift_up()):
                 labels.add(f"{k}-bell")
-            gk = gk * self.g
         fprime = self.f.derivative()
         u_inv = self.f.shift_down().reciprocal()
         if self.g.agrees_with(fprime * u_inv):

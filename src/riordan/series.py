@@ -24,11 +24,13 @@ coefficient; ``_times`` multiplies two cleared vectors, truncated, by
 Kronecker substitution (each vector packed into one integer, a slot per
 coefficient, so one multiply does the convolution), or only scales when
 a factor is a constant, and divides out the content; ``_powers`` builds
-x^0..x^m by ``_times`` from 1.  Composition, ``compose`` and the pair
-product and action in ``group``, is one Paterson-Stockmeyer routine,
-``_compose``: one table f^0..f^k, k about sqrt(p), shared by every H;
-each block of k coefficients of H is an integer combination of it, and
-the blocks are joined by about p/k products with f^k per H.
+x^0..x^m by ``_times``, each x^j for j >= 2 as x^(j//2) x^(j - j//2), so
+that every even power is a square, one packed integer times itself.
+Composition, ``compose`` and the pair product and action in ``group``,
+is one Paterson-Stockmeyer routine, ``_compose``: one table f^0..f^k,
+k about sqrt(p), shared by every H; each block of k coefficients of H is
+an integer combination of it, and the blocks are joined by about p/k
+products with f^k per H.
 ``comp_inverse`` and the pair inverse and A/Z-sequences in ``group`` use
 Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n, by
 baby-step/giant-step (Brent & Kung 1978): ``_lagrange_powers`` builds two
@@ -179,15 +181,15 @@ def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     coefficient of the product is a sum of at most n terms, so it fits in
     a slot of bits(a) + bits(b) + log2(n) bits, plus one for the sign and
     one to spare.  Adding half a slot to every coefficient makes every
-    slot nonnegative, so slots pack and unpack as plain bytes.
+    slot nonnegative, so slots pack and unpack as plain bytes.  A square,
+    a and b the same list, is packed once and multiplied by itself, which
+    CPython does by its squaring algorithm.
     """
+    square = a is b
     a, b = a[:n], b[:n]
-    width = (
-        max(c.bit_length() for c in a)
-        + max(c.bit_length() for c in b)
-        + n.bit_length()
-        + 2
-    )
+    bits = max(c.bit_length() for c in a)
+    width = 2 * bits if square else bits + max(c.bit_length() for c in b)
+    width += n.bit_length() + 2
     nbytes = (width + 7) // 8
     half = 1 << (8 * nbytes - 1)
     bias = half.to_bytes(nbytes, "little")
@@ -196,7 +198,8 @@ def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         slots = b"".join((c + half).to_bytes(nbytes, "little") for c in v)
         return int.from_bytes(slots, "little") - int.from_bytes(bias * len(v), "little")
 
-    z = pack(a) * pack(b) + int.from_bytes(bias * n, "little")
+    x = pack(a)
+    z = x * (x if square else pack(b)) + int.from_bytes(bias * n, "little")
     raw = (z & ((1 << (8 * nbytes * n)) - 1)).to_bytes(nbytes * n, "little")
     return [
         int.from_bytes(raw[i : i + nbytes], "little") - half
@@ -234,9 +237,14 @@ def _times(x: _Cleared, y: _Cleared, n: int) -> _Cleared:
 
 def _powers(x: _Cleared, m: int, n: int) -> list[_Cleared]:
     """x^0..x^m, the first n coefficients of each as reduced (numerators,
-    den), by ``_times`` from 1: x^1 = 1 x is a scaling, so m - 1 products."""
+    den), by ``_times``: x^1 = 1 x is a scaling, which truncates x to n,
+    and x^j = x^(j//2) x^(j - j//2) for j >= 2, so m - 1 products, of which
+    every even power's is a square."""
     one = ([1] + [0] * (n - 1), 1)
-    return list(accumulate(repeat(x, m), lambda a, b: _times(a, b, n), initial=one))
+    pows = [one, _times(one, x, n)]
+    for j in range(2, m + 1):
+        pows.append(_times(pows[j // 2], pows[j - j // 2], n))
+    return pows[: m + 1]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Series arithmetic: spec examples, ring axioms, and inversion oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from riordan import (
     NotAUnitError,
     PrecisionError,
     Series,
+    series,
 )
 from riordan.catalog import catalan_series, fuss_series
+from riordan.series import _kmul, _powers, _to_ints
 
 from conftest import series_strategy, unit_series
 
@@ -218,3 +221,49 @@ def test_fuss_functional_equation(m):
     for _ in range(m):
         power = power * fm
     assert fm == Series.one(40) + power.shift_up().truncate(40)
+
+
+def fraction_powers(x: list[Fraction], m: int, n: int) -> list[list[Fraction]]:
+    """x^0..x^m to n coefficients, each the product of the one before and x,
+    coefficient by coefficient on plain Fractions."""
+    pows = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+    for _ in range(m):
+        prev = pows[-1]
+        pows.append([sum(prev[i] * x[j - i] for i in range(j + 1)) for j in range(n)])
+    return pows
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize(
+    "x",
+    [
+        [3, 0, -2, 5, 0, 1, -7],
+        ["-2/3", 0, "5/4", "-1/6", 0, "7/2", "1/9"],
+    ],
+    ids=["integer", "rational"],
+)
+def test_power_table_is_reduced_truncated_and_squares_even_powers(monkeypatch, x, n):
+    """_powers(x, m, n) is x^0..x^m, each its first n coefficients as reduced
+    (numerators, den), x^1 included; of its m - 1 products, the floor(m/2)
+    for the even powers are squares, one operand passed twice."""
+    x = [Fraction(c) for c in x]
+    cleared = _to_ints(x)
+    made = []
+
+    def counting(a, b, k):
+        made.append(a is b)
+        return _kmul(a, b, k)
+
+    monkeypatch.setattr(series, "_kmul", counting)
+    for m in range(10):
+        made.clear()
+        table = _powers(cleared, m, n)
+        assert len(made) == max(m - 1, 0), m
+        assert sum(made) == m // 2, m
+        assert len(table) == m + 1
+        for j, ((nums, den), want) in enumerate(zip(table, fraction_powers(x, m, n))):
+            assert len(nums) == n, (m, j)
+            assert den > 0 and math.gcd(den, *nums) == 1, (m, j)
+            assert [Fraction(c, den) for c in nums] == want, (m, j)
+    a = cleared[0]
+    assert _kmul(a, a, n) == _kmul(a, list(a), n)

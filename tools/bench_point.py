@@ -4,9 +4,12 @@
 
 The file holds, for the checkout this script sits in:
 
-- ``machine``, ``sweep`` and ``tier1``: what ``bench/baseline.py`` records,
-  the layer sweep (L1 series ops, L2 pair ops and L3 triangles at p in
-  {32, 64, 128}, each with its digest) and one timed tier-1 run;
+- ``machine`` and ``sweep``: what ``bench/baseline.py`` records, the
+  layer sweep (L1 series ops, L2 pair ops and L3 triangles at p in
+  {32, 64, 128}, each with its digest);
+- ``tier1``: one timed tier-1 run with the fields ``bench/baseline.py``
+  records, run with ``--durations=15`` as CI runs it, and under
+  ``durations`` the 15 slowest test phases it prints, each in s;
 - ``reciprocal`` (L1): ``Series.reciprocal`` of g and of f/t for the
   sweep's two pairs at p in {32, 64, 128}, which the sweep does not time,
   each the median CPU time of 11 calls in reference ms, with the
@@ -45,15 +48,16 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
-from time import thread_time
+from time import perf_counter, thread_time
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from baseline import PRECS, RANDOM_SEED, machine, sweep, tier1  # noqa: E402
+from baseline import PRECS, RANDOM_SEED, machine, sweep  # noqa: E402
 from common import (  # noqa: E402
     CAL_REF_S,
     calibrate,
@@ -69,6 +73,7 @@ SECTION_ORDERS = (32, 48, 64)
 WORKLOADS = ("pair_algebra", "triangle_io", "verify_cli")
 SEED = 1
 SECONDS = 15
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15")
 
 # Row families of the builtin suite, by name prefix; the first match wins.
 FAMILIES = (
@@ -108,6 +113,28 @@ print(json.dumps({"calibration_s": (cal + calibrate()) / 2, "total_s": total,
                   "second_total_s": total_again, "second_rows": again,
                   "entries": entries}))
 """
+
+
+def tier1_point() -> dict:
+    """One timed tier-1 run: passed, failed and errors off pytest's last
+    line, the failing tests, and the slowest test phases."""
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=child_env(),
+                          capture_output=True, text=True)
+    wall = perf_counter() - start
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|error)", proc.stdout.splitlines()[-1])}
+    slowest = re.findall(r"^(\d+\.\d+)s (setup|call|teardown) +(\S+)$", proc.stdout, re.M)
+    return {
+        "command": " ".join(["PYTHONPATH=src python", *TIER1]),
+        "wall_s": round(wall, 1),
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0),
+        "errors": counts.get("error", 0),
+        "failed_tests": re.findall(r"^FAILED (\S+)", proc.stdout, re.M),
+        "durations": [{"s": float(s), "when": when, "test": test}
+                      for s, when, test in slowest],
+    }
 
 
 def family(name: str) -> str:
@@ -249,7 +276,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     require_library()
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # as bench/run.py does
-    record = {"machine": machine(), "sweep": sweep(), "tier1": tier1()}
+    record = {"machine": machine(), "sweep": sweep(), "tier1": tier1_point()}
+    print(json.dumps(record["tier1"]), flush=True)
     record["reciprocal"] = reciprocal_point()
     record["sections"] = sections_point()
     record["suite"] = suite_point()
