@@ -7,18 +7,21 @@ form, vertical recursion, fully nested sum), the group law and inverse,
 the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
-denominator per column, and the A/Z step on cleared rows, A and Z; both
-still return reduced Fractions.  The inverse and A/Z extraction each
-build one set of powers of t/f and read all by Lagrange off it: A as the
-power -1 of fbar/t, one dot product per coefficient, and fbar, 1/g(fbar)
-and Z = K(fbar), K = (1 - 1/g)/t, with 1/g as integers from the series
-kernel's one reciprocal routine.  The public extract_az computes afresh
-on every call; the weighted recursions read A and Z cleared once per pair
-(_az), and copies and pickles of a pair carry g and f alone.  The closed
-form runs on the kernel's one product routine instead, as one shifted
-integer chain: column k from row k on is g*(f/t)^k, n - k coefficients
-over its own denominator, the product of column k-1 with f/t, and each
-column becomes one Series.
+denominator per column, built once per pair at the largest order asked
+so far and sliced, as fresh lists, for any smaller one (_vertical); the
+A/Z step runs on cleared rows, A and Z; both still return reduced
+Fractions.  The inverse and A/Z extraction each build one set of powers
+of t/f and read all by Lagrange off it: A as the power -1 of fbar/t, one
+dot product per coefficient, and fbar, 1/g(fbar) and Z = K(fbar),
+K = (1 - 1/g)/t, with 1/g as integers from the series kernel's one
+reciprocal routine.  The public extract_az computes afresh on every
+call; the weighted recursions read A and Z cleared once per pair (_az),
+and triangle, entry_vertical and the weighted transforms share the one
+set of vertical columns.  Copies and pickles of a pair carry g and f
+alone.  The closed form runs on the kernel's one product routine
+instead, as one shifted integer chain: column k from row k on is
+g*(f/t)^k, n - k coefficients over its own denominator, the product of
+column k-1 with f/t, and each column becomes one Series.
 Sharing no code, the closed form and the vertical recursion are each
 other's oracle.
 """
@@ -42,7 +45,8 @@ class RiordanError(SeriesError):
 
 def _fields_state(self) -> dict:
     # Copies and pickles carry the fields alone; the cached tables (A/Z
-    # cleared, rho, _d_rows, _d_cols, ...) rebuild from them on first read.
+    # cleared, the vertical columns, rho, _d_rows, _d_cols, ...) rebuild
+    # from them on first read.
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -131,7 +135,9 @@ class RiordanPair(_Pair):
         """The n x n leading principal submatrix, via the vertical recursion.
 
         Each entry is one reduced Fraction of the integer columns of
-        ``_vertical``, read row by row.
+        ``_vertical``, read row by row.  Those columns are built once per
+        pair and sliced as fresh lists; only their values are pinned, not
+        their denominators.
         """
         cols, dens = self._vertical(n)
         return Triangle(
@@ -144,18 +150,29 @@ class RiordanPair(_Pair):
         g and f are held as integer numerators over one denominator each,
         dg and df.  Column k, its n - k entries from the diagonal down, is
         the schoolbook convolution of column k-1 with f/t, over dg * df^k.
+        Built once per pair at the largest order asked so far, kept in
+        ``__dict__`` as ``_az`` is, and rebuilt for a larger order.  Order
+        n gets column k's first n - k entries and the first n denominators
+        as fresh lists, which a caller may mutate.  A larger build's
+        denominators are common multiples of order n's, not their lcm:
+        only the values are pinned.
         """
         self._check_order(n)
-        g, dg = _cleared(self.g.coeffs[:n])
-        f, df = _cleared(self.f.coeffs[:n])
-        f1 = f[1:]
-        cols = [g]
-        for k in range(1, n):
-            prev = cols[-1]
-            cols.append(
-                [sum(map(mul, f1, reversed(prev[:m]))) for m in range(1, n - k + 1)]
-            )
-        return cols, [dg * df**k for k in range(n)]
+        memo = self.__dict__.get("_vertical_cols")
+        if memo is None or len(memo[1]) < n:
+            g, dg = _cleared(self.g.coeffs[:n])
+            f, df = _cleared(self.f.coeffs[:n])
+            f1 = f[1:]
+            cols = [g]
+            for k in range(1, n):
+                prev = cols[-1]
+                cols.append(
+                    [sum(map(mul, f1, reversed(prev[:m]))) for m in range(1, n - k + 1)]
+                )
+            memo = cols, [dg * df**k for k in range(n)]
+            self.__dict__["_vertical_cols"] = memo
+        cols, dens = memo
+        return [c[: n - k] for k, c in enumerate(cols[:n])], dens[:n]
 
     def triangle_closed(self, n: int) -> Triangle:
         """Same submatrix built from the column generating functions g*f^k.

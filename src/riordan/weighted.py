@@ -10,7 +10,9 @@ built on first read and shared by every transform and recursion over that
 weight), and one transform multiplies the triangle by
 it entrywise (c_transform takes either kind; C_transform is the same map
 under the paper's name).  The transform reads the vertical recursion's
-integer columns and their denominators, so each entry rho(n,k) d_{n,k} is
+integer columns and their denominators, built once per base pair
+(RiordanPair._vertical) and shared with its triangle and with its
+transforms under every weight, so each entry rho(n,k) d_{n,k} is
 normalised once, as one Fraction.  Copies and pickles carry the fields
 alone; the cached tables rebuild on first read.  Each recursion is
 rho(n,k) times a linear Riordan step on the unweighted entries

@@ -1,5 +1,7 @@
 """Riordan group: entries three ways, group law, A/Z machinery, subgroups."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,15 @@ from sympy.polys.rings import ring
 
 from riordan import (
     AZSequences,
+    C_transform,
     PrecisionError,
     RiordanError,
     RiordanPair,
     Series,
     Triangle,
+    WeightSeq,
+    WeightTri,
+    c_transform,
     factorization_check,
     raise_order,
     reconstruct_from_az,
@@ -114,6 +120,97 @@ class TestTripleOracle:
             for n in range(11):
                 for k in range(n + 1):
                     assert ra.entry_nested(n, k) == tri.rows[n][k], (name, n, k)
+
+
+def vertical_values(cols, dens):
+    return [[Fraction(x, d) for x in col] for col, d in zip(cols, dens)]
+
+
+def memo_pairs():
+    """Fresh pairs, rational ones among them, so that a larger build's
+    denominators differ from a smaller one's."""
+    return [named_riordan("catalan_bell", 30), *random_pairs(3, 30, seed=36)]
+
+
+class TestVerticalMemo:
+    """_vertical builds its columns once per pair, at the largest order asked
+    so far, and hands out fresh slices of them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 29])
+    def test_smaller_order_slices_a_larger_build(self, n):
+        for ra in memo_pairs():
+            ra._vertical(31)
+            cols, dens = ra._vertical(n)
+            fresh_cols, fresh_dens = RiordanPair(ra.g, ra.f)._vertical(n)
+            assert [len(c) for c in cols] == [n - k for k in range(n)]
+            assert vertical_values(cols, dens) == vertical_values(fresh_cols, fresh_dens)
+            # only the values are pinned: a slice may sit over a common multiple
+            assert all(d % e == 0 for d, e in zip(dens, fresh_dens, strict=True))
+            assert ra.triangle(n) == ra.triangle_closed(n)
+
+    def test_larger_order_rebuilds(self):
+        for ra in memo_pairs():
+            for n in (5, 20, 31, 12):
+                cols, dens = ra._vertical(n)
+                fresh = RiordanPair(ra.g, ra.f)._vertical(n)
+                assert vertical_values(cols, dens) == vertical_values(*fresh), n
+                assert ra.triangle(n) == ra.triangle_closed(n), n
+            assert len(vars(ra)["_vertical_cols"][1]) == 31
+
+    def test_mutating_a_returned_list_changes_no_later_result(self):
+        for ra in memo_pairs():
+            want = ra.triangle_closed(20)
+            cols, dens = ra._vertical(20)
+            cols[0][0] += 1
+            cols[3][2] = 0
+            cols[19].clear()
+            cols.pop()
+            dens[1] = 7
+            assert ra.triangle(20) == want
+            assert ra.triangle(9) == ra.triangle_closed(9)
+
+    def test_sections_and_transforms_share_one_recursion(self, monkeypatch):
+        n = 24
+        fac, lag = WeightSeq.factorial(n), WeightTri.laguerre(n)
+        for ra in memo_pairs():
+            oracle = RiordanPair(ra.g, ra.f)
+            want = [
+                oracle.triangle(n),
+                c_transform(oracle, fac, n),
+                C_transform(oracle, lag, n),
+                oracle.triangle(n - 5),
+            ]
+            section = ra.triangle(n)
+            fac.rho, lag.rho  # the weights' own tables are not the recursion
+
+            def recursion(*args):
+                raise AssertionError("the vertical recursion ran again")
+
+            with monkeypatch.context() as m:
+                m.setattr(group, "_cleared", recursion)
+                got = [
+                    ra.triangle(n),
+                    c_transform(ra, fac, n),
+                    C_transform(ra, lag, n),
+                    ra.triangle(n - 5),
+                ]
+                entry = ra.entry_vertical(n - 1, 3)
+                assert factorization_check(ra, n) is True
+            assert got == want and got[0] == section
+            assert entry == want[0].rows[n - 1][3]
+
+    def test_copies_carry_no_memo(self):
+        for ra in memo_pairs():
+            fresh = RiordanPair(ra.g, ra.f)
+            before = pickle.dumps(ra)
+            ra.triangle(20)
+            assert "_vertical_cols" in vars(ra)
+            assert pickle.dumps(ra) == before
+            assert ra == fresh and hash(ra) == hash(fresh)
+            for clone in copy.copy(ra), copy.deepcopy(ra), pickle.loads(before):
+                assert vars(clone).keys() == {"g", "f"}
+                assert clone == ra and hash(clone) == hash(ra)
+                assert clone.triangle(20) == ra.triangle(20)
 
 
 class TestGroupLaw:

@@ -1,0 +1,86 @@
+"""The paired-measurement verdict of tools/pairs.py, on synthetic runs."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import pairs  # noqa: E402
+
+# ten parent runs with median 100 and quartiles 99 and 101: an IQR of 2
+PARENT = [100.0, 98.0, 101.0, 99.0, 104.0, 100.0, 96.0, 102.0, 99.0, 101.0]
+
+
+def test_nine_of_ten_wins_is_a_gain():
+    change = [p + 5 for p in PARENT[:9]] + [PARENT[9] - 1]
+    c = pairs.compare(PARENT, change, "higher")
+    assert (c.wins, c.ties, c.losses) == (9, 0, 1)
+    assert (c.parent_median, c.parent_iqr) == (100, 2)
+    assert c.verdict == "gain"
+
+
+def test_eight_of_ten_wins_is_no_gain():
+    change = [p + 5 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]]
+    c = pairs.compare(PARENT, change, "higher")
+    assert (c.wins, c.losses) == (8, 2)
+    assert c.change_median > c.parent_median + c.parent_iqr
+    assert c.verdict == "no gain"
+
+
+def test_a_win_smaller_than_the_iqr_is_no_gain():
+    change = [p + 1 for p in PARENT]
+    c = pairs.compare(PARENT, change, "higher")
+    assert c.wins == 10
+    assert c.change_median - c.parent_median < c.parent_iqr
+    assert c.verdict == "no gain"
+
+
+def test_ties_count_for_neither_side():
+    # nine wins and one tie is nine tenths; eight wins and two ties is not
+    nine = [p + 5 for p in PARENT[:9]] + [PARENT[9]]
+    c = pairs.compare(PARENT, nine, "higher")
+    assert (c.wins, c.ties, c.losses, c.verdict) == (9, 1, 0, "gain")
+    eight = [p + 5 for p in PARENT[:8]] + PARENT[8:]
+    c = pairs.compare(PARENT, eight, "higher")
+    assert (c.wins, c.ties, c.losses, c.verdict) == (8, 2, 0, "no gain")
+    same = pairs.compare(PARENT, PARENT, "higher")
+    assert (same.wins, same.ties, same.verdict) == (0, 10, "no gain")
+
+
+def test_lower_is_better():
+    faster = [p - 5 for p in PARENT]
+    c = pairs.compare(PARENT, faster, "lower")
+    assert (c.wins, c.verdict) == (10, "gain")
+    assert c.change == pytest.approx(-0.05)
+    assert pairs.compare(PARENT, faster, "higher").verdict == "no gain"
+    slower = [p + 5 for p in PARENT]
+    assert pairs.compare(PARENT, slower, "lower").wins == 0
+
+
+def test_under_ten_pairs_gives_no_verdict():
+    c = pairs.compare(PARENT[:9], [p + 50 for p in PARENT[:9]], "higher")
+    assert (c.wins, c.verdict) == (9, "too few pairs")
+    one = pairs.compare([1.0], [2.0], "lower")
+    assert (one.parent_iqr, one.losses, one.verdict) == (0.0, 1, "too few pairs")
+
+
+def test_bad_input_raises():
+    with pytest.raises(ValueError):
+        pairs.compare(PARENT, PARENT[:9], "higher")
+    with pytest.raises(ValueError):
+        pairs.compare([], [], "higher")
+    with pytest.raises(ValueError):
+        pairs.compare(PARENT, PARENT, "faster")
+
+
+def test_bound_check():
+    # the parent's IQR is 2% of its median
+    assert pairs.bound_check(PARENT, [p - 9 for p in PARENT], "higher", 0.1) == "within"
+    assert pairs.bound_check(PARENT, [p - 11 for p in PARENT], "higher", 0.1) == "past bound"
+    assert pairs.bound_check(PARENT, [p + 11 for p in PARENT], "lower", 0.1) == "past bound"
+    assert pairs.bound_check(PARENT, [p + 11 for p in PARENT], "higher", 0.1) == "within"
+    # a spread wider than the bound cannot tell, unless every change run is better
+    assert pairs.bound_check(PARENT, PARENT, "higher", 0.01) == "unresolved"
+    assert pairs.bound_check(PARENT, [p + 10 for p in PARENT], "higher", 0.01) == "within"

@@ -1,0 +1,286 @@
+"""Alternating parent/change pairs of one benchmark workload, and their verdict.
+
+    python3 tools/pairs.py --parent REV --workload W [--pairs N] [--seed S] [--seconds 15]
+    python3 tools/pairs.py --parent REV --tier1 [--pairs N]
+
+Each side runs in its own temporary tree: the parent is ``git archive`` of
+REV, the change a copy of this checkout's working tree (its tracked files
+and its untracked files that ``.gitignore`` does not exclude), so both run
+the same ``bench/`` only when REV's ``bench/`` equals the working tree's.
+
+With ``--workload``, pair i runs ``bench/run.py --workload W --seed S+i
+--seconds T --trace 0`` on both sides, parent first in even pairs and
+change first in odd ones, and prints every run's JSON line.  Then, per
+end-to-end metric of ``BENCHMARK.json`` (which this script only reads), it
+prints both medians, the parent's interquartile range, the change's wins,
+ties and losses, and two verdicts:
+
+- ``gain`` when at least ten pairs ran, the change won at least nine tenths
+  of them (a tie counts for neither side), and its median is better than
+  the parent's by more than the parent's IQR; ``no gain`` otherwise, and
+  ``too few pairs`` under ten;
+- ``past bound`` when the change's median is worse than the parent's by
+  more than the metric's ``bound`` (a fraction of the parent's median);
+  ``unresolved`` when it is not, but the parent's own IQR is wider than the
+  bound and some change run reads no better than some parent run;
+  ``within`` otherwise.
+
+A gain does not count when a larger share of the change's ops failed; the
+script says so under the table.
+
+With ``--tier1``, pair i runs the tier-1 command with ``--durations=0
+--durations-min=0`` on both sides, alternating as above.  The verdict then
+reads the summed time of the test phases both sides ran in every run (lower
+is better), and the script prints the ten tests whose median time moved
+most, and each side's median wall time, which it does not judge.
+
+The exit code is 0 once every run has finished, whatever the verdicts, and
+1 when a run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from statistics import median, quantiles
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=0", "--durations-min=0", "-p", "no:cacheprovider")
+DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(.+)$", re.M)
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """One metric over paired runs; the runs of pair i are parent[i], change[i]."""
+
+    better: str
+    parent_median: float
+    change_median: float
+    parent_iqr: float
+    wins: int
+    ties: int
+    losses: int
+    verdict: str
+
+    @property
+    def change(self) -> float:
+        """The change's median relative to the parent's, as a signed fraction."""
+        if self.parent_median == 0:
+            return 0.0 if self.change_median == 0 else float("inf")
+        return (self.change_median - self.parent_median) / abs(self.parent_median)
+
+
+def _iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _gain(parent: float, change: float, better: str) -> float:
+    """How much better change reads than parent; negative when worse."""
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', not {better!r}")
+    return change - parent if better == "higher" else parent - change
+
+
+def compare(parent: list[float], change: list[float], better: str) -> Comparison:
+    """The Measurement rule's verdict on paired runs of one metric."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of parent and change runs")
+    gains = [_gain(p, c, better) for p, c in zip(parent, change)]
+    wins, ties = sum(g > 0 for g in gains), sum(g == 0 for g in gains)
+    pm, cm, iqr = median(parent), median(change), _iqr(parent)
+    if len(parent) < MIN_PAIRS:
+        verdict = "too few pairs"
+    elif wins * 10 >= 9 * len(parent) and _gain(pm, cm, better) > iqr:
+        verdict = "gain"
+    else:
+        verdict = "no gain"
+    return Comparison(better, pm, cm, iqr, wins, ties, len(parent) - wins - ties, verdict)
+
+
+def bound_check(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``past bound``, ``unresolved`` or ``within``: is the change's median
+    worse than the parent's by more than ``bound``, a fraction of the
+    parent's median, or is the parent's spread too wide to tell?"""
+    pm = median(parent)
+    scale = abs(pm) or 1.0
+    if -_gain(pm, median(change), better) > bound * scale:
+        return "past bound"
+    every_run_better = all(_gain(p, c, better) > 0 for p in parent for c in change)
+    if _iqr(parent) > bound * scale and not every_run_better:
+        return "unresolved"
+    return "within"
+
+
+# -- the two trees ---------------------------------------------------------------
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def make_trees(rev: str, into: Path) -> dict[str, Path]:
+    """``parent``: git archive of rev; ``change``: a copy of the working tree."""
+    parent, change = into / "parent", into / "change"
+    parent.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(parent)], input=_git("archive", rev), check=True)
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is left out
+            (change / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, change / name)
+    return {"parent": parent, "change": change}
+
+
+def _order(i: int) -> tuple[str, str]:
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+# -- benchmark pairs -------------------------------------------------------------
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def bench_pairs(trees, workload: str, pairs: int, seed: int, seconds: float) -> dict:
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in _order(i):
+            run = bench_run(trees[side], workload, seed + i, seconds)
+            runs[side].append(run)
+            print(f"pair {i} {side} seed {seed + i}: {json.dumps(run)}", flush=True)
+    return runs
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.4g}"
+
+
+def report(rows: list[tuple[str, str, Comparison, str]]) -> None:
+    """One line per metric: name, unit, medians, IQR, wins, verdicts."""
+    head = ("metric", "unit", "better", "parent", "change", "delta", "parent IQR",
+            "W/T/L", "verdict", "bound")
+    table = [head] + [
+        (name, unit, c.better, _fmt(c.parent_median), _fmt(c.change_median),
+         f"{c.change:+.1%}", _fmt(c.parent_iqr), f"{c.wins}/{c.ties}/{c.losses}",
+         c.verdict, bound)
+        for name, unit, c, bound in rows
+    ]
+    widths = [max(len(r[j]) for r in table) for j in range(len(head))]
+    for r in table:
+        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+
+
+def bench_report(runs: dict, benchmark: dict) -> None:
+    rows = []
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
+                          for side in ("parent", "change"))
+        bound = bound_check(parent, change, metric["better"], metric["bound"])
+        rows.append((name, metric["unit"], compare(parent, change, metric["better"]),
+                     f"{bound} ({metric['bound']:.0%})"))
+    report(rows)
+    failed = {side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs))
+              for side, rs in runs.items()}
+    print("failed ops: " + ", ".join(f"{side} {f} of {a}" for side, (f, a) in failed.items()))
+    (pf, pa), (cf, ca) = failed["parent"], failed["change"]
+    if cf * pa > pf * ca:
+        print("a larger share of the change's ops failed: no gain counts")
+
+
+# -- tier-1 pairs ----------------------------------------------------------------
+
+def tier1_run(tree: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tree / "src"), env.get("PYTHONPATH", "")) if p)
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = perf_counter() - start
+    if proc.returncode not in (0, 1):  # 1: some test failed, which the sides may share
+        raise RuntimeError(f"tier-1 in {tree} exited {proc.returncode}:\n{proc.stdout[-2000:]}")
+    tests: dict[str, float] = {}
+    for seconds, test in DURATION.findall(proc.stdout):
+        tests[test] = tests.get(test, 0.0) + float(seconds)
+    return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1], "tests": tests}
+
+
+def tier1_pairs(trees, pairs: int) -> dict:
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in _order(i):
+            run = tier1_run(trees[side])
+            runs[side].append(run)
+            print(f"pair {i} {side}: {run['summary']}; wall {run['wall_s']:.1f} s; "
+                  f"{len(run['tests'])} tests, {sum(run['tests'].values()):.1f} s summed",
+                  flush=True)
+    return runs
+
+
+def tier1_report(runs: dict) -> None:
+    all_runs = runs["parent"] + runs["change"]
+    shared = set.intersection(*(set(r["tests"]) for r in all_runs))
+    sums = {side: [sum(r["tests"][t] for t in shared) for r in rs] for side, rs in runs.items()}
+    print(f"{len(shared)} tests ran on both sides in every run")
+    report([("shared test time", "s", compare(sums["parent"], sums["change"], "lower"), "-")])
+    moved = sorted(
+        ((median(r["tests"][t] for r in runs["change"])
+          - median(r["tests"][t] for r in runs["parent"]), t) for t in shared),
+        key=lambda m: -abs(m[0]))
+    print("biggest movers (change median - parent median):")
+    for delta, test in moved[:10]:
+        print(f"  {delta:+.3f} s  {test}")
+    walls = {side: median(r["wall_s"] for r in rs) for side, rs in runs.items()}
+    print(f"wall time, median (not judged): parent {walls['parent']:.1f} s, "
+          f"change {walls['change']:.1f} s")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the parent revision")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=("pair_algebra", "triangle_io", "verify_cli"))
+    what.add_argument("--tier1", action="store_true")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=15)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        try:
+            trees = make_trees(args.parent, Path(tmp))
+            if args.tier1:
+                tier1_report(tier1_pairs(trees, args.pairs))
+            else:
+                runs = bench_pairs(trees, args.workload, args.pairs, args.seed, args.seconds)
+                bench_report(runs, benchmark)
+        except (RuntimeError, subprocess.CalledProcessError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
