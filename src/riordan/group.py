@@ -7,23 +7,24 @@ form, vertical recursion, fully nested sum), the group law and inverse,
 the fundamental-theorem action, A/Z-sequence extraction and
 reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
-denominator per column, built once per pair at the largest order asked
-so far and sliced, as fresh lists, for any smaller one (_vertical); the
-A/Z step runs on cleared rows, A and Z; both still return reduced
-Fractions.  The inverse and A/Z extraction each build one set of powers
-of t/f and read all by Lagrange off it: A as the power -1 of fbar/t, one
-dot product per coefficient, and fbar, 1/g(fbar) and Z = K(fbar),
-K = (1 - 1/g)/t, with 1/g as integers from the series kernel's one
-reciprocal routine.  The public extract_az computes afresh on every
-call; the weighted recursions read A and Z cleared once per pair (_az),
-and triangle, entry_vertical and the weighted transforms share the one
-set of vertical columns.  Copies and pickles of a pair carry g and f
+denominator per column, each column's content divided out, built once
+per pair at the largest order asked so far and sliced, as fresh lists,
+for any smaller one (_vertical); the A/Z step runs on cleared rows, A
+and Z; both still return reduced Fractions.  The inverse and A/Z
+extraction each build one set of powers of t/f and read all by Lagrange
+off it: A as the power -1 of fbar/t, one dot product per coefficient,
+and fbar, 1/g(fbar) and Z = K(fbar), K = (1 - 1/g)/t, with 1/g as
+integers from the series kernel's one reciprocal routine.  The public
+extract_az computes afresh on every call; the weighted recursions read A
+and Z cleared once per pair (_az), and triangle, entry_vertical and the
+weighted transforms share the one set of vertical columns; entry_closed
+builds column k alone.  Copies and pickles of a pair carry g and f
 alone.  The closed form runs on the kernel's one product routine
 instead, as one shifted integer chain: column k from row k on is
 g*(f/t)^k, n - k coefficients over its own denominator, the product of
-column k-1 with f/t, and each column becomes one Series.
-Sharing no code, the closed form and the vertical recursion are each
-other's oracle.
+column k-1 with f/t, and each column becomes one Series.  Sharing no
+code, the closed form and the vertical recursion are each other's
+oracle.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 
-# _dot is unused here, but the route-independence tests patch it in this module
-from .matrices import Triangle, _cleared, _dot  # noqa: F401
+from .matrices import Triangle, _cleared
 from .series import PrecisionError, Series, SeriesError, _compose, _from_ints, _krecip
 from .series import _lagrange_powers, _lagrange_read, _powers, _times, _to_ints
 
@@ -105,18 +106,28 @@ class RiordanPair(_Pair):
             raise RiordanError(f"entry row {n} beyond precision {self.prec}")
 
     def entry_closed(self, n: int, k: int) -> Fraction:
-        """d_{n,k} = [t^n] g*f^k, read from triangle_closed."""
+        """d_{n,k} = [t^n] g*f^k, coefficient n - k of g*(f/t)^k.
+
+        Column k alone, as in triangle_closed: k ``_times`` steps of g by
+        f/t on the series kernel, each truncated to n - k + 1 coefficients.
+        """
         self._check_range(n, k)
-        return self.triangle_closed(n + 1).rows[n][k]
+        m = n - k + 1
+        u, col = _to_ints(self.f.coeffs[1 : m + 1]), _to_ints(self.g.coeffs[:m])
+        for _ in range(k):
+            col = _times(col, u, m)
+        nums, den = col
+        return Fraction(nums[-1], den)
 
     def entry_vertical(self, n: int, k: int) -> Fraction:
         """d_{n,k} from column k-1 through the coefficients of f.
 
-        Read from triangle, which fills d_{n,k} = sum_{j=1}^{n-k+1} f_j
-        d_{n-j,k-1} column by column from column 0 = g.
+        Read off the integer columns of ``_vertical``, which fill d_{n,k} =
+        sum_{j=1}^{n-k+1} f_j d_{n-j,k-1} column by column from column 0 = g.
         """
         self._check_range(n, k)
-        return self.triangle(n + 1).rows[n][k]
+        cols, dens = self._vertical(n + 1)
+        return Fraction(cols[k][n - k], dens[k])
 
     def entry_nested(self, n: int, k: int) -> Fraction:
         """The k-fold nested sum over f-indices, by direct recursion.
@@ -136,8 +147,9 @@ class RiordanPair(_Pair):
 
         Each entry is one reduced Fraction of the integer columns of
         ``_vertical``, read row by row.  Those columns are built once per
-        pair and sliced as fresh lists; only their values are pinned, not
-        their denominators.
+        pair, each over the least denominator of its entries at the order
+        built, and sliced as fresh lists; only their values are pinned,
+        not their denominators.
         """
         cols, dens = self._vertical(n)
         return Triangle(
@@ -149,13 +161,15 @@ class RiordanPair(_Pair):
 
         g and f are held as integer numerators over one denominator each,
         dg and df.  Column k, its n - k entries from the diagonal down, is
-        the schoolbook convolution of column k-1 with f/t, over dg * df^k.
+        the schoolbook convolution of column k-1 with f/t, over df times
+        column k-1's denominator; then its content is divided out, so that
+        each column sits over the lcm of its entries' reduced denominators.
         Built once per pair at the largest order asked so far, kept in
         ``__dict__`` as ``_az`` is, and rebuilt for a larger order.  Order
         n gets column k's first n - k entries and the first n denominators
         as fresh lists, which a caller may mutate.  A larger build's
-        denominators are common multiples of order n's, not their lcm:
-        only the values are pinned.
+        column holds more entries, so its denominator is a multiple of
+        order n's, not always equal: only the values are pinned.
         """
         self._check_order(n)
         memo = self.__dict__.get("_vertical_cols")
@@ -163,13 +177,18 @@ class RiordanPair(_Pair):
             g, dg = _cleared(self.g.coeffs[:n])
             f, df = _cleared(self.f.coeffs[:n])
             f1 = f[1:]
-            cols = [g]
+            cols, dens = [g], [dg]
             for k in range(1, n):
                 prev = cols[-1]
-                cols.append(
-                    [sum(map(mul, f1, reversed(prev[:m]))) for m in range(1, n - k + 1)]
-                )
-            memo = cols, [dg * df**k for k in range(n)]
+                col = [sum(map(mul, f1, reversed(prev[:m]))) for m in range(1, n - k + 1)]
+                den = dens[-1] * df
+                c = gcd(den, *col)
+                if c > 1:
+                    col = [x // c for x in col]
+                    den //= c
+                cols.append(col)
+                dens.append(den)
+            memo = cols, dens
             self.__dict__["_vertical_cols"] = memo
         cols, dens = memo
         return [c[: n - k] for k, c in enumerate(cols[:n])], dens[:n]

@@ -5,6 +5,9 @@ the block matrices of quasi-Riordan arrays; the distinction between the
 two is documentary.  Rows are ragged: row i holds columns 0..i.  A column
 k runs from the diagonal down, n - k entries; ``_columns`` reads them off
 the rows and ``Triangle._from_columns`` builds the rows from them.
+Products and inverses run on integers: rows (and a product's right-hand
+columns) are cleared to one denominator each, and the inverse is solved
+row by row, each row over its own least denominator (``_solve_rows``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .series import Rat, _rat
 
@@ -41,30 +44,37 @@ def _dot(a: tuple[Iterable[int], int], b: tuple[Iterable[int], int]) -> Fraction
     return Fraction(sum(map(mul, a[0], b[0])), a[1] * b[1])
 
 
-def _solve_column(num: Sequence[list[int]], j: int) -> tuple[list[int], int]:
-    """Rows j.. of column j of N^-1, as numerators over one denominator.
+def _solve_rows(num: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
+    """Each row of N^-1, as integer numerators over its own denominator.
 
-    N is an integer lower-triangular matrix with a nonzero diagonal.
-    Forward substitution x_i = (delta_ij - sum_{j<=k<i} N_ik x_k) / N_ii
-    runs over one running denominator, kept positive and coprime to the
-    numerators.  Step i scales it by |N_ii| and appends the numerator s;
-    since the old numerators and denominator were coprime, the content to
-    divide out is gcd(|N_ii|, s).  The result is in lowest terms.
+    N is an integer lower-triangular matrix with a nonzero diagonal.  With
+    row k of N^-1 held as Y_k / den_k and L = lcm(den_0..den_(i-1)),
+    forward substitution gives row i as (L e_i - sum_k c_k Y_k) / (L N_ii),
+    one scalar c_k = N_ik (L / den_k) per (i, k) and one dot product down
+    a column of Y per entry.  The row's content is divided out once and
+    its sign moved into the numerators, so each row comes in lowest terms
+    over a positive denominator.
     """
-    x: list[int] = []
-    den = 1
-    for row in num[j:]:
-        i = len(row) - 1
-        s = (den if i == j else 0) - sum(map(mul, row[j:i], x))
-        p = row[i]
-        if p < 0:
-            s, p = -s, -p
-        g = gcd(p, s)
-        if p != g:
-            x = [v * (p // g) for v in x]
-            den *= p // g
-        x.append(s // g)
-    return x, den
+    cols: list[list[int]] = []  # column j of Y, rows j..i-1
+    dens: list[int] = []
+    big = 1
+    for i, row in enumerate(num):
+        c = [a * (big // d) for a, d in zip(row, dens)]
+        c.reverse()
+        y = [-sum(map(mul, c, reversed(col))) for col in cols]
+        y.append(big)
+        den = big * row[i]
+        g = gcd(den, *y)
+        if den < 0:
+            g = -g
+        y = [v // g for v in y]
+        den //= g
+        for col, v in zip(cols, y):
+            col.append(v)
+        cols.append([y[i]])
+        dens.append(den)
+        big = lcm(big, den)
+        yield y, den
 
 
 @dataclass(frozen=True)
@@ -124,17 +134,16 @@ class Triangle:
         """Inverse by forward substitution; requires a nonzero diagonal.
 
         With d_i the lcm of row i's denominators, self = diag(d)^-1 N for
-        an integer matrix N, so the inverse is N^-1 diag(d).
+        an integer matrix N, so the inverse is N^-1 diag(d), read row by
+        row off ``_solve_rows``.
         """
         for i in range(self.n):
             if self.rows[i][i] == 0:
                 raise ValueError(f"singular: zero diagonal entry at {i}")
         num, dens = zip(*map(_cleared, self.rows))
-        cols = []
-        for j, dj in enumerate(dens):
-            x, den = _solve_column(num, j)
-            cols.append([Fraction(v * dj, den) for v in x])
-        return Triangle._from_columns(cols)
+        return Triangle(
+            [Fraction(v * d, den) for v, d in zip(y, dens)] for y, den in _solve_rows(num)
+        )
 
     def apply(self, vector: Sequence[Rat]) -> list[Fraction]:
         """Matrix times coefficient vector (vector length must be n)."""

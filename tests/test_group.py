@@ -2,7 +2,9 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,25 @@ class TestEntries:
             pascal.entry_closed(2, 3)
         with pytest.raises(RiordanError):
             pascal.entry_closed(65, 0)
+
+    def test_one_entry_builds_no_section(self, ten_pairs, monkeypatch):
+        # entry_closed builds column k alone on the kernel and entry_vertical
+        # reads the integer columns, so neither makes a Triangle
+        n_max = 30
+        pairs = [*ten_pairs.values(), *random_pairs(3, n_max, seed=38)]
+        rng = random.Random(38)
+        spots = [(n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 12)]
+        spots += [(0, 0), (n_max, 0), (n_max, n_max), (n_max, 1)]
+        want = [[ra.triangle(n_max + 1).rows[n][k] for n, k in spots] for ra in pairs]
+
+        def no_triangle(*args):
+            raise AssertionError("an entry built a Triangle")
+
+        monkeypatch.setattr(Triangle, "__init__", no_triangle)
+        for ra, expected in zip(pairs, want):
+            fresh = RiordanPair(ra.g, ra.f)
+            assert [fresh.entry_vertical(n, k) for n, k in spots] == expected
+            assert [fresh.entry_closed(n, k) for n, k in spots] == expected
 
 
 class TestTriangle:
@@ -198,6 +219,17 @@ class TestVerticalMemo:
                 assert factorization_check(ra, n) is True
             assert got == want and got[0] == section
             assert entry == want[0].rows[n - 1][3]
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 31])
+    def test_columns_sit_over_their_least_denominators(self, n):
+        # with each column's content divided out, its denominator is the lcm
+        # of its entries' reduced denominators, no larger
+        for ra in memo_pairs()[1:]:
+            cols, dens = RiordanPair(ra.g, ra.f)._vertical(n)
+            for col, den in zip(cols, dens, strict=True):
+                assert den == lcm(*(Fraction(x, den).denominator for x in col))
+        if n > 1:
+            assert any(d > 1 for d in dens)
 
     def test_copies_carry_no_memo(self):
         for ra in memo_pairs():

@@ -5,8 +5,8 @@
 compared with a plain ``Fraction`` loop written out below, one term at a
 time.  Denominators up to 7, zero entries, negative and non-unit diagonals
 and t-coefficients f_1 other than +-1 make the clearing, the column
-denominators dg * df^k and the running denominator of the inverse do real
-work.  The ``Triangle`` error paths are pinned at the end.
+denominators of the recursion and the row denominators of the inverse do
+real work.  The ``Triangle`` error paths are pinned at the end.
 """
 
 import random
@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordan import RiordanPair, Series, Triangle, group, matrices, series
-from riordan.matrices import _solve_column
+from riordan import RiordanPair, Series, Triangle, catalog, group, matrices, series
+from riordan.matrices import _solve_rows
 
 entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
 sparse = st.one_of(st.just(Fraction(0)), entry)
@@ -137,16 +137,17 @@ def test_matmul_and_apply(abv):
 @given(orders.flatmap(lambda n: triangles(n, invertible=True)))
 def test_inverse(t):
     assert rows(Triangle(t).inverse()) == inverse(t)
-    # Each column of N^-1, for N = 420 t, comes back in lowest terms over a
+    # Each row of N^-1, for N = 420 t, comes back in lowest terms over a
     # positive denominator; a wrong sign or a missed common factor would
     # still give the right Fractions above.
     num = [[x.numerator * 420 // x.denominator for x in row] for row in t]
     n_inv = inverse([[Fraction(x) for x in row] for row in num])
-    for j in range(len(num)):
-        x, den = _solve_column(num, j)
+    solved = list(_solve_rows(num))
+    assert len(solved) == len(num)
+    for (y, den), want in zip(solved, n_inv):
         assert den > 0
-        assert gcd(den, *x) == 1
-        assert [Fraction(v, den) for v in x] == [row[j] for row in n_inv[j:]]
+        assert gcd(den, *y) == 1
+        assert [Fraction(v, den) for v in y] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,6 +173,20 @@ def test_order_48():
     assert tri.apply(v) == apply(t, v)
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_large_sections_times_their_inverse(n):
+    # past the orders the Fraction oracles above can reach: the inverse is
+    # checked as the identity it must give on both sides
+    for pair in (
+        catalog.named_riordan("catalan_bell", n - 1),
+        catalog.random_pair(random.Random(20240826), n - 1),
+    ):
+        section = pair.triangle(n)
+        inv = section.inverse()
+        assert section @ inv == Triangle.identity(n)
+        assert inv @ section == Triangle.identity(n)
+
+
 def test_triangle_shares_no_code_with_the_kernel(monkeypatch):
     """triangle and triangle_closed (on the kernel) are each other's oracle.
 
@@ -194,16 +209,22 @@ def test_triangle_shares_no_code_with_the_kernel(monkeypatch):
 
 
 def test_triangle_closed_shares_no_code_with_the_recursion(monkeypatch):
-    """The mirror: triangle_closed clears nothing with ``matrices``."""
+    """The mirror: triangle_closed clears nothing with ``matrices``.
+
+    The helpers are patched where they are defined and where ``group``
+    imports them by name; ``group`` imports only some.
+    """
     g, f = seeded_pair(3, 8)
     pair = RiordanPair(Series(g), Series(f))
 
     def recursion(*args):
         raise AssertionError("triangle_closed called the matrix helpers")
 
-    for module in (matrices, group):
-        for name in ("_cleared", "_dot"):
-            monkeypatch.setattr(module, name, recursion)
+    for name in ("_cleared", "_dot"):
+        assert hasattr(matrices, name), f"matrices has no {name}: update this list"
+        monkeypatch.setattr(matrices, name, recursion)
+        if hasattr(group, name):
+            monkeypatch.setattr(group, name, recursion)
     assert rows(pair.triangle_closed(8)) == vertical(g, f, 8)
 
 
