@@ -6,8 +6,14 @@ two is documentary.  Rows are ragged: row i holds columns 0..i.  A column
 k runs from the diagonal down, n - k entries; ``_columns`` reads them off
 the rows and ``Triangle._from_columns`` builds the rows from them.
 Products and inverses run on integers: rows (and a product's right-hand
-columns) are cleared to one denominator each, and the inverse is solved
-row by row, each row over its own least denominator (``_solve_rows``).
+columns) are cleared to one denominator each.  A product is packed-row
+integer combinations: each row of its right factor is packed once into one
+integer, a slot per column, and each row of the product is one integer
+combination of those.  The packer is this module's own, sharing no code
+with the series kernel's Kronecker products, for the reason ``_cleared``
+mirrors ``series._to_ints``: the product checks the pair law the kernel
+computes.  The inverse is solved row by row, each row over its own least
+denominator (``_solve_rows``).
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .series import Rat, _rat
@@ -120,15 +127,45 @@ class Triangle:
         return cls([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
 
     def __matmul__(self, other: "Triangle") -> "Triangle":
-        """Product with rows of self and columns of other each cleared."""
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        rows = [_cleared(row) for row in self.rows]
-        cols = [_cleared(col) for col in _columns(other.rows)]
-        return Triangle(
-            [_dot((a[j:], da), col) for j, col in enumerate(cols[: i + 1])]
-            for i, (a, da) in enumerate(rows)
-        )
+        """Product as packed-row integer combinations.
+
+        Row i of self is cleared to a_i over da_i and column j of other to
+        b_j over db_j.  Row k of the b's is packed once into one integer
+        P_k, a little-endian slot per column, so row i of the product is
+        the integer combination sum_k a_ik P_k, whose slot j holds
+        sum_k a_ik b_kj, a sum of at most n - j products: slot j has
+        room for bits(a) + bits(b_j) + log2(n - j) bits and a sign, in
+        whole bytes.  Half a slot added to every slot (the bias) makes each
+        one nonnegative, so rows pack and unpack as plain bytes, and entry
+        (i, j) is one Fraction of its slot over da_i db_j.
+        """
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"size mismatch: {n} vs {other.n}")
+        rows = list(map(_cleared, self.rows))
+        cols, dens = zip(*map(_cleared, _columns(other.rows)))
+        bits = max(map(int.bit_length, chain.from_iterable(a for a, _ in rows)))
+        nbytes = [
+            (bits + max(map(int.bit_length, col)) + (n - j).bit_length() + 8) // 8
+            for j, col in enumerate(cols)
+        ]
+        ends = list(accumulate(nbytes))
+        starts = [0, *ends[:-1]]
+        halves = [1 << (8 * size - 1) for size in nbytes]
+        # biases[k]: the bias of slots 0..k
+        biases = list(accumulate(map(lshift, halves, [8 * s for s in starts])))
+        little = repeat("little")
+        heads = list(map(iter, cols))  # next(heads[j]) reads b_jj, b_(j+1)j, ...
+        slots = list(map(slice, starts, ends))
+        packed, out = [], []  # P_0..P_i, and rows 0..i of the product
+        for i, (a, da) in enumerate(rows):
+            biased = map(add, map(next, heads[: i + 1]), halves)  # row i of the b's
+            raw = b"".join(map(int.to_bytes, biased, nbytes, little))
+            packed.append(int.from_bytes(raw, "little") - biases[i])
+            raw = sum(map(mul, a, packed), biases[i]).to_bytes(ends[i], "little")
+            biased = map(int.from_bytes, map(raw.__getitem__, slots[: i + 1]), little)
+            out.append(list(map(Fraction, map(sub, biased, halves), map(mul, repeat(da), dens))))
+        return Triangle(out)
 
     def inverse(self) -> "Triangle":
         """Inverse by forward substitution; requires a nonzero diagonal.

@@ -238,12 +238,15 @@ def _times(x: _Cleared, y: _Cleared, n: int) -> _Cleared:
 def _powers(x: _Cleared, m: int, n: int) -> list[_Cleared]:
     """x^0..x^m, the first n coefficients of each as reduced (numerators,
     den), by ``_times``: x^1 = 1 x is a scaling, which truncates x to n,
-    and x^j = x^(j//2) x^(j - j//2) for j >= 2, so m - 1 products, of which
-    every even power's is a square."""
+    and x^j = x^(j//2) x^(j - j//2) for j >= 2, so at most m - 1 products,
+    of which every even power's is a square.  x^j has order j order(x), so
+    once that reaches n it is zero, and no product is made for it."""
     one = ([1] + [0] * (n - 1), 1)
+    order = next((i for i, c in enumerate(x[0][:n]) if c), n)
+    zero = ([0] * n, 1)
     pows = [one, _times(one, x, n)]
     for j in range(2, m + 1):
-        pows.append(_times(pows[j // 2], pows[j - j // 2], n))
+        pows.append(_times(pows[j // 2], pows[j - j // 2], n) if j * order < n else zero)
     return pows[: m + 1]
 
 
@@ -405,8 +408,10 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
     is then an integer combination of them, with no products, and
     H(f) = sum_j B_j F^j, F = f^k, is evaluated by Horner in F, about p/k
     products per H.  F^j has order at least kj, so when B_j is added only
-    the first q + 1 - kj coefficients can still reach the result.  H(f) has
-    precision q = min(H.prec, f.prec): coefficient n needs H and f through t^n.
+    the first q + 1 - kj coefficients can still reach the result; and
+    B_j F^j has order at least j order(F), so the blocks past q // order(F)
+    are never read.  H(f) has precision q = min(H.prec, f.prec): coefficient
+    n needs H and f through t^n.
     """
     if f.coeffs[0] != 0:
         raise CompositionError("composition undefined: f(0) != 0")
@@ -417,12 +422,14 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
     dcol = math.lcm(*(d for _, d in pows))
     # cols[i][r]: [t^i] f^r over dcol
     cols = list(zip(*([x * (dcol // d) for x in v] for v, d in pows)))
+    order = next((i for i, c in enumerate(big) if c), p + 1)  # of F
     out = []
     for h, q in zip(hs, precs):
         c, dh = _to_ints(h.coeffs[: q + 1])
-        acc, scale = [0] * (q + 1 - k * (q // k)), 1
-        for j in range(q // k, -1, -1):
-            if j < q // k:  # acc = sum_(i>j) B_i F^(i-j), over dcol scale
+        top = q // order  # at most q // k, as order(F) >= k
+        acc, scale = [0] * (q + 1 - k * top), 1
+        for j in range(top, -1, -1):
+            if j < top:  # acc = sum_(i>j) B_i F^(i-j), over dcol scale
                 acc, scale = _kmul(acc, big, q + 1 - k * j), scale * dbig
             block = [scale * x for x in c[k * j : k * j + k]]
             acc = [a + sum(map(mul, block, col)) for a, col in zip(acc, cols)]

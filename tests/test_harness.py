@@ -489,3 +489,40 @@ def test_integer_valued_routes_return_ints():
     assert types("rook-vertical", lambda n, k: k >= 2) == {Fraction}
     assert types("laguerre-vertical", lambda n, k: n - k >= 2) == {Fraction}
     assert all(harness._check(*rows[name]).status == "verified" for name in ints)
+
+
+@pytest.mark.parametrize("name", [row[0] for row in harness._rows()])
+def test_every_row_fails_where_it_claims_to_check(name):
+    """Each side of a builtin row, changed by 1 at the first or the last
+    (n, k) of the row's range and nowhere else, gives a counterexample at
+    exactly that (n, k) with the changed value; unchanged, the row
+    evaluates both routes at every (n, k) of its range, in order."""
+    _, *sides, n_max, k_policy = next(row for row in harness._rows() if row[0] == name)
+    entries = [(n, k) for n in range(n_max + 1) for k in K_POLICIES[k_policy](n)]
+    seen = ([], [])
+
+    def recording(side, route):
+        def evaluate(n, k):
+            seen[side].append((n, k))
+            return route(n, k)
+
+        return evaluate
+
+    recorded = [(desc, recording(side, route)) for side, (desc, route) in enumerate(sides)]
+    assert harness._check(name, *recorded, n_max, k_policy).status == "verified"
+    assert seen == (entries, entries)
+
+    for side, (desc, route) in enumerate(sides):
+        for at in (entries[0], entries[-1]):
+
+            def changed(n, k, route=route, at=at):
+                value = route(n, k)
+                return value + 1 if (n, k) == at else value
+
+            row = list(sides)
+            row[side] = (desc, changed)
+            report = harness._check(name, *row, n_max, k_policy)
+            assert report.status == "counterexample", (side, at)
+            ce = report.counterexample
+            assert (ce.n, ce.k) == at, side
+            assert (ce.lhs, ce.rhs)[side] == str(route(*at) + 1), (side, at)

@@ -107,6 +107,21 @@ class TestCompose:
         with pytest.raises(CompositionError):
             S(1, 1).compose(S(1, 1))
 
+    def test_no_product_that_is_zero_by_order(self, monkeypatch):
+        # f = t^4 + t^5 at precision 9: f^2 = t^8 + 2 t^9 + ... is the one
+        # product; f^3, f^4 and every Horner step by F = f^4 are zero by
+        # order, and 1 + f + f^2 is the whole answer.
+        made = []
+
+        def counting(a, b, k):
+            made.append(k)
+            return _kmul(a, b, k)
+
+        monkeypatch.setattr(series, "_kmul", counting)
+        h, f = Series([1] * 10), Series([0, 0, 0, 0, 1, 1, 0, 0, 0, 0])
+        assert h.compose(f) == Series([1, 0, 0, 0, 1, 1, 0, 0, 1, 2])
+        assert len(made) == 1
+
 
 class TestCompInverse:
     def test_mobius(self):
@@ -267,3 +282,25 @@ def test_power_table_is_reduced_truncated_and_squares_even_powers(monkeypatch, x
             assert [Fraction(c, den) for c in nums] == want, (m, j)
     a = cleared[0]
     assert _kmul(a, a, n) == _kmul(a, list(a), n)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 9])
+def test_power_table_makes_no_product_that_is_zero_by_order(monkeypatch, order):
+    """x^j has order j order(x): past n - 1 it is zero and no product is
+    made for it, and the table is x^0..x^m all the same (order 9: x = 0)."""
+    n = 9
+    x = [Fraction(0)] * order + [Fraction(c, 3) for c in (2, -1, 5, 1, 0, 4, -2, 1, 7)]
+    x = x[:n]
+    made = []
+
+    def counting(a, b, k):
+        made.append(k)
+        return _kmul(a, b, k)
+
+    monkeypatch.setattr(series, "_kmul", counting)
+    for m in range(10):
+        made.clear()
+        table = _powers(_to_ints(x), m, n)
+        assert len(made) == sum(1 for j in range(2, m + 1) if j * order < n), m
+        for j, ((nums, den), want) in enumerate(zip(table, fraction_powers(x, m, n))):
+            assert [Fraction(c, den) for c in nums] == want, (m, j)

@@ -228,6 +228,80 @@ def test_triangle_closed_shares_no_code_with_the_recursion(monkeypatch):
     assert rows(pair.triangle_closed(8)) == vertical(g, f, 8)
 
 
+# -- the edges of a packed product --------------------------------------------
+#
+# ``@`` packs each row of its right factor into one integer, a slot per
+# column sized from that column's bit lengths, and unpacks each row of the
+# product from one integer combination of them.
+
+def test_matmul_order_one():
+    for x, y in [(Fraction(-3, 7), Fraction(5, 2)), (Fraction(0), Fraction(-1)),
+                 (Fraction(2**1000 + 1, 3), Fraction(-1)), (Fraction(1), Fraction(0))]:
+        assert rows(Triangle([[x]]) @ Triangle([[y]])) == matmul([[x]], [[y]])
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_matmul_wide_entries_beside_narrow_ones(n):
+    # entries past 1,000 bits and 1-bit entries, zeros and both signs, in
+    # the same rows and columns, over small and wide denominators
+    big = 2**1200 - 1
+    choices = [0, 1, -1, big, -big, Fraction(1, big), Fraction(-big, 7), Fraction(3, 2)]
+    rng = random.Random(n)
+    for _ in range(4):
+        a, b = ([[rng.choice(choices) for _ in range(i + 1)] for i in range(n)]
+                for _ in range(2))
+        assert rows(Triangle(a) @ Triangle(b)) == matmul(a, b)
+        assert rows(Triangle(b) @ Triangle(a)) == matmul(b, a)
+    # one wide column among narrow ones, and one wide row
+    a = [[big if j == 1 else 1 for j in range(i + 1)] for i in range(n)]
+    b = [[-big if i == n - 1 else -1 for j in range(i + 1)] for i in range(n)]
+    assert rows(Triangle(a) @ Triangle(b)) == matmul(a, b)
+    assert rows(Triangle(b) @ Triangle(a)) == matmul(b, a)
+
+
+@pytest.mark.parametrize(
+    "n, bits_a, bits_b", [(7, 6, 6), (7, 6, 7), (15, 1001, 1002), (15, 1001, 1003), (1, 3, 3)]
+)
+def test_matmul_sums_reach_the_slot_bound(n, bits_a, bits_b):
+    # Every entry of a is +-(2^bits_a - 1) and of b +-(2^bits_b - 1), and
+    # n = 2^m - 1, so slot 0 of row n - 1 sums n products as large as
+    # those bit lengths allow.  Its width, bits_a + bits_b + m and a sign
+    # bit, is a whole number of bytes, so the slot has no spare bit, or
+    # one bit more, so a slot one bit short would be a byte narrower.
+    # Both signs, and columns of alternating sign, so that neighbouring
+    # slots differ in sign.
+    assert (bits_a + bits_b + n.bit_length() + 1) % 8 in (0, 1)
+    x, y = 2**bits_a - 1, 2**bits_b - 1
+    for sa in (1, -1):
+        for alternate in (False, True):
+            a = [[sa * x for _ in range(i + 1)] for i in range(n)]
+            b = [[y * (-1) ** (j * alternate) for j in range(i + 1)] for i in range(n)]
+            want = matmul(a, b)
+            assert abs(want[-1][0]) == n * x * y
+            assert rows(Triangle(a) @ Triangle(b)) == want
+
+
+def test_matmul_shares_no_code_with_the_kernel(monkeypatch):
+    """``@`` is the pair law's oracle, so it packs with its own code.
+
+    The kernel is patched where it is defined and wherever ``matrices``
+    imports it by name.
+    """
+    g, f = seeded_pair(4, 8)
+    t = vertical(g, f, 8)
+    other = [[x * 3 for x in row] for row in t]
+
+    def kernel(*args):
+        raise AssertionError("@ called the series kernel")
+
+    for name in ("_to_ints", "_from_ints", "_reduce", "_kmul", "_krecip"):
+        assert hasattr(series, name), f"series has no {name}: update this list"
+        monkeypatch.setattr(series, name, kernel)
+        if hasattr(matrices, name):
+            monkeypatch.setattr(matrices, name, kernel)
+    assert rows(Triangle(t) @ Triangle(other)) == matmul(t, other)
+
+
 # -- error paths --------------------------------------------------------------
 
 def test_inverse_names_first_zero_diagonal():

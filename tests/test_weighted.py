@@ -13,6 +13,7 @@ from riordan import (
     C_transform,
     PrecisionError,
     RiordanPair,
+    Series,
     Triangle,
     WeightError,
     WeightSeq,
@@ -559,3 +560,87 @@ class TestGeneralized:
         # the dual pairing compares d_{m, m-k} with d_{m, k}; the Catalan
         # Bell triangle is not row-symmetric, so the pairing breaks
         assert not rook_laguerre_duality(named_riordan("catalan_bell", 16), 6)
+
+
+# -- exponential Riordan arrays: the (c)-group under the factorial weight ------
+#
+# With c_n = n!, c_transform maps the pair (g, f) to the exponential Riordan
+# array [g, f] with entries (n!/k!) [t^n] g f^k.  Three classical triangles
+# are its worked examples, each pinned against its integer recurrence from
+# Comtet, "Advanced Combinatorics" (1974), which shares no code with the
+# library.
+
+EXP_ORDER = 12
+EXP_PREC = 24
+
+
+def exp_series(shift: int = 0) -> Series:
+    """e^t - shift, to EXP_PREC."""
+    return Series([F(1, math.factorial(i)) - (shift if i == 0 else 0)
+                   for i in range(EXP_PREC + 1)])
+
+
+EXP_PAIRS = {
+    # (1, e^t - 1)
+    "stirling2": lambda: RiordanPair(Series.one(EXP_PREC), exp_series(1)),
+    # (1, t/(1 - t))
+    "lah": lambda: RiordanPair(
+        Series.one(EXP_PREC), Series.geometric(EXP_PREC).shift_up().truncate(EXP_PREC)
+    ),
+    # (e^t, t)
+    "pascal": lambda: RiordanPair(exp_series(), Series.t(EXP_PREC)),
+}
+
+
+def recurrence_rows(step, n: int) -> list[list[int]]:
+    """Rows 0..n-1 of T(0, 0) = 1 and
+    T(m, k) = step(m, k, T(m - 1, k), T(m - 1, k - 1)), T outside 0 <= k <= m
+    read as 0."""
+    rows = [[1]]
+    for m in range(1, n):
+        prev = rows[-1] + [0]
+        rows.append([step(m, k, prev[k], prev[k - 1] if k else 0) for k in range(m + 1)])
+    return rows
+
+
+COMTET = {
+    # S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    "stirling2": lambda m, k, same, left: k * same + left,
+    # L(n, k) = (n - 1 + k) L(n-1, k) + L(n-1, k-1), unsigned
+    "lah": lambda m, k, same, left: (m - 1 + k) * same + left,
+    # C(n, k) = C(n-1, k) + C(n-1, k-1)
+    "pascal": lambda m, k, same, left: same + left,
+}
+
+
+class TestExponentialArrays:
+    def test_recurrences_are_the_classical_triangles(self):
+        # the oracles themselves, against closed forms
+        rows = {name: recurrence_rows(step, EXP_ORDER) for name, step in COMTET.items()}
+        assert rows["stirling2"][4] == [0, 1, 7, 6, 1]
+        assert rows["lah"][4] == [0, 24, 36, 12, 1]
+        assert rows["pascal"] == [
+            [math.comb(n, k) for k in range(n + 1)] for n in range(EXP_ORDER)
+        ]
+
+    @pytest.mark.parametrize("name", EXP_PAIRS)
+    def test_transform_is_the_classical_triangle(self, name):
+        x = c_transform(EXP_PAIRS[name](), WeightSeq.factorial(EXP_ORDER), EXP_ORDER)
+        want = recurrence_rows(COMTET[name], EXP_ORDER)
+        assert [list(row) for row in x.entries.rows] == want
+        for n in range(1, EXP_ORDER):
+            for k in range(n + 1):
+                assert horiz_recursion_C(x, n, k) == x.entries.rows[n][k], (n, k)
+            for k in range(1, n + 1):
+                assert vert_recursion_C(x, n, k) == x.entries.rows[n][k], (n, k)
+
+    def test_product_matches_the_pair_route(self):
+        # the matrix product of the Stirling-2 and Lah arrays against the
+        # transform of the product of their base pairs, on the series kernel
+        c = WeightSeq.factorial(EXP_ORDER)
+        stirling2, lah = (
+            c_transform(EXP_PAIRS[name](), c, EXP_ORDER) for name in ("stirling2", "lah")
+        )
+        product = c_group_mul(stirling2, lah)
+        assert product.entries == c_transform(stirling2.base * lah.base, c, EXP_ORDER).entries
+        assert product.entries != stirling2.entries

@@ -20,8 +20,9 @@ The file holds, for the checkout this script sits in:
   (its square) of ``triangle(n)``, ``QuasiRiordan.matrix(n)``,
   ``factorization_check`` at n, ``raise_order`` of ``triangle(n - 1)``
   and ``lower_order`` of ``triangle(n)``, for the sweep's two pairs at n
-  in {32, 48, 64}, each the median CPU time of 11 calls in reference ms,
-  with the result's digest;
+  in {32, 48, 64}, and ``Triangle.__matmul__`` alone also at n in
+  {96, 128}, where the entries pass 200 bits, each the median CPU time of
+  11 calls in reference ms, with the result's digest;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
   (CPU time scaled to the reference speed of ``bench/common.calibrate``),
@@ -70,6 +71,7 @@ from common import (  # noqa: E402
 SUITE_PROCESSES = 5
 CALLS = 11
 SECTION_ORDERS = (32, 48, 64)
+MATMUL_ORDERS = (96, 128)  # Triangle.__matmul__ alone, on larger entries
 WORKLOADS = ("pair_algebra", "triangle_io", "verify_cli")
 SEED = 1
 SECONDS = 15
@@ -254,11 +256,19 @@ def sections_point() -> list[dict]:
                 "lower_order": lambda: lower_order(a, section),
             }
             for op, call in ops.items():
-                ms, out = timed(call)
-                rows.append({"pair": label, "n": n, "op": op,
-                             "reference_ms": ms, "digest": digest(out)})
-                print(json.dumps(rows[-1]), flush=True)
+                rows.append(section_row(label, n, op, call))
+    for n in MATMUL_ORDERS:
+        for label, a in sweep_pairs(n).items():
+            section = a.triangle(n)
+            rows.append(section_row(label, n, "Triangle.__matmul__", lambda: section @ section))
     return rows
+
+
+def section_row(label: str, n: int, op: str, call) -> dict:
+    ms, out = timed(call)
+    row = {"pair": label, "n": n, "op": op, "reference_ms": ms, "digest": digest(out)}
+    print(json.dumps(row), flush=True)
+    return row
 
 
 def workload_point(name: str) -> dict:
