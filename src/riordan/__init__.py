@@ -22,6 +22,7 @@ from .weighted import (
     WeightTri,
     WeightedTriangle,
     C_transform,
+    c_group_inverse,
     c_group_mul,
     c_transform,
     generalized_laguerre,
@@ -49,6 +50,7 @@ __all__ = [
     "WeightSeq",
     "WeightTri",
     "WeightedTriangle",
+    "c_group_inverse",
     "c_group_mul",
     "c_transform",
     "catalog",

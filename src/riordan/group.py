@@ -9,8 +9,10 @@ reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
 split.  The vertical recursion runs on integer numerators over one
 denominator per column, each column's content divided out, built once
 per pair at the largest order asked so far and sliced, as fresh lists,
-for any smaller one (_vertical); the A/Z step runs on cleared rows, A
-and Z; both still return reduced Fractions.  The inverse and A/Z
+for any smaller one (_vertical), and handed to the section that
+triangle returns as its cleared columns, which ``@`` and
+factorization_check read; the A/Z step runs on cleared rows, A and Z;
+both still return reduced Fractions.  The inverse and A/Z
 extraction each build one set of powers of t/f and read all by Lagrange
 off it: A as the power -1 of fbar/t, one dot product per coefficient,
 and fbar, 1/g(fbar) and Z = K(fbar), K = (1 - 1/g)/t, with 1/g as
@@ -29,26 +31,19 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .matrices import Triangle, _cleared
+from .matrices import Triangle, _cleared, _fields_state
 from .series import PrecisionError, Series, SeriesError, _compose, _from_ints, _krecip
 from .series import _lagrange_powers, _lagrange_read, _powers, _times, _to_ints
 
 
 class RiordanError(SeriesError):
     """Invalid Riordan pair or out-of-range entry request."""
-
-
-def _fields_state(self) -> dict:
-    # Copies and pickles carry the fields alone; the cached tables (A/Z
-    # cleared, the vertical columns, rho, _d_rows, _d_cols, ...) rebuild
-    # from them on first read.
-    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,13 @@ class RiordanPair(_Pair):
         ``_vertical``, read row by row.  Those columns are built once per
         pair, each over the least denominator of its entries at the order
         built, and sliced as fresh lists; only their values are pinned,
-        not their denominators.
+        not their denominators.  The section keeps these lists as its
+        ``_cleared_columns``.
         """
         cols, dens = self._vertical(n)
-        return Triangle(
-            [Fraction(cols[k][i - k], dens[k]) for k in range(i + 1)] for i in range(n)
+        return Triangle._unchecked(
+            ([Fraction(cols[k][i - k], dens[k]) for k in range(i + 1)] for i in range(n)),
+            list(zip(cols, dens)),
         )
 
     def _vertical(self, n: int) -> tuple[list[list[int]], list[int]]:

@@ -6,10 +6,16 @@ two is documentary.  Rows are ragged: row i holds columns 0..i.  A column
 k runs from the diagonal down, n - k entries; ``_columns`` reads them off
 the rows and ``Triangle._from_columns`` builds the rows from them.
 Products and inverses run on integers: rows (and a product's right-hand
-columns) are cleared to one denominator each.  A product is packed-row
-integer combinations: each row of its right factor is packed once into one
-integer, a slot per column, and each row of the product is one integer
-combination of those.  The packer is this module's own, sharing no code
+columns) are cleared to one denominator each.  A section keeps its
+columns so cleared (``Triangle._cleared_columns``), built on first read
+or handed in by ``RiordanPair.triangle`` from the vertical recursion's
+own integer columns, so a product reads its right factor's columns
+without clearing a Fraction.  Rows that the library builds itself from
+Fractions skip the per-entry checks of ``Triangle(rows)``
+(``Triangle._unchecked``).  Copies and pickles carry the rows alone.  A
+product is packed-row integer combinations: each row of its right factor
+is packed once into one integer, a slot per column, and each row of the
+product is one integer combination of those.  The packer is this module's own, sharing no code
 with the series kernel's Kronecker products, for the reason ``_cleared``
 mirrors ``series._to_ints``: the product checks the pair law the kernel
 computes.  The inverse is solved row by row, each row over its own least
@@ -19,14 +25,22 @@ denominator (``_solve_rows``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .series import Rat, _rat
+
+
+def _fields_state(self) -> dict:
+    # Copies and pickles carry the fields alone; the cached tables (a
+    # section's integer columns, a pair's A/Z and vertical columns, rho,
+    # _d_rows, _d_cols, ...) rebuild from them on first read.
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -90,6 +104,8 @@ class Triangle:
 
     rows: tuple[tuple[Fraction, ...], ...]
 
+    __getstate__ = _fields_state
+
     def __init__(self, rows: Iterable[Sequence[Rat]]):
         built = []
         for i, row in enumerate(rows):
@@ -102,6 +118,32 @@ class Triangle:
         object.__setattr__(self, "rows", tuple(built))
         if not self.rows:
             raise ValueError("empty triangle")
+
+    @classmethod
+    def _unchecked(
+        cls,
+        rows: Iterable[Sequence[Fraction]],
+        columns: list[tuple[list[int], int]] | None = None,
+    ) -> "Triangle":
+        """Rows of Fractions built in this library, taken without ``__init__``'s checks.
+
+        ``columns``, in the layout of ``_cleared_columns``, seeds it.
+        """
+        tri = object.__new__(cls)
+        object.__setattr__(tri, "rows", tuple(map(tuple, rows)))
+        if columns is not None:
+            tri.__dict__["_cleared_columns"] = columns
+        return tri
+
+    @cached_property
+    def _cleared_columns(self) -> list[tuple[list[int], int]]:
+        """Column k as integer numerators over one denominator, built on first read.
+
+        ``RiordanPair.triangle`` seeds it with the vertical recursion's
+        columns, whose denominators may be multiples of the least; readers
+        use the values alone and mutate nothing.
+        """
+        return list(map(_cleared, _columns(self.rows)))
 
     @property
     def n(self) -> int:
@@ -118,9 +160,9 @@ class Triangle:
         return f"Triangle(n={self.n})"
 
     @classmethod
-    def _from_columns(cls, cols: Sequence[Sequence[Rat]]) -> "Triangle":
+    def _from_columns(cls, cols: Sequence[Sequence[Fraction]]) -> "Triangle":
         """The triangle whose column k, from the diagonal down, is cols[k]."""
-        return cls([cols[k][i - k] for k in range(i + 1)] for i in range(len(cols)))
+        return cls._unchecked([cols[k][i - k] for k in range(i + 1)] for i in range(len(cols)))
 
     @classmethod
     def identity(cls, n: int) -> "Triangle":
@@ -143,7 +185,7 @@ class Triangle:
         if n != other.n:
             raise ValueError(f"size mismatch: {n} vs {other.n}")
         rows = list(map(_cleared, self.rows))
-        cols, dens = zip(*map(_cleared, _columns(other.rows)))
+        cols, dens = zip(*other._cleared_columns)
         bits = max(map(int.bit_length, chain.from_iterable(a for a, _ in rows)))
         nbytes = [
             (bits + max(map(int.bit_length, col)) + (n - j).bit_length() + 8) // 8
@@ -164,8 +206,8 @@ class Triangle:
             packed.append(int.from_bytes(raw, "little") - biases[i])
             raw = sum(map(mul, a, packed), biases[i]).to_bytes(ends[i], "little")
             biased = map(int.from_bytes, map(raw.__getitem__, slots[: i + 1]), little)
-            out.append(list(map(Fraction, map(sub, biased, halves), map(mul, repeat(da), dens))))
-        return Triangle(out)
+            out.append(tuple(map(Fraction, map(sub, biased, halves), map(mul, repeat(da), dens))))
+        return Triangle._unchecked(out)
 
     def inverse(self) -> "Triangle":
         """Inverse by forward substitution; requires a nonzero diagonal.
@@ -178,7 +220,7 @@ class Triangle:
             if self.rows[i][i] == 0:
                 raise ValueError(f"singular: zero diagonal entry at {i}")
         num, dens = zip(*map(_cleared, self.rows))
-        return Triangle(
+        return Triangle._unchecked(
             [Fraction(v * d, den) for v, d in zip(y, dens)] for y, den in _solve_rows(num)
         )
 

@@ -9,7 +9,8 @@ component.  The paper's factorization
 orders: ``raise_order`` and ``lower_order`` multiply each column of a
 section, from the diagonal down, by f/t or t/f with the series kernel's
 one product and one reciprocal routine.  ``factorization_check`` runs
-the same products on ``triangle(n)`` and cross-multiplies: it checks the
+the same products on the integer columns that ``triangle(n)`` carries,
+the vertical recursion's own, and cross-multiplies: it checks the
 schoolbook recursion against the kernel, not the quasi matrix, which the
 tests check against the literal product.
 """
@@ -101,10 +102,11 @@ def lower_order(ra: RiordanPair, tri: Triangle) -> Triangle:
 def factorization_check(ra: RiordanPair, n: int) -> bool:
     """Does (g,f)_n = [g,f]_n ([1] (+) (g,f)_{n-1}) hold exactly?
 
-    The columns of ``triangle(n)`` less their last entries, (g,f)_{n-1}, are
-    raised as in ``raise_order``; a raised b / e must equal a / d, a e == b d.
+    The integer columns of ``triangle(n)`` (its ``_cleared_columns``) less
+    their last entries, (g,f)_{n-1}, are raised as in ``raise_order``; a
+    raised b / e must equal a / d, a e == b d.
     """
-    cols = list(map(_to_ints, _columns(ra.triangle(n).rows)))
+    cols = ra.triangle(n)._cleared_columns
     upper = ((c[:-1], d) for c, d in cols[:-1])
     return all(
         all(a * e == b * d for a, b in zip(col, want, strict=True))

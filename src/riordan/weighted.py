@@ -29,8 +29,9 @@ denominator, so there is one Fraction per recursion entry, as per
 transform entry.  Conjugating by the weights is what turns these
 linear recursions into nonlinear ones like those of the rook and Laguerre
 triangles.  The (c)-weighted arrays again
-form a group under matrix multiplication; the (C)-class does not, so the
-group law here rejects C-weighted inputs.
+form a group under matrix multiplication, whose inverse is the transform
+of the base pair's inverse (c_group_inverse); the (C)-class does not, so
+the group law and inverse here reject C-weighted inputs.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .group import RiordanPair, _az_step, _fields_state
-from .matrices import Triangle, _cleared, _columns
+from .group import RiordanPair, _az_step
+from .matrices import Triangle, _cleared, _columns, _fields_state
 from .series import PrecisionError, Rat, _rat
 
 _ratio = Fraction.as_integer_ratio
@@ -201,21 +202,36 @@ def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
         ]
         for i, rho in enumerate(c.rho[:n])
     ]
-    return WeightedTriangle(ra, c, Triangle(rows))
+    return WeightedTriangle(ra, c, Triangle._unchecked(rows))
 
 
 C_transform = c_transform  # the same map, under the paper's name
 
 
+def _c_kind(*xs: WeightedTriangle) -> None:
+    if any(x.kind != "c" for x in xs):
+        raise WeightError("the (C)-class is not a group under multiplication")
+
+
 def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
     """Matrix product in the (c)-group; (C)-weighted inputs are rejected."""
-    if x.kind != "c" or y.kind != "c":
-        raise WeightError("the (C)-class is not closed under multiplication")
+    _c_kind(x, y)
     if x.weight != y.weight:
         raise WeightError("mismatched weight sequences")
     if x.n != y.n:
         raise WeightError("mismatched orders")
     return WeightedTriangle(x.base * y.base, x.weight, x.entries @ y.entries)
+
+
+def c_group_inverse(x: WeightedTriangle) -> WeightedTriangle:
+    """Inverse in the (c)-group; (C)-weighted inputs are rejected.
+
+    The transform is D -> W D W^-1, W = diag(c), so the inverse of a
+    transform is the transform of the base pair's inverse, by the same
+    weight.
+    """
+    _c_kind(x)
+    return c_transform(x.base.inverse(), x.weight, x.n)
 
 
 # -- the recursions: rho(n, k) times a linear Riordan step on d ---------------

@@ -19,6 +19,7 @@ from riordan import (
     WeightSeq,
     WeightTri,
     WeightedTriangle,
+    c_group_inverse,
     c_group_mul,
     c_transform,
     generalized_laguerre,
@@ -512,11 +513,24 @@ class TestCGroup:
         e = c_transform(named_riordan("identity", 24), c, 16)
         assert prod.entries.rows == e.entries.rows
 
+    def test_inverse_is_the_matrix_inverse(self):
+        # x.entries is built by c_transform, so no column of it is seeded
+        rng = random.Random(43)
+        for c in WeightSeq.factorial(16), WeightSeq.power(F(-1, 2), 16):
+            for ra in named_riordan("catalan_bell", 24), random_pair(rng, 24):
+                x = c_transform(ra, c, 16)
+                inv = c_group_inverse(x)
+                assert inv.weight == c and inv.n == 16
+                assert inv.entries == x.entries.inverse()
+                assert c_group_mul(x, inv).entries == Triangle.identity(16)
+
     def test_rejects_C_kind(self):
         ra = named_riordan("pascal", 8)
         x = C_transform(ra, WeightTri.laguerre(4), 4)
         with pytest.raises(WeightError):
             c_group_mul(x, x)
+        with pytest.raises(WeightError):
+            c_group_inverse(x)
 
     def test_rejects_C_kind_with_c_rows(self):
         # a (C)-table equal to a (c)-weight's rows is still of kind "C"
@@ -633,6 +647,14 @@ class TestExponentialArrays:
                 assert horiz_recursion_C(x, n, k) == x.entries.rows[n][k], (n, k)
             for k in range(1, n + 1):
                 assert vert_recursion_C(x, n, k) == x.entries.rows[n][k], (n, k)
+
+    def test_inverse_of_stirling2_is_signed_stirling1(self):
+        # s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k), Comtet's recurrence for
+        # the signed Stirling numbers of the first kind
+        x = c_transform(EXP_PAIRS["stirling2"](), WeightSeq.factorial(EXP_ORDER), EXP_ORDER)
+        want = recurrence_rows(lambda m, k, same, left: left - (m - 1) * same, EXP_ORDER)
+        assert want[4] == [0, -6, 11, -6, 1]
+        assert [list(row) for row in c_group_inverse(x).entries.rows] == want
 
     def test_product_matches_the_pair_route(self):
         # the matrix product of the Stirling-2 and Lah arrays against the

@@ -22,7 +22,10 @@ The file holds, for the checkout this script sits in:
   and ``lower_order`` of ``triangle(n)``, for the sweep's two pairs at n
   in {32, 48, 64}, and ``Triangle.__matmul__`` alone also at n in
   {96, 128}, where the entries pass 200 bits, each the median CPU time of
-  11 calls in reference ms, with the result's digest;
+  11 calls in reference ms, with the result's digest; ``triangle(n)``
+  carries its integer columns, which ``@`` and ``factorization_check``
+  read, so both are also timed on the lazy path (``:unseeded``), where
+  each call clears the columns off the rows again;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
   (CPU time scaled to the reference speed of ``bench/common.calibrate``),
@@ -226,6 +229,7 @@ def sections_point() -> list[dict]:
     from riordan import (
         C_transform,
         QuasiRiordan,
+        RiordanPair,
         Triangle,
         WeightSeq,
         WeightTri,
@@ -235,6 +239,14 @@ def sections_point() -> list[dict]:
         raise_order,
     )
 
+    def unseeded(t: Triangle) -> Triangle:
+        vars(t).pop("_cleared_columns", None)  # read again off the rows
+        return t
+
+    class Unseeded(RiordanPair):
+        def triangle(self, n: int) -> Triangle:
+            return unseeded(super().triangle(n))
+
     rows = []
     for n in SECTION_ORDERS:
         fac, lag = WeightSeq.factorial(n), WeightTri.laguerre(n)
@@ -242,6 +254,8 @@ def sections_point() -> list[dict]:
         for label, a in sweep_pairs(n).items():
             section, below = a.triangle(n), a.triangle(n - 1)
             quasi = QuasiRiordan.of_pair(a)
+            lazy, plain = Unseeded(a.g, a.f), Triangle(section.rows)
+            lazy._vertical(n)  # its memo, as a's, is built before the timed calls
             csv, text = section.to_csv(), section.to_json()
             ops = {
                 "c_transform:factorial": lambda: c_transform(a, fac, n),
@@ -250,8 +264,10 @@ def sections_point() -> list[dict]:
                 "Triangle.from_json": lambda: Triangle.from_json(text),
                 "Triangle.inverse": section.inverse,
                 "Triangle.__matmul__": lambda: section @ section,
+                "Triangle.__matmul__:unseeded": lambda: plain @ unseeded(plain),
                 "QuasiRiordan.matrix": lambda: quasi.matrix(n),
                 "factorization_check": lambda: factorization_check(a, n),
+                "factorization_check:unseeded": lambda: factorization_check(lazy, n),
                 "raise_order": lambda: raise_order(a, below),
                 "lower_order": lambda: lower_order(a, section),
             }
