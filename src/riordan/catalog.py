@@ -1,16 +1,11 @@
 """Named sequences, series and triangles, and the spec grammar.
 
-Closed forms for Catalan powers, Fuss-Catalan numbers, and the rook,
-remainder, and Laguerre triangles, plus the registry of named Riordan
-pairs, series, and weights used by the CLI and the test corpus.  The
-registry is one table per kind; the spec functions (series_spec,
-pair_spec, weight_spec) and catalog_names() all read from it.  Spec text
-that is malformed, or has a missing or unexpected parameter, raises
-SpecError; a name not in the tables raises CatalogError.
-
-The rook triangle's r_{5,4} and the remainder triangle's E_{4,4} follow
-the closed formulas (25 and 24); the two values cross-check each other
-through r_{n+1,k} = r_{n,k} + E_{n,k}.
+Closed forms for Catalan powers, Fuss-Catalan numbers and the rook,
+remainder and Laguerre triangles; the registry of named pairs, series and
+weights, one table per kind, that the spec functions read; and the test
+corpus.  Malformed spec text raises SpecError, an unknown name CatalogError.
+r_{5,4} = 25 and E_{4,4} = 24 follow the closed formulas, and
+r_{n+1,k} = r_{n,k} + E_{n,k} cross-checks them.
 """
 
 from __future__ import annotations

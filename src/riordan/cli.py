@@ -1,19 +1,11 @@
-"""Command-line surface.
+"""Exact Riordan arrays, quasi-Riordan arrays and weighted triangles.
 
-Subcommands: triangle, quasi, mul, inv, az, ctransform, verify, catalog.
-Each input is set one way: a pair only by a pair spec (--name, --a, --b),
-a weight by --weight, the precision by --prec, and --format only where a
-triangle prints.  Specs are parsed by riordan.catalog (pair_spec,
-weight_spec); this module only reads flags and maps errors to exit codes:
-0 success, 64 usage error (a bad flag, a malformed spec, a missing or
-unexpected parameter, a number past the int-string digit limit), 65 an
-unknown catalog name, a value the maths rejects, or a computed entry past
-that limit (named, with its digits; PYTHONINTMAXSTRDIGITS=0 lifts the
-limit), 73 only an --out file that cannot be written (an empty path included).
-The verify subcommand instead uses the report contract (0 all verified,
-1 counterexample, 2 inconclusive), and 73 as above; it prints each report
-line as its check ends.  A reader that closes stdout early never changes
-any subcommand's exit code.
+Exit codes: 0 success; 64 usage error (a bad flag, a malformed spec, a
+missing or unexpected parameter, a number past the int-string digit limit);
+65 an unknown catalog name, a value the maths rejects, or a computed entry
+past that limit (PYTHONINTMAXSTRDIGITS=0 lifts it); 73 an --out file that
+cannot be written.  verify exits 0 all verified, 1 counterexample, 2
+inconclusive, or 73.  Closing stdout early never changes an exit code.
 """
 
 from __future__ import annotations
@@ -82,9 +74,8 @@ def _emit(text: str, out: str | None = None) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader has gone (`riordan ... | head`): the command still
-        # ends and --out and the exit code stand, so the rest of stdout,
-        # and its flush at exit, go to os.devnull.
+        # The reader has gone (`riordan ... | head`): --out and the exit code
+        # still stand, so the rest of stdout goes to os.devnull.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -1,32 +1,12 @@
 """The Riordan group over exact rationals.
 
-A pair (g, f) with g(0) = 1, f(0) = 0, f'(0) != 0 generates an infinite
-lower-triangular array whose column k has generating function g*f^k.
-This module provides three independent ways to compute entries (closed
-form, vertical recursion, fully nested sum), the group law and inverse,
-the fundamental-theorem action, A/Z-sequence extraction and
-reconstruction, subgroup predicates, and the Appell/Lagrange semidirect
-split.  The vertical recursion runs on integer numerators over one
-denominator per column, each column's content divided out, built once
-per pair at the largest order asked so far and sliced, as fresh lists,
-for any smaller one (_vertical), and handed to the section that
-triangle returns as its cleared columns, which ``@`` and
-factorization_check read; the A/Z step runs on cleared rows, A and Z;
-both still return reduced Fractions.  The inverse and A/Z
-extraction each build one set of powers of t/f and read all by Lagrange
-off it: A as the power -1 of fbar/t, one dot product per coefficient,
-and fbar, 1/g(fbar) and Z = K(fbar), K = (1 - 1/g)/t, with 1/g as
-integers from the series kernel's one reciprocal routine.  The public
-extract_az computes afresh on every call; the weighted recursions read A
-and Z cleared once per pair (_az), and triangle, entry_vertical and the
-weighted transforms share the one set of vertical columns; entry_closed
-builds column k alone.  Copies and pickles of a pair carry g and f
-alone.  The closed form runs on the kernel's one product routine
-instead, as one shifted integer chain: column k from row k on is
-g*(f/t)^k, n - k coefficients over its own denominator, the product of
-column k-1 with f/t, and each column becomes one Series.  Sharing no
-code, the closed form and the vertical recursion are each other's
-oracle.
+``RiordanPair`` (g, f), g(0) = 1 and f of order exactly 1, is the array whose
+column k has generating function g f^k.  It gives each entry three ways
+(closed form, vertical recursion d_{n,k} = sum_j f_j d_{n-j,k-1}, nested
+sum), the group law and inverse, the action g h(f), the A- and Z-sequences
+and the reconstruction from them, the named subgroups and the
+Appell/Lagrange split.  The closed form and the vertical recursion share no
+code: each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -48,11 +28,8 @@ class RiordanError(SeriesError):
 
 @dataclass(frozen=True)
 class _Pair:
-    """Validation and value semantics shared by the Riordan and quasi pairs.
-
-    Both are built from (g, f) with g(0) = 1 and f of order exactly 1;
-    equality holds only between pairs of the same class.
-    """
+    """(g, f) with g(0) = 1 and f of order exactly 1, for the Riordan and
+    quasi pairs; equality holds only between pairs of the same class."""
 
     g: Series
     f: Series
@@ -101,11 +78,7 @@ class RiordanPair(_Pair):
             raise RiordanError(f"entry row {n} beyond precision {self.prec}")
 
     def entry_closed(self, n: int, k: int) -> Fraction:
-        """d_{n,k} = [t^n] g*f^k, coefficient n - k of g*(f/t)^k.
-
-        Column k alone, as in triangle_closed: k ``_times`` steps of g by
-        f/t on the series kernel, each truncated to n - k + 1 coefficients.
-        """
+        """d_{n,k} = [t^n] g*f^k, from column k alone on the series kernel."""
         self._check_range(n, k)
         m = n - k + 1
         u, col = _to_ints(self.f.coeffs[1 : m + 1]), _to_ints(self.g.coeffs[:m])
@@ -115,20 +88,14 @@ class RiordanPair(_Pair):
         return Fraction(nums[-1], den)
 
     def entry_vertical(self, n: int, k: int) -> Fraction:
-        """d_{n,k} from column k-1 through the coefficients of f.
-
-        Read off the integer columns of ``_vertical``, which fill d_{n,k} =
-        sum_{j=1}^{n-k+1} f_j d_{n-j,k-1} column by column from column 0 = g.
-        """
+        """d_{n,k} = sum_{j=1}^{n-k+1} f_j d_{n-j,k-1}, from column 0 = g."""
         self._check_range(n, k)
         cols, dens = self._vertical(n + 1)
         return Fraction(cols[k][n - k], dens[k])
 
     def entry_nested(self, n: int, k: int) -> Fraction:
-        """The k-fold nested sum over f-indices, by direct recursion.
-
-        Exponential in k; intended as a test oracle at small n only.
-        """
+        """The k-fold nested sum over f-indices, by direct recursion: exponential
+        in k, a test oracle for small n only."""
         self._check_range(n, k)
         if k == 0:
             return self.g[n]
@@ -140,12 +107,9 @@ class RiordanPair(_Pair):
     def triangle(self, n: int) -> Triangle:
         """The n x n leading principal submatrix, via the vertical recursion.
 
-        Each entry is one reduced Fraction of the integer columns of
-        ``_vertical``, read row by row.  Those columns are built once per
-        pair, each over the least denominator of its entries at the order
-        built, and sliced as fresh lists; only their values are pinned,
-        not their denominators.  The section keeps these lists as its
-        ``_cleared_columns``.
+        The section carries the recursion's integer columns as its
+        ``_cleared_columns``: only their values are pinned, not their
+        denominators.
         """
         cols, dens = self._vertical(n)
         return Triangle._unchecked(
@@ -154,19 +118,12 @@ class RiordanPair(_Pair):
         )
 
     def _vertical(self, n: int) -> tuple[list[list[int]], list[int]]:
-        """The vertical recursion's integer columns and their denominators.
+        """The vertical recursion's integer columns at order n, and their
+        denominators: column k holds its n - k entries from the diagonal down.
 
-        g and f are held as integer numerators over one denominator each,
-        dg and df.  Column k, its n - k entries from the diagonal down, is
-        the schoolbook convolution of column k-1 with f/t, over df times
-        column k-1's denominator; then its content is divided out, so that
-        each column sits over the lcm of its entries' reduced denominators.
-        Built once per pair at the largest order asked so far, kept in
-        ``__dict__`` as ``_az`` is, and rebuilt for a larger order.  Order
-        n gets column k's first n - k entries and the first n denominators
-        as fresh lists, which a caller may mutate.  A larger build's
-        column holds more entries, so its denominator is a multiple of
-        order n's, not always equal: only the values are pinned.
+        Built once per pair at the largest order asked so far, and handed
+        out as fresh lists, which a caller may mutate.  A denominator is a
+        multiple of the least, not always equal: only the values are pinned.
         """
         self._check_order(n)
         memo = self.__dict__.get("_vertical_cols")
@@ -191,14 +148,8 @@ class RiordanPair(_Pair):
         return [c[: n - k] for k, c in enumerate(cols[:n])], dens[:n]
 
     def triangle_closed(self, n: int) -> Triangle:
-        """Same submatrix built from the column generating functions g*f^k.
-
-        Column k is zero above row k, and from row k on it is g*(f/t)^k,
-        n - k coefficients long.  g and f/t are cleared once on the series
-        kernel; column k is then ``_times`` of column k-1 and f/t,
-        truncated to n - k, over its own denominator with the content
-        divided out.  Each column becomes one Series of reduced Fractions.
-        """
+        """Same submatrix from the column generating functions g*f^k, on the
+        series kernel."""
         self._check_order(n)
         u, col = _to_ints(self.f.coeffs[1:n]), _to_ints(self.g.coeffs[:n])
         cols = []
@@ -217,11 +168,8 @@ class RiordanPair(_Pair):
         return RiordanPair(self.g * g2, f2)
 
     def inverse(self) -> "RiordanPair":
-        """(g, f)^-1 = (1 / g(fbar), fbar) = ((1/g)(fbar), t(fbar)).
-
-        Both read by Lagrange off one set of powers of t/f: fbar at f.prec,
-        and 1/g(fbar), from 1/g as integers, at min(g.prec, f.prec).
-        """
+        """(g, f)^-1 = (1 / g(fbar), fbar), fbar at f.prec and 1 / g(fbar) at
+        min(g.prec, f.prec)."""
         powers = _lagrange_powers(self.f, self.f.prec)
         fbar = _lagrange_read(powers, [0, 1] + [0] * (self.f.prec - 1), 1)
         g_inv = _lagrange_read(powers, *_krecip(self.g.coeffs, self.prec + 1))
@@ -236,12 +184,10 @@ class RiordanPair(_Pair):
     def extract_az(self) -> "AZSequences":
         """A(t) = t / fbar(t);  Z(t) = (1 - 1/g(fbar)) / fbar(t).
 
-        Both by Lagrange off one set of powers of u = t/f, to f.prec.  A,
-        the power -1 of fbar/t, takes no product: a_0 = f_1, a_1 = f_2/f_1
-        and a_n = -[t^n] u^(n-1) / (n-1), one dot product of a baby and a
-        giant power (A = (f/t)(fbar) too, as f(fbar) = t).  Z = K(fbar),
-        K = (1 - 1/g)/t = -(1/g)[1:] on integers.  A has precision
-        f.prec - 1 and Z min(g.prec, f.prec) - 1.
+        With u = t/f: a_0 = f_1, a_1 = f_2/f_1 and, for n >= 2, a_n =
+        -[t^n] u^(n-1) / (n-1); Z = K(fbar), K = (1 - 1/g)/t.  A has precision
+        f.prec - 1 and Z min(g.prec, f.prec) - 1; g of precision 0 raises
+        PrecisionError.
         """
         if self.g.prec == 0:
             raise PrecisionError("Z needs g to precision >= 1")
@@ -258,11 +204,8 @@ class RiordanPair(_Pair):
 
     @cached_property
     def _az(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
-        """A and Z cleared over all their coefficients, for ``_az_step``.
-
-        Built once per pair, for the weighted recursions; the public
-        ``extract_az`` stays uncached.
-        """
+        """A and Z cleared over all their coefficients, for ``_az_step``, built
+        once per pair; the public ``extract_az`` stays uncached."""
         az = self.extract_az()
         return _cleared(az.a.coeffs), _cleared(az.z.coeffs)
 
@@ -275,12 +218,9 @@ class RiordanPair(_Pair):
         )
 
     def subgroups(self) -> set[str]:
-        """Labels of the named subgroups this pair sits in.
-
-        Decided by exact series comparison at the working precision, so a
-        label means "holds up to prec", not a proof for the infinite array.
-        The k-Bell subgroups f = t g^k are tried for k = 1..8.
-        """
+        """Labels of the named subgroups this pair sits in, k-Bell (f = t g^k)
+        for k = 1..8.  A label means "holds up to prec", not a proof for the
+        infinite array."""
         labels: set[str] = set()
         p = self.prec
         t = Series.t(p)
@@ -326,13 +266,9 @@ def _az_step(
 ) -> tuple[int, int]:
     """Entry k of the row after prev: sum_j z_j prev_j, or sum_j a_j prev_{k-1+j}.
 
-    A, Z and prev are integer numerators over one denominator each, as
-    ``matrices._cleared`` gives them, with A and Z cleared over all their
-    coefficients 0..prec.  The step is one integer dot product, returned
-    unnormalised as (sum, denominator), so that a caller that scales it
-    builds its one Fraction from the product; a step that needs a
-    coefficient past prec raises PrecisionError rather than reading it as
-    zero.
+    A, Z (over all their coefficients 0..prec) and prev come cleared, as
+    ``matrices._cleared`` gives them; the result is (sum, denominator),
+    unnormalised.  A coefficient past prec raises PrecisionError, not zero.
     """
     (c, dc), (p, dp) = z if k == 0 else a, prev
     p = p[max(k - 1, 0) :]
@@ -344,13 +280,10 @@ def _az_step(
 
 
 def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
-    """Rebuild the triangle row by row from its A- and Z-sequences.
+    """Rebuild the n x n triangle row by row from its A- and Z-sequences.
 
-    d_{0,0} = 1; column 0 of each new row comes from the Z-sequence and
-    columns k >= 1 from the A-sequence, each by ``_az_step`` on the
-    cleared previous row.  Row n - 1 reads A and Z up to index n - 2;
-    lower precision raises PrecisionError rather than reading the missing
-    coefficients as zero.
+    Row n - 1 reads A and Z up to index n - 2; lower precision raises
+    PrecisionError rather than reading the missing coefficients as zero.
     """
     if n < 1:
         raise RiordanError("order must be >= 1")

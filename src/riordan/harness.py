@@ -1,42 +1,12 @@
-"""Engine for comparing two independently computed entry generators.
+"""Exact comparison of two independent entry routes, and the builtin suite.
 
-Every numbered identity of the library is phrased as two closures
-(n, k) -> int or Fraction whose values must agree exactly over a finite
-index range.  The engine walks the range in lexicographic (n, k) order,
-stops at the first mismatch, and turns generator exceptions into an
-"inconclusive" report rather than a silent pass.  There is no tolerance
-parameter: two values agree when their exact ratios (as_integer_ratio)
-are equal, which skips Fraction's comparison through the numbers ABCs,
-and a value with no exact ratio (None, a str) is "inconclusive" at its
-(n, k), with a detail naming its type.
-
-The builtin suite is a table of identities: each row names an identity,
-gives its two described entry routes, the range n_max and the label of
-its k-policy (a key of K_POLICIES), and builtin_suite runs every row
-through verify.  It hands each report to an optional hook as soon as its
-check ends, so the CLI prints each line while the later checks still run.
-Every check and row input (F_m powers, transforms, the corpus) is built
-in a route on first use: a raise makes only its rows inconclusive.
-The paper's vertical relation d_{n,k} = sum_j f_j d_{n-j,k-1} has one
-builder, _vertical_relation: it puts a closed form through given weights,
-clearing each column k-1 of the closed form once per row to integer
-numerators over one denominator (matrices._cleared), so each entry is one
-integer dot product, returned as an int when the weights' and the
-column's denominators are both 1 and as one Fraction otherwise.  The
-Pascal, rook and Laguerre vertical rows and the convolutions (the Bell
-pair's case, _convolution) come from it; none uses the series kernel,
-which the closed forms and the series rows run on.  The Fuss series route
-and 1 + t F_m^m read tables of cleared powers (series._powers); the
-series route's entries are ints, as its table's denominator is 1, and
-1 + t F_m^m's one Fraction each.  The weighted rows clear each base pair's
-A and Z once (RiordanPair._az), however many weights it meets.
-The budget per compared entry, once a row's inputs are built, is at most
-one Fraction normalisation per route and no Fraction arithmetic: the
-Pascal binomial, its vertical relation, the convolutions, the Fuss
-series route and the 0/1 rows are ints, the rook and Laguerre
-recursions are one Fraction of an integer expression in the closed
-forms' numerators and denominators, the expansion row compares cleared
-integers, and each vertical row's weights are built once per row.
+``verify`` walks (n, k) in lexicographic order over a labelled k-range
+(``K_POLICIES``) and reports "verified", the first counterexample, or
+"inconclusive" where a route raises or gives a value with no exact ratio.
+Values agree when their ``as_integer_ratio()`` are equal: no tolerance.
+``builtin_suite`` checks one row per identity, its inputs built on first use
+(a raise makes only its own rows inconclusive); then a compared entry costs
+at most one Fraction normalisation per route and no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -194,12 +164,9 @@ def _vertical_relation(
     """The route sum_{j=1}^{n-k+1} w_j entry(n-j, k-1) / den, the paper's
     vertical relation, where weights(n, k) = ((w_1, w_2, ...), den).
 
-    Column k-1 of the closed form, rows k-1..n_max-1 (all that rows up to
-    n_max read), is built once per row as integer numerators over one
-    denominator (matrices._cleared), so each entry is one integer dot
-    product: an int when den and the column's denominator are both 1, one
-    Fraction otherwise.  Weights past w_(n-k+1) are not read.  n_max must
-    be the row's own.
+    An int when den and the cleared column's denominator are both 1, one
+    Fraction otherwise.  n_max must be the row's own: column k-1 is cleared
+    once, through row n_max - 1.
     """
 
     @cache
@@ -215,12 +182,9 @@ def _vertical_relation(
 
 
 def _convolution(name: str, coeff: Callable[[int, int], Fraction], n_max: int) -> tuple:
-    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k.
-
-    This is the vertical relation of the Bell pair (S, tS), whose entries
-    are d_{n,k} = [t^(n-k)] S^(k+1) and whose weights f_j = [t^(j-1)] S
-    are cleared once per row; row n, column -1 stands for [t^(n+1)] S^0.
-    """
+    """The route sum_j [t^j]S [t^(n-j-k)]S^k, given coeff(n, k) = [t^n] S^k:
+    the vertical relation of the Bell pair (S, tS), d_{n,k} = [t^(n-k)]
+    S^(k+1), f_j = [t^(j-1)] S; row n, column -1 stands for [t^(n+1)] S^0."""
     s = cache(lambda: _cleared([coeff(i, 1) for i in range(n_max + 1)]))
     route = _vertical_relation(
         lambda n, k: coeff(n - k, k + 1), lambda n, k: s(), n_max
@@ -327,12 +291,7 @@ def _rows() -> Iterator[tuple]:
 
 
 def _closed_form_rows() -> list[tuple]:
-    """The rook and Laguerre recursions against their closed forms.
-
-    Each recursion route is one Fraction of an integer expression in the
-    closed forms' numerators and denominators, and each vertical row
-    builds its weights once per n (rook) or n - k (Laguerre).
-    """
+    """The rook and Laguerre recursions against their closed forms."""
     # One memo per suite run: the routes read the same (n, k) many times.
     rook_entry = cache(catalog.rook_entry)
     laguerre_entry = cache(catalog.laguerre_entry)
@@ -441,10 +400,8 @@ def _check(name, lhs, rhs, n_max: int, k_policy: str) -> VerificationReport:
 def builtin_suite(
     on_report: Callable[[VerificationReport], object] = lambda report: None,
 ) -> list[VerificationReport]:
-    """One report per numbered identity, at the documented default ranges.
-
-    Each report is passed to on_report as soon as its check ends.
-    """
+    """One report per numbered identity, at the documented default ranges,
+    each passed to on_report as soon as its check ends."""
     reports = []
     for row in _rows():
         reports.append(_check(*row))

@@ -1,25 +1,11 @@
 """Exact lower-triangular matrices of rationals.
 
-One matrix kernel serves both the finite sections of Riordan arrays and
-the block matrices of quasi-Riordan arrays; the distinction between the
-two is documentary.  Rows are ragged: row i holds columns 0..i.  A column
-k runs from the diagonal down, n - k entries; ``_columns`` reads them off
-the rows and ``Triangle._from_columns`` builds the rows from them.
-Products and inverses run on integers: rows (and a product's right-hand
-columns) are cleared to one denominator each.  A section keeps its
-columns so cleared (``Triangle._cleared_columns``), built on first read
-or handed in by ``RiordanPair.triangle`` from the vertical recursion's
-own integer columns, so a product reads its right factor's columns
-without clearing a Fraction.  Rows that the library builds itself from
-Fractions skip the per-entry checks of ``Triangle(rows)``
-(``Triangle._unchecked``).  Copies and pickles carry the rows alone.  A
-product is packed-row integer combinations: each row of its right factor
-is packed once into one integer, a slot per column, and each row of the
-product is one integer combination of those.  The packer is this module's own, sharing no code
-with the series kernel's Kronecker products, for the reason ``_cleared``
-mirrors ``series._to_ints``: the product checks the pair law the kernel
-computes.  The inverse is solved row by row, each row over its own least
-denominator (``_solve_rows``).
+``Triangle`` serves both the finite sections of Riordan arrays and the block
+matrices of quasi-Riordan arrays.  Rows are ragged, row i holding columns
+0..i; column k runs from the diagonal down, n - k entries.  The product,
+inverse and matrix-vector product run on integers and share no code with the
+series kernel: ``@`` checks the pair law that the kernel computes.  Every
+entry handed out is a reduced Fraction.
 """
 
 from __future__ import annotations
@@ -37,19 +23,15 @@ from .series import Rat, _rat
 
 
 def _fields_state(self) -> dict:
-    # Copies and pickles carry the fields alone; the cached tables (a
-    # section's integer columns, a pair's A/Z and vertical columns, rho,
-    # _d_rows, _d_cols, ...) rebuild from them on first read.
+    # Copies and pickles carry the fields alone; cached tables rebuild from
+    # them on first read.
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators.
-
-    The series kernel has its own copy (``series._to_ints``): the vertical
-    recursion clears with this one, so that it shares no code with the
-    closed form it is checked against.
-    """
+    """Integer numerators over the lcm of the denominators: a copy of
+    ``series._to_ints``, so that the vertical recursion and ``@`` share no
+    code with the series kernel they check."""
     ratios = [x.as_integer_ratio() for x in xs]
     den = lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
@@ -66,15 +48,11 @@ def _dot(a: tuple[Iterable[int], int], b: tuple[Iterable[int], int]) -> Fraction
 
 
 def _solve_rows(num: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
-    """Each row of N^-1, as integer numerators over its own denominator.
+    """Each row of N^-1, N integer lower-triangular with a nonzero diagonal,
+    as integer numerators over a positive denominator, in lowest terms.
 
-    N is an integer lower-triangular matrix with a nonzero diagonal.  With
-    row k of N^-1 held as Y_k / den_k and L = lcm(den_0..den_(i-1)),
-    forward substitution gives row i as (L e_i - sum_k c_k Y_k) / (L N_ii),
-    one scalar c_k = N_ik (L / den_k) per (i, k) and one dot product down
-    a column of Y per entry.  The row's content is divided out once and
-    its sign moved into the numerators, so each row comes in lowest terms
-    over a positive denominator.
+    With rows Y_k / den_k of N^-1 and L = lcm(den_0..den_(i-1)), row i is
+    (L e_i - sum_k c_k Y_k) / (L N_ii), with c_k = N_ik (L / den_k).
     """
     cols: list[list[int]] = []  # column j of Y, rows j..i-1
     dens: list[int] = []
@@ -125,10 +103,8 @@ class Triangle:
         rows: Iterable[Sequence[Fraction]],
         columns: list[tuple[list[int], int]] | None = None,
     ) -> "Triangle":
-        """Rows of Fractions built in this library, taken without ``__init__``'s checks.
-
-        ``columns``, in the layout of ``_cleared_columns``, seeds it.
-        """
+        """Rows of Fractions built in this library, taken without ``__init__``'s
+        checks; ``columns`` seeds ``_cleared_columns``."""
         tri = object.__new__(cls)
         object.__setattr__(tri, "rows", tuple(map(tuple, rows)))
         if columns is not None:
@@ -137,12 +113,9 @@ class Triangle:
 
     @cached_property
     def _cleared_columns(self) -> list[tuple[list[int], int]]:
-        """Column k as integer numerators over one denominator, built on first read.
-
-        ``RiordanPair.triangle`` seeds it with the vertical recursion's
-        columns, whose denominators may be multiples of the least; readers
-        use the values alone and mutate nothing.
-        """
+        """Column k as integer numerators over one denominator, built on first
+        read unless seeded.  A seeded denominator may be a multiple of the
+        least; readers use the values alone and mutate nothing."""
         return list(map(_cleared, _columns(self.rows)))
 
     @property
@@ -169,17 +142,12 @@ class Triangle:
         return cls([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
 
     def __matmul__(self, other: "Triangle") -> "Triangle":
-        """Product as packed-row integer combinations.
+        """Product as packed-row integer combinations: row i is sum_k a_ik P_k,
+        P_k row k of other packed into one integer, a slot per column.
 
-        Row i of self is cleared to a_i over da_i and column j of other to
-        b_j over db_j.  Row k of the b's is packed once into one integer
-        P_k, a little-endian slot per column, so row i of the product is
-        the integer combination sum_k a_ik P_k, whose slot j holds
-        sum_k a_ik b_kj, a sum of at most n - j products: slot j has
-        room for bits(a) + bits(b_j) + log2(n - j) bits and a sign, in
-        whole bytes.  Half a slot added to every slot (the bias) makes each
-        one nonnegative, so rows pack and unpack as plain bytes, and entry
-        (i, j) is one Fraction of its slot over da_i db_j.
+        Slot j holds sum_k a_ik b_kj, at most n - j products, so it has room
+        for bits(a) + bits(b_j) + log2(n - j) bits and a sign, in whole bytes;
+        a bias of half a slot keeps every slot nonnegative.
         """
         n = self.n
         if n != other.n:
@@ -210,12 +178,8 @@ class Triangle:
         return Triangle._unchecked(out)
 
     def inverse(self) -> "Triangle":
-        """Inverse by forward substitution; requires a nonzero diagonal.
-
-        With d_i the lcm of row i's denominators, self = diag(d)^-1 N for
-        an integer matrix N, so the inverse is N^-1 diag(d), read row by
-        row off ``_solve_rows``.
-        """
+        """Inverse by forward substitution, N^-1 diag(d) for self = diag(d)^-1 N
+        with N integer; a zero diagonal entry raises ValueError."""
         for i in range(self.n):
             if self.rows[i][i] == 0:
                 raise ValueError(f"singular: zero diagonal entry at {i}")

@@ -1,18 +1,10 @@
 """The quasi-Riordan group and the paper's order transforms.
 
-A quasi-Riordan array [g, f] has columns g, f, tf, t^2 f, ..., so row i
-of its section is g_i, f_i, f_{i-1}, ..., f_1; with ordinary matrix
-multiplication these form a group whose law and inverse have closed forms
-in terms of g and f, and conjugation in the group fixes the second
-component.  The paper's factorization
-(g, f)_m = [g, f]_m ([1] (+) (g, f)_(m-1)) moves a finite array between
-orders: ``raise_order`` and ``lower_order`` multiply each column of a
-section, from the diagonal down, by f/t or t/f with the series kernel's
-one product and one reciprocal routine.  ``factorization_check`` runs
-the same products on the integer columns that ``triangle(n)`` carries,
-the vertical recursion's own, and cross-multiplies: it checks the
-schoolbook recursion against the kernel, not the quasi matrix, which the
-tests check against the literal product.
+A quasi-Riordan array [g, f] has columns g, f, tf, t^2 f, ...; under the
+matrix product these form a group, and conjugation fixes f.  The paper's
+factorization (g, f)_m = [g, f]_m ([1] (+) (g, f)_(m-1)) moves a section
+between orders (``raise_order``, ``lower_order``) on the series kernel, and
+``factorization_check`` tests it on the vertical recursion's own columns.
 """
 
 from __future__ import annotations
@@ -100,12 +92,8 @@ def lower_order(ra: RiordanPair, tri: Triangle) -> Triangle:
 
 
 def factorization_check(ra: RiordanPair, n: int) -> bool:
-    """Does (g,f)_n = [g,f]_n ([1] (+) (g,f)_{n-1}) hold exactly?
-
-    The integer columns of ``triangle(n)`` (its ``_cleared_columns``) less
-    their last entries, (g,f)_{n-1}, are raised as in ``raise_order``; a
-    raised b / e must equal a / d, a e == b d.
-    """
+    """Does (g,f)_n = [g,f]_n ([1] (+) (g,f)_{n-1}) hold exactly, on the
+    integer columns of ``triangle(n)`` raised as in ``raise_order``?"""
     cols = ra.triangle(n)._cleared_columns
     upper = ((c[:-1], d) for c, d in cols[:-1])
     return all(

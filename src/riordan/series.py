@@ -1,44 +1,12 @@
 """Truncated formal power series over the exact rationals.
 
-A series carries a coefficient tuple indexed 0..prec together with the
-precision bound prec.  Every coefficient up to prec is trusted; nothing
-above prec exists.  Binary operations return the minimum precision of
-their operands, and asking for an index above prec is a hard error, so a
-"verified identity" can never be an artifact of silent zero-extension.
-
-Coefficients are ``fractions.Fraction`` throughout.  Every number given
-in (to a series, triangle or weight) passes one rule, ``_rat``: an int, a
-``Fraction`` or a string ("1/3", "0.1") is exact, and a float is refused.
-A canonical string, as ``str(Fraction)`` writes it ("-3", "-3/4"), is read
-by ``int()``.  A decimal literal ("0.1", "1e9") is sized before it is
-built: past ``sys.get_int_max_str_digits()`` digits it is refused, as
-``int()`` refuses the same number written out, and either refusal is a
-``ValueError`` that names the limit.  Other strings go to ``Fraction``.
-
-Internally, ``__mul__``, ``reciprocal``, ``compose`` and ``comp_inverse``
-work on integer numerators over one common denominator (the layout of
-FLINT's ``fmpq_poly``), and each kernel job has one routine, which
-``group`` and ``quasi`` share: ``_krecip`` clears a series and takes its
-reciprocal by a one-pass integer recurrence, a dot product per
-coefficient; ``_times`` multiplies two cleared vectors, truncated, by
-Kronecker substitution (each vector packed into one integer, a slot per
-coefficient, so one multiply does the convolution), or only scales when
-a factor is a constant, and divides out the content; ``_powers`` builds
-x^0..x^m by ``_times``, each x^j for j >= 2 as x^(j//2) x^(j - j//2), so
-that every even power is a square, one packed integer times itself.
-Composition, ``compose`` and the pair product and action in ``group``,
-is one Paterson-Stockmeyer routine, ``_compose``: one table f^0..f^k,
-k about sqrt(p), shared by every H; each block of k coefficients of H is
-an integer combination of it, and the blocks are joined by about p/k
-products with f^k per H.
-``comp_inverse`` and the pair inverse and A/Z-sequences in ``group`` use
-Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' (t/f)^n, by
-baby-step/giant-step (Brent & Kung 1978): ``_lagrange_powers`` builds two
-tables of powers of t/f once per caller, and ``_lagrange_read`` reads
-each H, as cleared integers, off them, about sqrt(p) more products and
-one dot product per coefficient.  Results are converted back to reduced
-``Fraction`` coefficients, so every public value is exactly what
-coefficient-by-coefficient rational arithmetic gives.
+A ``Series`` holds coefficients 0..prec and nothing above: reading past prec
+raises PrecisionError, and binary operations return the smaller precision, so
+no identity can pass by silent zero-extension.  Every number given in passes
+``_rat``: an int, a Fraction or a string is exact, a float is refused, and a
+number with more digits than ``sys.get_int_max_str_digits()`` is a ValueError
+that names the limit.  The integer kernel below serves ``group`` and
+``quasi``; every public coefficient is exactly what rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -102,8 +70,8 @@ def _rat(x: Rat) -> Fraction:
         if type(x) is not str:
             return Fraction(x)
         if x.isascii():
-            # str(Fraction) writes -?digits or -?digits/digits: read those
-            # with int(), not Fraction's regex; anything else goes there.
+            # str(Fraction)'s -?digits[/digits] are read with int(), not
+            # Fraction's regex.
             num, slash, den = x.partition("/")
             if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 try:  # only digits: int() refuses them past the int-string limit
@@ -117,9 +85,8 @@ def _rat(x: Rat) -> Fraction:
 
 
 def _sized(text: str) -> str:
-    """text, refused if it has a run of more digits than int() reads
-    (``sys.get_int_max_str_digits()``, 0: no limit), so that a number too
-    long is refused as one, not as malformed."""
+    """text, refused if a run of digits is longer than int() reads, so that a
+    number too long is refused as one, not as malformed."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     runs = re.findall(r"\d+", text.replace("_", "")) if limit else ()
     if any(len(run) > limit for run in runs):
@@ -128,9 +95,8 @@ def _sized(text: str) -> str:
 
 
 def _decimal(m: re.Match) -> Fraction:
-    """A decimal literal, refused before it is built if the numerator or
-    denominator of its value would have more digits than
-    ``sys.get_int_max_str_digits()`` (0: no limit), as int() refuses them."""
+    """A decimal literal, refused before it is built if its value's numerator
+    or denominator would have more digits than int() reads."""
     sign, num, frac, exp = (g.replace("_", "") for g in m.groups(""))
     try:  # only digits, as in _rat
         man, e = int(num + frac or "0"), int(exp or "0") - len(frac)  # ±man 10^e
@@ -174,16 +140,11 @@ def _reduce(nums: list[int], den: int) -> _Cleared:
 
 
 def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The first n coefficients of the product of two integer vectors.
+    """The first n coefficients of the product of two integer vectors, by
+    Kronecker substitution; ``a is b`` squares.
 
-    Kronecker substitution: each vector is packed into one integer, a slot
-    per coefficient, and a single multiply does the convolution.  Each
-    coefficient of the product is a sum of at most n terms, so it fits in
-    a slot of bits(a) + bits(b) + log2(n) bits, plus one for the sign and
-    one to spare.  Adding half a slot to every coefficient makes every
-    slot nonnegative, so slots pack and unpack as plain bytes.  A square,
-    a and b the same list, is packed once and multiplied by itself, which
-    CPython does by its squaring algorithm.
+    Each coefficient is a sum of at most n terms, so it fits in a slot of
+    bits(a) + bits(b) + log2(n) bits, plus one for the sign and one to spare.
     """
     square = a is b
     a, b = a[:n], b[:n]
@@ -210,10 +171,8 @@ def _kmul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 def _krecip(coeffs: Sequence[Fraction], n: int) -> _Cleared:
     """1 / x for x the first n of coeffs, x_0 != 0, as reduced (numerators, den).
 
-    x = a / d is cleared first; then one pass of a_0 b_m = -sum_(i=1..m)
-    a_i b_(m-i) on integers: B_m = b_m a_0^(m+1) has B_0 = 1 and B_m =
-    -sum_i a_i a_0^(i-1) B_(m-i), one dot product each, and at the end
-    each d B_m is put over a_0^n.
+    With x = a / d: B_m = b_m a_0^(m+1) has B_0 = 1 and B_m =
+    -sum_(i=1..m) a_i a_0^(i-1) B_(m-i), and 1 / x = d B / a_0^n.
     """
     a, d = _to_ints(coeffs[:n])
     pw = list(accumulate(repeat(a[0], n - 1), mul, initial=1))  # a_0^0..a_0^(n-1)
@@ -225,10 +184,8 @@ def _krecip(coeffs: Sequence[Fraction], n: int) -> _Cleared:
 
 
 def _times(x: _Cleared, y: _Cleared, n: int) -> _Cleared:
-    """The first n coefficients of x y, each (numerators, den), with the
-    content divided out: one ``_kmul``, or none when a factor is a
-    constant, such as u^0 = 1 or H' = 1 for fbar, which only scales the
-    other."""
+    """The first n coefficients of x y as reduced (numerators, den); a
+    constant factor only scales the other."""
     for c, v in ((x, y), (y, x)):
         if not any(c[0][1:]):
             return _reduce([c[0][0] * a for a in v[0][:n]], c[1] * v[1])
@@ -237,10 +194,7 @@ def _times(x: _Cleared, y: _Cleared, n: int) -> _Cleared:
 
 def _powers(x: _Cleared, m: int, n: int) -> list[_Cleared]:
     """x^0..x^m, the first n coefficients of each as reduced (numerators,
-    den), by ``_times``: x^1 = 1 x is a scaling, which truncates x to n,
-    and x^j = x^(j//2) x^(j - j//2) for j >= 2, so at most m - 1 products,
-    of which every even power's is a square.  x^j has order j order(x), so
-    once that reaches n it is zero, and no product is made for it."""
+    den); a power zero by order takes no product."""
     one = ([1] + [0] * (n - 1), 1)
     order = next((i for i, c in enumerate(x[0][:n]) if c), n)
     zero = ([0] * n, 1)
@@ -265,11 +219,8 @@ class Series:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Rat], prec: int) -> "Series":
-        """Series from an explicit coefficient list, zero-padded to prec.
-
-        The literal is read as a polynomial, so the padding zeros are
-        trusted coefficients, not guesses.
-        """
+        """Series from an explicit coefficient list, zero-padded to prec: the
+        list is a polynomial, so the padding zeros are trusted coefficients."""
         cs = [_rat(c) for c in coeffs]
         if len(cs) > prec + 1:
             raise PrecisionError(
@@ -308,11 +259,8 @@ class Series:
         return self.coeffs[n]
 
     def order(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for the zero series.
-
-        None is a distinct marker: a series that is zero up to its precision
-        has no order, rather than the misleading value prec + 1.
-        """
+        """Index of the first nonzero coefficient, or None (not prec + 1) for a
+        series that is zero up to its precision."""
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
@@ -391,27 +339,17 @@ class Series:
         return _compose(f, [self])[0]
 
     def comp_inverse(self) -> "Series":
-        """Compositional inverse fbar with fbar(f) = f(fbar) = t.
-
-        Lagrange inversion, [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n: the
-        H = t case of ``_lagrange``.
-        """
+        """Compositional inverse fbar with fbar(f) = f(fbar) = t, by Lagrange
+        inversion; requires order exactly 1."""
         return _lagrange(self, [Series.t(self.prec)])[0]
 
 
 def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
-    """[H(f) for H in hs]; requires f(0) = 0.
+    """[H(f) for H in hs], f(0) = 0, each at precision min(H.prec, f.prec).
 
-    Paterson-Stockmeyer: with k = isqrt(p) + 1, the powers f^0..f^k are
-    built once, about sqrt(p) products shared by every H, and f^0..f^(k-1)
-    are cleared over one denominator.  Each block B_j = sum_r h_(kj+r) f^r
-    is then an integer combination of them, with no products, and
-    H(f) = sum_j B_j F^j, F = f^k, is evaluated by Horner in F, about p/k
-    products per H.  F^j has order at least kj, so when B_j is added only
-    the first q + 1 - kj coefficients can still reach the result; and
-    B_j F^j has order at least j order(F), so the blocks past q // order(F)
-    are never read.  H(f) has precision q = min(H.prec, f.prec): coefficient
-    n needs H and f through t^n.
+    Paterson-Stockmeyer: H(f) = sum_j B_j F^j by Horner in F = f^k, with
+    k = isqrt(p) + 1 and each block B_j = sum_r h_(kj+r) f^r an integer
+    combination of f^0..f^(k-1), which every H shares.
     """
     if f.coeffs[0] != 0:
         raise CompositionError("composition undefined: f(0) != 0")
@@ -438,9 +376,9 @@ def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
 
 
 def _lagrange_powers(f: Series, p: int) -> tuple[list, list]:
-    """(baby, giant), u^0..u^k and u^0, u^k, ..., u^(k(p//k)) for u = t/f:
-    k = ceil(sqrt(p)), about 2 sqrt(p) products, so u^(kj + r) is
-    baby[r] giant[j].  Each is (numerators, den), p coefficients long."""
+    """(baby, giant), u^0..u^k and u^0, u^k, ..., u^(k(p//k)) for u = t/f and
+    k = ceil(sqrt(p)), so u^(kj + r) is baby[r] giant[j] (Brent & Kung 1978);
+    each is (numerators, den), p coefficients long."""
     if f.prec < 1:
         raise PrecisionError("comp_inverse: order unknown at precision 0")
     if f.order() != 1:
@@ -451,12 +389,8 @@ def _lagrange_powers(f: Series, p: int) -> tuple[list, list]:
 
 
 def _lagrange_read(powers: tuple[list, list], nums: list[int], den: int) -> Series:
-    """H(fbar), H = nums / den of precision q <= p, off ``_lagrange_powers``.
-
-    Lagrange-Buermann, [t^n] H(fbar) = (1/n) [t^(n-1)] H' u^n: about
-    sqrt(p) products H' u^(kj), then n = kj + r is the dot product
-    [t^(n-1)] u^r (H' u^(kj)).  H(fbar) has precision q.
-    """
+    """H(fbar) at precision q, H = nums / den of precision q <= p, off
+    ``_lagrange_powers``: [t^n] H(fbar) = (1/n) [t^(n-1)] H' u^n."""
     baby, giant = powers
     k, q = len(baby) - 1, len(nums) - 1
     dh = ([n * nums[n] for n in range(1, q + 1)], den)  # H', length q

@@ -1,37 +1,12 @@
 """(c)- and (C)-weighted Riordan classes.
 
-A weight triangle C (c_{n,0} = 1, all c_{n,k} nonzero) rescales a Riordan
-array's entries d_{n,k} to xhat_{n,k} = rho(n,k) d_{n,k}, with the weight
-ratio rho(n,k) = c_{n,n}/c_{n,k}.  A (c)-weight, the sequence c (c_0 = 1),
-is the (C)-table c_{n,k} = c_k (WeightSeq is a WeightTri built from its
-rows), where rho(n,k) = c_n/c_k.  So one class validates a weight and holds
-its rho table (rho, each ratio one Fraction of cross-multiplied integers,
-built on first read and shared by every transform and recursion over that
-weight), and one transform multiplies the triangle by
-it entrywise (c_transform takes either kind; C_transform is the same map
-under the paper's name).  The transform reads the vertical recursion's
-integer columns and their denominators, built once per base pair
-(RiordanPair._vertical) and shared with its triangle and with its
-transforms under every weight, so each entry rho(n,k) d_{n,k} is
-normalised once, as one Fraction.  Copies and pickles carry the fields
-alone; the cached tables rebuild on first read.  Each recursion is
-rho(n,k) times a linear Riordan step on the unweighted entries
-d = xhat/rho of the weighted triangle itself: the A/Z step on row n-1
-(horiz_recursion_C) or sum_j f_j d_{n-j,k-1} (vert_recursion_C), each one
-integer dot product over inputs cleared to one denominator on first use
-(rows and columns of d, A, Z and f; a transform that is never recursed on
-pays nothing for them).  No d is a Fraction: for xhat = a/b and rho = c/e
-each row or column of d is the integers a e over the lcm of its b c
-(_quotients).  A and Z are cleared once per base pair
-(RiordanPair._az), so transforms of one base under several weights
-extract them once.  rho(n,k) scales the integer sum and its
-denominator, so there is one Fraction per recursion entry, as per
-transform entry.  Conjugating by the weights is what turns these
-linear recursions into nonlinear ones like those of the rook and Laguerre
-triangles.  The (c)-weighted arrays again
-form a group under matrix multiplication, whose inverse is the transform
-of the base pair's inverse (c_group_inverse); the (C)-class does not, so
-the group law and inverse here reject C-weighted inputs.
+A weight table C (c_{n,0} = 1, every c_{n,k} nonzero) rescales d_{n,k} to
+xhat_{n,k} = rho(n,k) d_{n,k}, rho(n,k) = c_{n,n}/c_{n,k}; a (c)-weight c is
+the table c_{n,k} = c_k.  ``c_transform`` takes either kind and reads the
+vertical recursion's integer columns, never the series kernel.  Each
+recursion is rho(n,k) times a linear Riordan step on d = xhat/rho.  The
+(c)-weighted arrays form a group under the matrix product; the (C)-class does
+not, so ``c_group_mul`` and ``c_group_inverse`` reject (C)-weights.
 """
 
 from __future__ import annotations
@@ -179,12 +154,8 @@ class WeightedTriangle:
 def _quotients(
     xs: Sequence[Fraction], rs: Sequence[Fraction]
 ) -> tuple[list[int], int]:
-    """x_i / r_i as integer numerators over one positive denominator.
-
-    Each quotient is (a e) / (b c) for x_i = a/b and r_i = c/e, unreduced;
-    the denominator is the lcm of the b c, which is positive, so a negative
-    c puts its sign into the numerator through den // (b c).
-    """
+    """x_i / r_i, unreduced, as integer numerators over one positive
+    denominator: the lcm of the b c for x_i = a/b and r_i = c/e."""
     pq = [(a * e, b * c) for (a, b), (c, e) in zip(map(_ratio, xs), map(_ratio, rs))]
     den = math.lcm(*(q for _, q in pq))
     return [p * (den // q) for p, q in pq], den
@@ -224,12 +195,9 @@ def c_group_mul(x: WeightedTriangle, y: WeightedTriangle) -> WeightedTriangle:
 
 
 def c_group_inverse(x: WeightedTriangle) -> WeightedTriangle:
-    """Inverse in the (c)-group; (C)-weighted inputs are rejected.
-
-    The transform is D -> W D W^-1, W = diag(c), so the inverse of a
-    transform is the transform of the base pair's inverse, by the same
-    weight.
-    """
+    """Inverse in the (c)-group; (C)-weighted inputs are rejected.  The
+    transform is D -> W D W^-1, W = diag(c), so this is the transform of the
+    base pair's inverse by the same weight."""
     _c_kind(x)
     return c_transform(x.base.inverse(), x.weight, x.n)
 
@@ -237,13 +205,10 @@ def c_group_inverse(x: WeightedTriangle) -> WeightedTriangle:
 # -- the recursions: rho(n, k) times a linear Riordan step on d ---------------
 
 def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k) of a (c)- or (C)-weighted triangle from row n-1.
-
-    rho(n, k) times the A/Z step (group._az_step) on cleared row n-1 of d:
-    the Z-sequence for column 0, the A-sequence for k >= 1, both from the
-    base pair's own extract_az.  Row n = x.n is defined when the weight
-    reaches index n.
-    """
+    """Entry (n, k) of a (c)- or (C)-weighted triangle from row n-1: rho(n, k)
+    times the A/Z step on row n-1 of d.  Row n = x.n is defined when the
+    weight reaches index n; a step past A's or Z's precision raises
+    PrecisionError."""
     if not (0 <= k <= n and 1 <= n < x._reach):
         raise WeightError(f"entry ({n},{k}) not defined by the recursion")
     (p, q), (s, den) = _ratio(x.weight.rho[n][k]), _az_step(*x._az, x._d_rows[n - 1], k)
@@ -251,13 +216,9 @@ def horiz_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
 
 
 def vert_recursion_C(x: WeightedTriangle, n: int, k: int) -> Fraction:
-    """Entry (n, k), k >= 1, of a weighted triangle from column k-1.
-
-    rho(n, k) times sum_{j=1}^{m} f_j d_{n-j,k-1}, m = n-k+1, over the same
-    rows as horiz_recursion_C: one integer dot product of the base pair's
-    cleared f with column k-1 of d.  Reading f past its precision raises
-    PrecisionError.
-    """
+    """Entry (n, k), k >= 1, of a weighted triangle from column k-1: rho(n, k)
+    times sum_{j=1}^{n-k+1} f_j d_{n-j,k-1}, over the rows of
+    horiz_recursion_C.  Reading f past its precision raises PrecisionError."""
     if not 1 <= k <= n < x._reach:
         raise WeightError(f"entry ({n},{k}) not defined by the vertical recursion")
     (f, df), (d, dd), m = x._f, x._d_cols[k - 1], n - k + 1
@@ -282,12 +243,10 @@ def generalized_laguerre(ra: RiordanPair, n: int) -> WeightedTriangle:
 def rook_laguerre_duality(ra: RiordanPair, n: int) -> bool:
     """Does rhat_{m,m-k} = (-1)^{m-k} m! lhat_{m,k} hold for all m <= n?
 
-    The polynomial form rhat_m(x) = m! x^m lhat_m(-1/x) is this identity
-    summed against x^(m-k), so it holds whenever the entrywise one does and
-    needs no separate check.  Both sides reduce to weight ratios times
-    d_{m,m-k} and d_{m,k}, so the identity holds exactly when the base
-    triangle has row-symmetric entries (the classical Pascal case); for
-    asymmetric bases it genuinely fails.
+    This entrywise form implies the polynomial one, rhat_m(x) = m! x^m
+    lhat_m(-1/x).  Both sides reduce to weight ratios times d_{m,m-k} and
+    d_{m,k}, so it holds exactly when the base triangle's rows are symmetric
+    (the classical Pascal case), and fails for an asymmetric base.
     """
     rook = generalized_rook(ra, n + 1).entries
     lag = generalized_laguerre(ra, n + 1).entries

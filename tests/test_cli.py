@@ -547,6 +547,16 @@ class TestErrors:
             assert repr(out) in err
 
 
+def test_help_names_every_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
+    for code in ("0 success", "64 usage error", "65 an unknown", "73 an --out",
+                 "verify exits 0 all verified, 1 counterexample, 2 inconclusive"):
+        assert code in text
+
+
 class TestPrec:
     @pytest.mark.parametrize("prec", ["0", "-1", "abc"])
     def test_bad_prec_is_usage_error(self, capsys, prec):

@@ -1,13 +1,20 @@
-"""The README's CLI examples run as written and exit 0, and its library
-examples give the results their comments show."""
+"""The README's CLI examples run as written and exit 0, its library
+examples give the results their comments show, and every public name
+documents its contract."""
 
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
 import shlex
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import riordan
 from riordan import Series, harness
 from riordan.cli import main
 
@@ -80,3 +87,19 @@ def test_quasi_example_result():
     code, _, comment = (part.strip() for part in last.partition("#"))
     assert comment == "True"
     assert eval(code, ns) is True
+
+
+def test_public_names_have_docstrings():
+    """Every module of the package, and every class and function that
+    ``riordan.__all__`` exports, carries its own non-empty docstring."""
+    modules = [riordan] + [
+        importlib.import_module(f"riordan.{m.name}") for m in pkgutil.iter_modules(riordan.__path__)
+    ]
+    for module in modules:
+        assert (module.__doc__ or "").strip(), module.__name__
+    for name in riordan.__all__:
+        obj = getattr(riordan, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            # read off the source: a dataclass without one gets its signature
+            node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+            assert (ast.get_docstring(node) or "").strip(), name

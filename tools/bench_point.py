@@ -36,7 +36,9 @@ The file holds, for the checkout this script sits in:
   inputs the first one built, the comparison alone, so that the two
   passes' difference is the time spent building inputs;
 - ``workloads`` (L5): the JSON line of ``bench/run.py --workload W
-  --seed 1 --seconds 15 --trace 0`` for each of the three workloads.
+  --seed 1 --seconds 15 --trace 0`` for each of the three workloads,
+  run before every other step, so that each ``peak_rss_mb`` is the
+  workload's own.
 
 Two such files, for a change and for its parent, are comparable when they
 come from this script on the same machine; every setting is fixed here, so
@@ -302,16 +304,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     require_library()
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # as bench/run.py does
+    # The workloads run first: a child's peak RSS starts from this
+    # process's high-water mark, which the in-process steps below raise.
+    workloads = {}
+    for name in WORKLOADS:
+        workloads[name] = workload_point(name)
+        print(json.dumps(workloads[name]), flush=True)
     record = {"machine": machine(), "sweep": sweep(), "tier1": tier1_point()}
     print(json.dumps(record["tier1"]), flush=True)
     record["reciprocal"] = reciprocal_point()
     record["sections"] = sections_point()
     record["suite"] = suite_point()
     print(json.dumps(record["suite"]), flush=True)
-    record["workloads"] = {}
-    for name in WORKLOADS:
-        record["workloads"][name] = workload_point(name)
-        print(json.dumps(record["workloads"][name]), flush=True)
+    record["workloads"] = workloads
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
