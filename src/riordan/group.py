@@ -18,8 +18,8 @@ from math import gcd
 from operator import mul
 
 from .matrices import Triangle, _cleared, _fields_state
-from .series import PrecisionError, Series, SeriesError, _compose, _from_ints, _krecip
-from .series import _lagrange_powers, _lagrange_read, _powers, _times, _to_ints
+from .series import PrecisionError, Series, SeriesError, _compose, _frac, _from_ints
+from .series import _krecip, _lagrange_powers, _lagrange_read, _powers, _times, _to_ints
 
 
 class RiordanError(SeriesError):
@@ -113,7 +113,7 @@ class RiordanPair(_Pair):
         """
         cols, dens = self._vertical(n)
         return Triangle._unchecked(
-            ([Fraction(cols[k][i - k], dens[k]) for k in range(i + 1)] for i in range(n)),
+            ([_frac(cols[k][i - k], dens[k]) for k in range(i + 1)] for i in range(n)),
             list(zip(cols, dens)),
         )
 
@@ -157,13 +157,15 @@ class RiordanPair(_Pair):
             if k:
                 col = _times(col, u, n - k)
             nums, den = col
-            cols.append(Series.from_coeffs([Fraction(c, den) for c in nums], n - k - 1))
+            cols.append(Series.from_coeffs([_frac(c, den) for c in nums], n - k - 1))
         return Triangle._from_columns([s.coeffs for s in cols])
 
     # -- group structure ------------------------------------------------------
 
     def __mul__(self, other: "RiordanPair") -> "RiordanPair":
         """(g1, f1)(g2, f2) = (g1 * g2(f1), f2(f1))."""
+        if not isinstance(other, RiordanPair):
+            return NotImplemented
         g2, f2 = _compose(self.f, [other.g, other.f])
         return RiordanPair(self.g * g2, f2)
 
@@ -197,7 +199,7 @@ class RiordanPair(_Pair):
         for n in range(2, self.f.prec):
             (x, dx), (y, dy) = baby[(n - 1) % k], giant[(n - 1) // k]
             dot = sum(map(mul, x[: n + 1], reversed(y[: n + 1])))
-            a.append(Fraction(-dot, (n - 1) * dx * dy))
+            a.append(_frac(-dot, (n - 1) * dx * dy))
         r, e = _krecip(self.g.coeffs, self.prec + 1)
         z = _lagrange_read(powers, [-c for c in r[1:]], e)
         return AZSequences(Series(a), z)
@@ -292,4 +294,4 @@ def reconstruct_from_az(az: AZSequences, n: int) -> Triangle:
     for r in range(n - 1):
         prev = _cleared(rows[r])
         rows.append([Fraction(*_az_step(a, z, prev, k)) for k in range(r + 2)])
-    return Triangle(rows)
+    return Triangle._unchecked(rows)

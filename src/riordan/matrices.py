@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .series import Rat, _rat
+from .series import Rat, _frac, _rat
 
 
 def _fields_state(self) -> dict:
@@ -149,6 +149,8 @@ class Triangle:
         for bits(a) + bits(b_j) + log2(n - j) bits and a sign, in whole bytes;
         a bias of half a slot keeps every slot nonnegative.
         """
+        if not isinstance(other, Triangle):
+            return NotImplemented
         n = self.n
         if n != other.n:
             raise ValueError(f"size mismatch: {n} vs {other.n}")
@@ -174,7 +176,7 @@ class Triangle:
             packed.append(int.from_bytes(raw, "little") - biases[i])
             raw = sum(map(mul, a, packed), biases[i]).to_bytes(ends[i], "little")
             biased = map(int.from_bytes, map(raw.__getitem__, slots[: i + 1]), little)
-            out.append(tuple(map(Fraction, map(sub, biased, halves), map(mul, repeat(da), dens))))
+            out.append(tuple(map(_frac, map(sub, biased, halves), map(mul, repeat(da), dens))))
         return Triangle._unchecked(out)
 
     def inverse(self) -> "Triangle":
@@ -185,7 +187,7 @@ class Triangle:
                 raise ValueError(f"singular: zero diagonal entry at {i}")
         num, dens = zip(*map(_cleared, self.rows))
         return Triangle._unchecked(
-            [Fraction(v * d, den) for v, d in zip(y, dens)] for y, den in _solve_rows(num)
+            [_frac(v * d, den) for v, d in zip(y, dens)] for y, den in _solve_rows(num)
         )
 
     def apply(self, vector: Sequence[Rat]) -> list[Fraction]:
@@ -219,7 +221,4 @@ class Triangle:
 
 def direct_sum_one(m: Triangle) -> Triangle:
     """[1] (+) M: a 1 in the corner, zeros bordering, M in the lower block."""
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    for i, row in enumerate(m.rows):
-        rows.append([Fraction(0)] + list(row))
-    return Triangle(rows)
+    return Triangle._unchecked([[Fraction(1)], *([Fraction(0), *row] for row in m.rows)])

@@ -10,13 +10,12 @@ between orders (``raise_order``, ``lower_order``) on the series kernel, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
 from .group import RiordanError, RiordanPair, _Pair
 from .matrices import Triangle, _columns
-from .series import Series, _Cleared, _krecip, _times, _to_ints
+from .series import Series, _Cleared, _frac, _krecip, _times, _to_ints
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class QuasiRiordan(_Pair):
         """The n x n section: column 0 is g, column j >= 1 is t^{j-1} f."""
         self._check_order(n)
         g, f = self.g.coeffs, self.f.coeffs  # row i: g_i, f_i, f_{i-1}, ..., f_1
-        return Triangle([g[i], *f[i:0:-1]] for i in range(n))
+        return Triangle._unchecked([g[i], *f[i:0:-1]] for i in range(n))
 
     def apply(self, u: Series) -> Series:
         """The quasi fundamental-theorem action: g*u(0) + (f/t)(u - u(0))."""
@@ -40,6 +39,8 @@ class QuasiRiordan(_Pair):
 
     def __mul__(self, other: "QuasiRiordan") -> "QuasiRiordan":
         """[g, f][d, h] = [g + (f/t)(d - 1), f h / t]."""
+        if not isinstance(other, QuasiRiordan):
+            return NotImplemented
         ft = self.f.shift_down()
         one = Series.one(other.g.prec)
         return QuasiRiordan(
@@ -68,7 +69,7 @@ def _raised(ra: RiordanPair, cols: Iterable[_Cleared], m: int) -> Iterator[_Clea
 
 
 def _section(cols: Iterable[_Cleared]) -> Triangle:
-    return Triangle._from_columns([[Fraction(x, d) for x in c] for c, d in cols])
+    return Triangle._from_columns([[_frac(x, d) for x in c] for c, d in cols])
 
 
 def raise_order(ra: RiordanPair, tri: Triangle) -> Triangle:

@@ -84,6 +84,20 @@ def _rat(x: Rat) -> Fraction:
         raise ValueError(f"zero denominator in {x!r}") from None
 
 
+def _frac(n: int, d: int) -> Fraction:
+    """n / d as a reduced Fraction, for entries the library computes: the two
+    slot writes of ``Fraction._from_coprime_ints``, without ``Fraction()``'s
+    type dispatch.  d = 0 raises ZeroDivisionError."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = n // g, d // g
+    return x
+
+
 def _sized(text: str) -> str:
     """text, refused if a run of digits is longer than int() reads, so that a
     number too long is refused as one, not as malformed."""
@@ -128,7 +142,7 @@ def _to_ints(coeffs: Sequence[Fraction]) -> _Cleared:
 
 def _from_ints(nums: Iterable[int], den: int) -> "Series":
     """The series with coefficients c / den, each a reduced Fraction."""
-    return Series([Fraction(c, den) for c in nums])
+    return Series([_frac(c, den) for c in nums])
 
 
 def _reduce(nums: list[int], den: int) -> _Cleared:
@@ -397,11 +411,11 @@ def _lagrange_read(powers: tuple[list, list], nums: list[int], den: int) -> Seri
     # n = kj + r reads H' u^(kj) only below t^(k(j+1)).
     js = range(q // k + 1 if q else 0)
     hg = [_times(dh, giant[j], min(q, k * j + k)) for j in js]
-    coeffs = [Fraction(nums[0], den)]
+    coeffs = [_frac(nums[0], den)]
     for n in range(1, q + 1):
         (x, dx), (y, dy) = baby[n % k], hg[n // k]
         dot = sum(map(mul, x[:n], reversed(y[:n])))
-        coeffs.append(Fraction(dot, n * dx * dy))
+        coeffs.append(_frac(dot, n * dx * dy))
     return Series(coeffs)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .group import RiordanPair, _az_step
 from .matrices import Triangle, _cleared, _columns, _fields_state
-from .series import PrecisionError, Rat, _rat
+from .series import PrecisionError, Rat, _frac, _rat
 
 _ratio = Fraction.as_integer_ratio
 
@@ -168,7 +168,7 @@ def c_transform(ra: RiordanPair, c: WeightTri, n: int) -> WeightedTriangle:
     cols, dens = ra._vertical(n)
     rows = [
         [
-            Fraction(p * cols[k][i - k], q * dens[k])
+            _frac(p * cols[k][i - k], q * dens[k])
             for k, (p, q) in enumerate(map(_ratio, rho))
         ]
         for i, rho in enumerate(c.rho[:n])

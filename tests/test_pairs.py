@@ -84,3 +84,41 @@ def test_bound_check():
     # a spread wider than the bound cannot tell, unless every change run is better
     assert pairs.bound_check(PARENT, PARENT, "higher", 0.01) == "unresolved"
     assert pairs.bound_check(PARENT, [p + 10 for p in PARENT], "higher", 0.01) == "within"
+
+
+def section_runs(parent_ms, change_ms, digests=None):
+    """Synthetic sections_point() runs: row "inverse" at the given times,
+    row "matmul" level, and the change's "inverse" digests as given."""
+    def rows(ms, digest):
+        return [{"pair": "p", "n": 32, "op": "inverse", "reference_ms": ms, "digest": digest},
+                {"pair": "p", "n": 32, "op": "matmul", "reference_ms": 5.0, "digest": "m"}]
+    digests = digests or ["d"] * len(change_ms)
+    return {"parent": [rows(ms, "d") for ms in parent_ms],
+            "change": [rows(ms, d) for ms, d in zip(change_ms, digests)]}
+
+
+def test_section_rows_are_judged_one_by_one():
+    runs = section_runs(PARENT, [p - 5 for p in PARENT])
+    verdicts, differ, missing = pairs.section_verdicts(runs)
+    assert [key for key, _ in verdicts] == ["p n=32 inverse", "p n=32 matmul"]
+    inverse, matmul = (c for _, c in verdicts)
+    assert (inverse.wins, inverse.verdict) == (10, "gain")
+    assert (matmul.ties, matmul.verdict) == (10, "no gain")
+    assert (differ, missing) == ([], [])
+    assert pairs.sections_report(runs) == 0
+
+
+def test_a_section_digest_mismatch_fails_the_run(capsys):
+    runs = section_runs(PARENT, PARENT, ["d"] * 9 + ["other"])
+    _, differ, _ = pairs.section_verdicts(runs)
+    assert differ == ["p n=32 inverse"]
+    assert pairs.sections_report(runs) == 1
+    assert "digests differ between parent and change: p n=32 inverse" in capsys.readouterr().out
+
+
+def test_a_section_row_missing_from_a_run_is_not_judged():
+    runs = section_runs(PARENT, PARENT)
+    runs["change"][3] = runs["change"][3][:1]  # one run lacks "matmul"
+    verdicts, differ, missing = pairs.section_verdicts(runs)
+    assert [key for key, _ in verdicts] == ["p n=32 inverse"]
+    assert (differ, missing) == ([], ["p n=32 matmul"])

@@ -157,6 +157,17 @@ class TestGroupLaw:
             assert (q * q.inverse()).agrees_with(e)
             assert (q.inverse() * q).agrees_with(e)
 
+    def test_products_take_only_their_own_class(self):
+        # the Riordan law on a quasi pair, or the quasi law on a Riordan
+        # pair, is another group's product: refused, not applied
+        a = named_riordan("catalan_bell", 8)
+        q = QuasiRiordan.of_pair(a)
+        t = a.triangle(4)
+        for product in (lambda: a * q, lambda: q * a, lambda: a * 3, lambda: q * 3,
+                        lambda: t @ 3):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                product()
+
     def test_associativity(self):
         rng = random.Random(5)
         for _ in range(5):

@@ -7,13 +7,15 @@ any other section builds it on first read.  ``@`` reads its right
 factor's columns there, and ``factorization_check`` those of
 ``triangle(n)``.  The rows the library builds from Fractions skip the
 per-entry checks of ``Triangle(rows)`` (``Triangle._unchecked``), so each
-such build is checked here for its row lengths and entry types.  Copies
+such build is checked here for its row lengths, entry types and lowest
+terms, as are the series the kernel hands out.  Copies
 and pickles carry the rows alone.
 """
 
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -193,6 +195,15 @@ def sections(ra: RiordanPair, n: int) -> dict[str, Triangle]:
     }
 
 
+def in_lowest_terms(x) -> bool:
+    return (
+        type(x) is Fraction
+        and x.denominator > 0
+        and gcd(x.numerator, x.denominator) == 1
+        and x == Fraction(x.numerator, x.denominator)
+    )
+
+
 @pytest.mark.parametrize("spec", BASES.values(), ids=BASES.keys())
 def test_library_builds_hold_rows_of_fractions(spec):
     ra = pair_spec(spec, 16)
@@ -202,7 +213,24 @@ def test_library_builds_hold_rows_of_fractions(spec):
             assert len(t.rows) == n, op
             for i, row in enumerate(t.rows):
                 assert type(row) is tuple and len(row) == i + 1, (op, i)
-                assert all(type(x) is Fraction for x in row), (op, i)
+                assert all(map(in_lowest_terms, row)), (op, i)
+
+
+def test_library_series_are_in_lowest_terms():
+    a, b = pair_spec(BASES["rational"], 16), named_riordan("catalan_bell", 16)
+    ab, ba, inv, az = a * b, b * a, a.inverse(), a.extract_az()
+    built = {
+        "a * b": (ab.g, ab.f),
+        "b * a": (ba.g, ba.f),
+        "Series *": (a.g * a.f,),
+        "inverse": (inv.g, inv.f),
+        "apply": (a.apply(a.g),),
+        "extract_az": (az.a, az.z),
+        "reciprocal": (a.g.reciprocal(),),
+    }
+    for op, out in built.items():
+        for s in out:
+            assert all(map(in_lowest_terms, s.coeffs)), op
 
 
 def test_the_public_constructor_keeps_its_checks():

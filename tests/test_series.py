@@ -16,7 +16,7 @@ from riordan import (
     series,
 )
 from riordan.catalog import catalan_series, fuss_series
-from riordan.series import _kmul, _powers, _to_ints
+from riordan.series import _frac, _kmul, _powers, _to_ints
 
 from conftest import series_strategy, unit_series
 
@@ -157,6 +157,24 @@ def test_zero_denominator_is_a_value_error():
     for build in builds:
         with pytest.raises(ValueError):
             build()
+
+
+def test_frac_is_the_reduced_fraction():
+    # _frac writes Fraction's two slots itself, so a Python whose Fraction
+    # stores anything else must fail here, not hand out broken entries
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    big = 3**200 * 2**70
+    pairs = [(6, 4), (-6, 4), (6, -4), (-6, -4), (0, 5), (0, -5), (7, 1), (7, -1),
+             (-7, -1), (1, 1), (big, 2**90 * 5), (-big - 1, big * 3), (big, -(2**64 + 1))]
+    for n, d in pairs:
+        x, want = _frac(n, d), Fraction(n, d)
+        assert type(x) is Fraction
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+        assert x == want and hash(x) == hash(want) and repr(x) == repr(want)
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    for n in (0, 1, -big):
+        with pytest.raises(ZeroDivisionError):
+            _frac(n, 0)
 
 
 class TestTruncate:

@@ -2,6 +2,7 @@
 
     python3 tools/pairs.py --parent REV --workload W [--pairs N] [--seed S] [--seconds 15]
     python3 tools/pairs.py --parent REV --tier1 [--pairs N]
+    python3 tools/pairs.py --parent REV --sections [--pairs N]
 
 Each side runs in its own temporary tree: the parent is ``git archive`` of
 REV, the change a copy of this checkout's working tree (its tracked files
@@ -34,8 +35,14 @@ reads the summed time of the test phases both sides ran in every run (lower
 is better), and the script prints the ten tests whose median time moved
 most, and each side's median wall time, which it does not judge.
 
+With ``--sections``, pair i runs ``tools/bench_point.py``'s
+``sections_point()`` in a fresh process on both sides, alternating as above.
+Each (pair, n, op) row that every run timed is judged as a metric, on its
+reference ms (lower is better); a row whose digest differs between the two
+sides of any pair fails the run.
+
 The exit code is 0 once every run has finished, whatever the verdicts, and
-1 when a run fails.
+1 when a run fails or, with ``--sections``, when a digest differs.
 """
 
 from __future__ import annotations
@@ -174,9 +181,9 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def report(rows: list[tuple[str, str, Comparison, str]]) -> None:
+def report(rows: list[tuple[str, str, Comparison, str]], name: str = "metric") -> None:
     """One line per metric: name, unit, medians, IQR, wins, verdicts."""
-    head = ("metric", "unit", "better", "parent", "change", "delta", "parent IQR",
+    head = (name, "unit", "better", "parent", "change", "delta", "parent IQR",
             "W/T/L", "verdict", "bound")
     table = [head] + [
         (name, unit, c.better, _fmt(c.parent_median), _fmt(c.change_median),
@@ -255,12 +262,75 @@ def tier1_report(runs: dict) -> None:
           f"change {walls['change']:.1f} s")
 
 
+# -- section pairs ---------------------------------------------------------------
+
+# One sections_point() in a fresh process, pinned to one CPU as bench/run.py
+# pins its workloads; the rows are the last line it prints.
+SECTIONS_CHILD = """
+import json, os, sys
+sys.path.insert(0, "tools")
+import bench_point
+bench_point.require_library()
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+print(json.dumps(bench_point.sections_point()))
+"""
+
+
+def sections_run(tree: Path) -> list[dict]:
+    proc = subprocess.run([sys.executable, "-c", SECTIONS_CHILD], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"sections_point() in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def sections_pairs(trees, pairs: int) -> dict:
+    runs: dict[str, list[list[dict]]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in _order(i):
+            rows = sections_run(trees[side])
+            runs[side].append(rows)
+            print(f"pair {i} {side}: {len(rows)} rows", flush=True)
+    return runs
+
+
+def section_verdicts(runs: dict) -> tuple[list[tuple[str, Comparison]], list[str], list[str]]:
+    """The rows every run timed, each judged on its reference ms; the rows
+    whose digests differ between the sides of some pair; and the rows some
+    run lacks, which are not judged."""
+    keyed = {side: [{f"{r['pair']} n={r['n']} {r['op']}": r for r in rows} for rows in rs]
+             for side, rs in runs.items()}
+    every = keyed["parent"] + keyed["change"]
+    seen = list(dict.fromkeys(k for run in every for k in run))
+    shared = [k for k in seen if all(k in run for run in every)]
+    differ = [k for k in shared
+              if any(p[k]["digest"] != c[k]["digest"]
+                     for p, c in zip(keyed["parent"], keyed["change"]))]
+    verdicts = [(k, compare(*([run[k]["reference_ms"] for run in keyed[side]]
+                              for side in ("parent", "change")), "lower"))
+                for k in shared]
+    return verdicts, differ, [k for k in seen if k not in shared]
+
+
+def sections_report(runs: dict) -> int:
+    """Print the verdicts; 1 when some row's digests differ, else 0."""
+    verdicts, differ, missing = section_verdicts(runs)
+    report([(key, "ref ms", c, "-") for key, c in verdicts], name="row")
+    if missing:
+        print("not judged, missing from some run: " + ", ".join(missing))
+    if differ:
+        print("digests differ between parent and change: " + ", ".join(differ))
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent revision")
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", choices=("pair_algebra", "triangle_io", "verify_cli"))
     what.add_argument("--tier1", action="store_true")
+    what.add_argument("--sections", action="store_true")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=15)
@@ -273,6 +343,8 @@ def main(argv=None) -> int:
             trees = make_trees(args.parent, Path(tmp))
             if args.tier1:
                 tier1_report(tier1_pairs(trees, args.pairs))
+            elif args.sections:
+                return sections_report(sections_pairs(trees, args.pairs))
             else:
                 runs = bench_pairs(trees, args.workload, args.pairs, args.seed, args.seconds)
                 bench_report(runs, benchmark)
