@@ -355,7 +355,7 @@ class Series:
     def comp_inverse(self) -> "Series":
         """Compositional inverse fbar with fbar(f) = f(fbar) = t, by Lagrange
         inversion; requires order exactly 1."""
-        return _lagrange(self, [Series.t(self.prec)])[0]
+        return _lagrange_read(_lagrange_powers(self, self.prec), [0, 1] + [0] * (self.prec - 1), 1)
 
 
 def _compose(f: Series, hs: Sequence[Series]) -> list[Series]:
@@ -418,12 +418,3 @@ def _lagrange_read(powers: tuple[list, list], nums: list[int], den: int) -> Seri
         coeffs.append(_frac(dot, n * dx * dy))
     return Series(coeffs)
 
-
-def _lagrange(f: Series, hs: Sequence[Series]) -> list[Series]:
-    """[H(fbar) for H in hs], fbar the compositional inverse of f, each at
-    precision min(H.prec, f.prec): coefficient n needs H and f through t^n."""
-    precs = [min(h.prec, f.prec) for h in hs]
-    powers = _lagrange_powers(f, max([1, *precs]))
-    return [
-        _lagrange_read(powers, *_to_ints(h.coeffs[: q + 1])) for h, q in zip(hs, precs)
-    ]

@@ -2,13 +2,14 @@
 
 Each of ``Series.__mul__``, ``reciprocal``, ``compose``, ``comp_inverse``,
 the Paterson-Stockmeyer routine ``_compose`` behind ``compose`` and the pair
-product, and the Lagrange-Buermann routine ``_lagrange`` behind
-``comp_inverse`` is compared with a schoolbook ``Fraction`` computation
-written out below, one coefficient at a time, with sympy's ``ring_series``
-(``rs_series_inversion``, ``rs_subs``, ``rs_series_reversion``), or with
-both.  ``_compose`` is also checked against the Horner composition it
-replaced, kept below as ``horner_compose``; that one runs on the same
-integer helpers, so the schoolbook sum stays the independent check.
+product, and the Lagrange-Buermann routines ``_lagrange_powers`` and
+``_lagrange_read`` behind ``comp_inverse`` is compared with a schoolbook
+``Fraction`` computation written out below, one coefficient at a time, with
+sympy's ``ring_series`` (``rs_series_inversion``, ``rs_subs``,
+``rs_series_reversion``), or with both. ``_compose`` is also checked against
+the Horner composition it replaced, kept below as ``horner_compose``; that
+one runs on the same integer helpers, so the schoolbook sum stays the
+independent check.
 The one-pass reciprocal recurrence ``_krecip`` is checked against the
 Newton iteration it replaced, kept below as ``newton_reciprocal``; Newton
 builds 1/a from Kronecker products and shares no formula with it, whereas
@@ -38,7 +39,8 @@ from riordan.series import (
     _from_ints,
     _kmul,
     _krecip,
-    _lagrange,
+    _lagrange_powers,
+    _lagrange_read,
     _reduce,
     _to_ints,
 )
@@ -279,8 +281,9 @@ def test_precision_48(seed):
     assert compose(f, fbar) == [0, 1] + [0] * (n - 2)
 
 
-# comp_inverse runs on _lagrange, which splits n = kq + r with k = ceil(sqrt(p));
-# these precisions put p - 1 on a perfect square and on either side of one.
+# comp_inverse runs on `_lagrange_powers` / `_lagrange_read`, which split
+# n = kq + r with k = ceil(sqrt(p)); these precisions put p - 1 on a perfect
+# square and on either side of one.
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
 def test_comp_inverse_block_edges(p):
     rng = random.Random(p)
@@ -294,7 +297,7 @@ def test_comp_inverse_block_edges(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
 def test_lagrange_block_edges(p):
-    """H(fbar) for H of precision below, at and above f's, in one call.
+    """H(fbar) for H of precision below, at and above f's, off one power table.
 
     f of precision 1 with H of precision 0 gives a result of precision 0,
     as A = (f/t)(fbar) has.
@@ -306,7 +309,8 @@ def test_lagrange_block_edges(p):
         [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(hp + 1)]
         for hp in (p - 1, p // 2, p, p + 3)
     ]
-    got = _lagrange(Series(f), [Series(h) for h in hs])
+    powers = _lagrange_powers(Series(f), p)
+    got = [_lagrange_read(powers, *_to_ints(h[: p + 1])) for h in hs]
     fbar = rs_series_reversion(to_ring(f, X), X, p + 1, Y)
     fbar = to_ring(from_ring(fbar, 1, p + 1), X)
     for h, out in zip(hs, got):
@@ -321,7 +325,7 @@ def rand_coeffs(rng, n):
 
 
 # _compose splits h into blocks of k = isqrt(p) + 1 coefficients, and k
-# steps up at each perfect square; these are the _lagrange precisions above,
+# steps up at each perfect square; these are the Lagrange precisions above,
 # on and next to squares.
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9, 10, 11, 16, 17, 26, 37, 49, 50])
 @pytest.mark.parametrize("order", [1, 2, None], ids=["order1", "order2", "zero"])

@@ -122,3 +122,52 @@ def test_a_section_row_missing_from_a_run_is_not_judged():
     verdicts, differ, missing = pairs.section_verdicts(runs)
     assert [key for key, _ in verdicts] == ["p n=32 inverse"]
     assert (differ, missing) == ([], ["p n=32 matmul"])
+
+
+def test_alternate_swaps_the_first_side_every_pair(capsys):
+    trees = {"parent": Path("p"), "change": Path("c")}
+    calls = []
+
+    def run(tree, i):
+        calls.append((tree.name, i))
+        return f"{tree.name}{i}"
+
+    runs = pairs.alternate(trees, 3, run, lambda result, i: f"result {result}, pair {i}")
+    assert calls == [("p", 0), ("c", 0), ("c", 1), ("p", 1), ("p", 2), ("c", 2)]
+    assert runs == {"parent": ["p0", "p1", "p2"], "change": ["c0", "c1", "c2"]}
+    assert capsys.readouterr().out.splitlines() == [
+        "pair 0 parent: result p0, pair 0", "pair 0 change: result c0, pair 0",
+        "pair 1 change: result c1, pair 1", "pair 1 parent: result p1, pair 1",
+        "pair 2 parent: result p2, pair 2", "pair 2 change: result c2, pair 2",
+    ]
+
+
+def tier1_result(wall_s, **tests):
+    """A synthetic tier1_run() result: each test a setup and a call phase."""
+    phases = [(s / 2, phase, t) for t, s in tests.items() for phase in ("setup", "call")]
+    return {"wall_s": wall_s, "summary": "2 passed", "phases": phases, "failed_tests": []}
+
+
+def test_tier1_report_sums_only_the_tests_every_run_has(capsys):
+    runs = {"parent": [tier1_result(9.0, a=1.0, b=3.0), tier1_result(11.0, a=1.0, b=3.0, c=50.0)],
+            "change": [tier1_result(8.0, a=1.0, b=2.0, d=70.0), tier1_result(10.0, a=1.0, b=2.0)]}
+    pairs.tier1_report(runs)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "2 tests ran on both sides in every run"
+    rows = [line.split() for line in out if line.startswith("shared test time")]
+    assert len(rows) == 1
+    assert rows[0][3:7] == ["s", "lower", "4", "3"]  # unit, better, parent and change medians
+    assert out[out.index("biggest movers (change median - parent median):") + 1] == "  -1.000 s  b"
+    assert out[-1] == "wall time, median (not judged): parent 10.0 s, change 9.0 s"
+
+
+def test_tier1_run_reads_phases_and_failures(tmp_path):
+    (tmp_path / "test_two.py").write_text("def test_ok():\n    pass\n\n\n"
+                                          "def test_bad():\n    assert False\n")
+    run = pairs.tier1_run(tmp_path)
+    assert run["summary"].startswith("1 failed, 1 passed")
+    assert run["failed_tests"] == ["test_two.py::test_bad"]
+    assert {(phase, test) for _, phase, test in run["phases"]} == {
+        (phase, f"test_two.py::test_{name}")
+        for phase in ("setup", "call", "teardown") for name in ("ok", "bad")}
+    assert [s for s, *_ in run["phases"]] == sorted((s for s, *_ in run["phases"]), reverse=True)

@@ -144,6 +144,12 @@ class TestCompInverse:
         with pytest.raises(NoCompositionalInverseError):
             S(0, 0, 1, prec=5).comp_inverse()
 
+    @pytest.mark.parametrize("c", [0, 5])
+    def test_precision_zero_names_comp_inverse(self, c):
+        # the order of a precision-0 series is unknown, whatever its constant
+        with pytest.raises(PrecisionError, match="comp_inverse"):
+            Series([c]).comp_inverse()
+
 
 def test_zero_denominator_is_a_value_error():
     # malformed input, like the unparsable entry of Series(["x"])

@@ -7,9 +7,9 @@ The file holds, for the checkout this script sits in:
 - ``machine`` and ``sweep``: what ``bench/baseline.py`` records, the
   layer sweep (L1 series ops, L2 pair ops and L3 triangles at p in
   {32, 64, 128}, each with its digest);
-- ``tier1``: one timed tier-1 run with the fields ``bench/baseline.py``
-  records, run with ``--durations=15`` as CI runs it, and under
-  ``durations`` the 15 slowest test phases it prints, each in s;
+- ``tier1``: one timed tier-1 run of ``pairs.tier1_run``, with the fields
+  ``bench/baseline.py`` records and under ``durations`` its 15 slowest test
+  phases, each in s;
 - ``reciprocal`` (L1): ``Series.reciprocal`` of g and of f/t for the
   sweep's two pairs at p in {32, 64, 128}, which the sweep does not time,
   each the median CPU time of 11 calls in reference ms, with the
@@ -58,7 +58,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter, thread_time
+from time import thread_time
+
+import pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -80,7 +82,6 @@ MATMUL_ORDERS = (96, 128)  # Triangle.__matmul__ alone, on larger entries
 WORKLOADS = ("pair_algebra", "triangle_io", "verify_cli")
 SEED = 1
 SECONDS = 15
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15")
 
 # Row families of the builtin suite, by name prefix; the first match wins.
 FAMILIES = (
@@ -124,23 +125,19 @@ print(json.dumps({"calibration_s": (cal + calibrate()) / 2, "total_s": total,
 
 def tier1_point() -> dict:
     """One timed tier-1 run: passed, failed and errors off pytest's last
-    line, the failing tests, and the slowest test phases."""
-    start = perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=child_env(),
-                          capture_output=True, text=True)
-    wall = perf_counter() - start
+    line, the failing tests, and the 15 slowest test phases."""
+    run = pairs.tier1_run(ROOT)
     counts = {kind: int(n) for n, kind in
-              re.findall(r"(\d+) (passed|failed|error)", proc.stdout.splitlines()[-1])}
-    slowest = re.findall(r"^(\d+\.\d+)s (setup|call|teardown) +(\S+)$", proc.stdout, re.M)
+              re.findall(r"(\d+) (passed|failed|error)", run["summary"])}
+    slowest = sorted(run["phases"], key=lambda phase: phase[0], reverse=True)[:15]
     return {
-        "command": " ".join(["PYTHONPATH=src python", *TIER1]),
-        "wall_s": round(wall, 1),
+        "command": " ".join(["PYTHONPATH=src python", *pairs.TIER1]),
+        "wall_s": round(run["wall_s"], 1),
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
         "errors": counts.get("error", 0),
-        "failed_tests": re.findall(r"^FAILED (\S+)", proc.stdout, re.M),
-        "durations": [{"s": float(s), "when": when, "test": test}
-                      for s, when, test in slowest],
+        "failed_tests": run["failed_tests"],
+        "durations": [{"s": s, "when": when, "test": test} for s, when, test in slowest],
     }
 
 

@@ -30,7 +30,8 @@ A gain does not count when a larger share of the change's ops failed; the
 script says so under the table.
 
 With ``--tier1``, pair i runs the tier-1 command with ``--durations=0
---durations-min=0`` on both sides, alternating as above.  The verdict then
+--durations-min=0`` (``tier1_run``, which ``tools/bench_point.py`` also
+times) on both sides, alternating as above.  The verdict then
 reads the summed time of the test phases both sides ran in every run (lower
 is better), and the script prints the ten tests whose median time moved
 most, and each side's median wall time, which it does not judge.
@@ -64,7 +65,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=0", "--durations-min=0", "-p", "no:cacheprovider")
-DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(.+)$", re.M)
+DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(.+)$", re.M)
+FAILED = re.compile(r"^FAILED (\S+)", re.M)
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,16 @@ def make_trees(rev: str, into: Path) -> dict[str, Path]:
     return {"parent": parent, "change": change}
 
 
-def _order(i: int) -> tuple[str, str]:
-    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+def alternate(trees: dict[str, Path], pairs: int, run, show) -> dict[str, list]:
+    """Each side's ``run(tree, i)`` for pairs i = 0 .. pairs - 1, the parent
+    first in even pairs and the change first in odd ones; each run is
+    printed as ``pair i side: show(result, i)`` as soon as it ends."""
+    runs: dict[str, list] = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run(trees[side], i))
+            print(f"pair {i} {side}: {show(runs[side][-1], i)}", flush=True)
+    return runs
 
 
 # -- benchmark pairs -------------------------------------------------------------
@@ -165,16 +175,6 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def bench_pairs(trees, workload: str, pairs: int, seed: int, seconds: float) -> dict:
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(pairs):
-        for side in _order(i):
-            run = bench_run(trees[side], workload, seed + i, seconds)
-            runs[side].append(run)
-            print(f"pair {i} {side} seed {seed + i}: {json.dumps(run)}", flush=True)
-    return runs
 
 
 def _fmt(x: float) -> str:
@@ -217,6 +217,9 @@ def bench_report(runs: dict, benchmark: dict) -> None:
 # -- tier-1 pairs ----------------------------------------------------------------
 
 def tier1_run(tree: Path) -> dict:
+    """One tier-1 run in tree: its wall time in s, pytest's last line, every
+    test phase as (seconds, phase, test) in pytest's order, slowest first,
+    and the tests reported ``FAILED``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tree / "src"), env.get("PYTHONPATH", "")) if p)
@@ -226,33 +229,34 @@ def tier1_run(tree: Path) -> dict:
     wall = perf_counter() - start
     if proc.returncode not in (0, 1):  # 1: some test failed, which the sides may share
         raise RuntimeError(f"tier-1 in {tree} exited {proc.returncode}:\n{proc.stdout[-2000:]}")
+    return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1],
+            "phases": [(float(s), phase, test) for s, phase, test in DURATION.findall(proc.stdout)],
+            "failed_tests": FAILED.findall(proc.stdout)}
+
+
+def _test_times(run: dict) -> dict[str, float]:
+    """Each test's time in one tier-1 run, its phases summed."""
     tests: dict[str, float] = {}
-    for seconds, test in DURATION.findall(proc.stdout):
-        tests[test] = tests.get(test, 0.0) + float(seconds)
-    return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1], "tests": tests}
+    for seconds, _, test in run["phases"]:
+        tests[test] = tests.get(test, 0.0) + seconds
+    return tests
 
 
-def tier1_pairs(trees, pairs: int) -> dict:
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(pairs):
-        for side in _order(i):
-            run = tier1_run(trees[side])
-            runs[side].append(run)
-            print(f"pair {i} {side}: {run['summary']}; wall {run['wall_s']:.1f} s; "
-                  f"{len(run['tests'])} tests, {sum(run['tests'].values()):.1f} s summed",
-                  flush=True)
-    return runs
+def tier1_line(run: dict, i: int) -> str:
+    tests = _test_times(run)
+    return (f"{run['summary']}; wall {run['wall_s']:.1f} s; "
+            f"{len(tests)} tests, {sum(tests.values()):.1f} s summed")
 
 
 def tier1_report(runs: dict) -> None:
-    all_runs = runs["parent"] + runs["change"]
-    shared = set.intersection(*(set(r["tests"]) for r in all_runs))
-    sums = {side: [sum(r["tests"][t] for t in shared) for r in rs] for side, rs in runs.items()}
+    times = {side: [_test_times(r) for r in rs] for side, rs in runs.items()}
+    shared = set.intersection(*(set(t) for ts in times.values() for t in ts))
+    sums = {side: [sum(t[test] for test in shared) for t in ts] for side, ts in times.items()}
     print(f"{len(shared)} tests ran on both sides in every run")
     report([("shared test time", "s", compare(sums["parent"], sums["change"], "lower"), "-")])
     moved = sorted(
-        ((median(r["tests"][t] for r in runs["change"])
-          - median(r["tests"][t] for r in runs["parent"]), t) for t in shared),
+        ((median(t[test] for t in times["change"])
+          - median(t[test] for t in times["parent"]), test) for test in shared),
         key=lambda m: -abs(m[0]))
     print("biggest movers (change median - parent median):")
     for delta, test in moved[:10]:
@@ -282,16 +286,6 @@ def sections_run(tree: Path) -> list[dict]:
     if proc.returncode:
         raise RuntimeError(f"sections_point() in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def sections_pairs(trees, pairs: int) -> dict:
-    runs: dict[str, list[list[dict]]] = {"parent": [], "change": []}
-    for i in range(pairs):
-        for side in _order(i):
-            rows = sections_run(trees[side])
-            runs[side].append(rows)
-            print(f"pair {i} {side}: {len(rows)} rows", flush=True)
-    return runs
 
 
 def section_verdicts(runs: dict) -> tuple[list[tuple[str, Comparison]], list[str], list[str]]:
@@ -342,11 +336,17 @@ def main(argv=None) -> int:
         try:
             trees = make_trees(args.parent, Path(tmp))
             if args.tier1:
-                tier1_report(tier1_pairs(trees, args.pairs))
+                runs = alternate(trees, args.pairs, lambda tree, _: tier1_run(tree), tier1_line)
+                tier1_report(runs)
             elif args.sections:
-                return sections_report(sections_pairs(trees, args.pairs))
+                runs = alternate(trees, args.pairs, lambda tree, _: sections_run(tree),
+                                 lambda rows, _: f"{len(rows)} rows")
+                return sections_report(runs)
             else:
-                runs = bench_pairs(trees, args.workload, args.pairs, args.seed, args.seconds)
+                runs = alternate(
+                    trees, args.pairs,
+                    lambda tree, i: bench_run(tree, args.workload, args.seed + i, args.seconds),
+                    lambda run, i: f"seed {args.seed + i} {json.dumps(run)}")
                 bench_report(runs, benchmark)
         except (RuntimeError, subprocess.CalledProcessError) as exc:
             print(f"error: {exc}", file=sys.stderr)
