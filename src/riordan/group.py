@@ -215,7 +215,7 @@ class RiordanPair(_Pair):
         """(g, f) = (g, t)(1, f): Appell factor times Lagrange factor."""
         p = self.prec
         return (
-            RiordanPair(self.g, Series.t(p)),
+            RiordanPair(self.g, Series.t(max(p, 1))),  # a valid f reaches t^1
             RiordanPair(Series.one(p), self.f),
         )
 
@@ -225,7 +225,7 @@ class RiordanPair(_Pair):
         infinite array."""
         labels: set[str] = set()
         p = self.prec
-        t = Series.t(p)
+        t = Series.t(max(p, 1))  # a valid f reaches t^1
         one = Series.one(p)
         if self.f.agrees_with(t):
             labels.add("appell")

@@ -237,7 +237,7 @@ def generalized_rook(ra: RiordanPair, n: int) -> WeightedTriangle:
 
 def generalized_laguerre(ra: RiordanPair, n: int) -> WeightedTriangle:
     """The triangle ((-1)^{n-k} / (n-k)!) d_{n,k}."""
-    return C_transform(ra, WeightTri.laguerre(n), n)
+    return c_transform(ra, WeightTri.laguerre(n), n)
 
 
 def rook_laguerre_duality(ra: RiordanPair, n: int) -> bool:

@@ -1,8 +1,11 @@
-"""The step order of tools/bench_point.py, with every step stubbed."""
+"""The step order of tools/bench_point.py, with every step stubbed, and its
+child runs."""
 
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -47,3 +50,20 @@ def test_tier1_point_builds_its_record_from_the_shared_runner(monkeypatch):
     assert record["failed_tests"] == ["t.py::test_05b"]
     assert record["durations"] == [{"s": float(s), "when": "call", "test": f"t.py::test_{s}"}
                                    for s in range(19, 4, -1)]
+
+
+def test_workload_point_runs_the_shared_bench_runner(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_point.pairs, "bench_run",
+                        lambda *args: calls.append(args) or {"ops_per_s": 1.0})
+    record = bench_point.workload_point("triangle_io")
+    assert calls == [(bench_point.ROOT, "triangle_io", 1, 15)]
+    assert record == {"command": "python3 bench/run.py --workload triangle_io --seed 1 "
+                                 "--seconds 15 --trace 0", "ops_per_s": 1.0}
+
+
+def test_a_failed_suite_child_shows_its_stderr(monkeypatch):
+    monkeypatch.setattr(bench_point, "SUITE_CHILD",
+                        "import sys; sys.stderr.write('boom'); sys.exit(3)")
+    with pytest.raises(RuntimeError, match="builtin_suite\\(\\) in .* exited 3:\nboom"):
+        bench_point.suite_point(1)

@@ -650,6 +650,11 @@ class TestSubgroups:
     def test_checkerboard(self, ten_pairs):
         assert "checkerboard" in ten_pairs["checkerboard"].subgroups()
 
+    def test_precision_zero(self):
+        ra = RiordanPair(Series([1]), Series([0, 2, 3]))
+        assert ra.prec == 0
+        assert ra.subgroups() == {"lagrange", "hitting-time", "checkerboard"}
+
 
 class TestSemidirectSplit:
     def test_pascal(self, pascal):
@@ -669,3 +674,8 @@ class TestSemidirectSplit:
             assert "appell" in appell.subgroups(), name
             assert "lagrange" in lagrange.subgroups(), name
             assert (appell * lagrange).agrees_with(ra), name
+
+    def test_precision_zero(self):
+        ra = RiordanPair(Series([1]), Series([0, 2, 3]))
+        appell, lagrange = ra.semidirect_split()
+        assert (appell * lagrange).agrees_with(ra)

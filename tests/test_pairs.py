@@ -1,4 +1,5 @@
-"""The paired-measurement verdict of tools/pairs.py, on synthetic runs."""
+"""The paired-measurement verdict of tools/pairs.py, on synthetic runs, and
+its child runners."""
 
 import sys
 from pathlib import Path
@@ -171,3 +172,15 @@ def test_tier1_run_reads_phases_and_failures(tmp_path):
         (phase, f"test_two.py::test_{name}")
         for phase in ("setup", "call", "teardown") for name in ("ok", "bad")}
     assert [s for s, *_ in run["phases"]] == sorted((s for s, *_ in run["phases"]), reverse=True)
+
+
+def test_child_json_reads_the_last_line(tmp_path):
+    cmd = [sys.executable, "-c", "print('warm-up'); print('[1, {\"a\": 2}]')"]
+    assert pairs.child_json("two lines", cmd, tmp_path) == [1, {"a": 2}]
+
+
+def test_child_json_names_a_failed_child(tmp_path):
+    cmd = [sys.executable, "-c", "import sys; sys.stderr.write('boom'); sys.exit(3)"]
+    with pytest.raises(RuntimeError) as err:
+        pairs.child_json("the child", cmd, tmp_path)
+    assert str(err.value) == f"the child in {tmp_path} exited 3:\nboom"

@@ -14,8 +14,8 @@ The file holds, for the checkout this script sits in:
   sweep's two pairs at p in {32, 64, 128}, which the sweep does not time,
   each the median CPU time of 11 calls in reference ms, with the
   result's digest;
-- ``sections`` (L3): ``c_transform`` with the factorial weight,
-  ``C_transform`` with the Laguerre weight, ``Triangle.from_csv``,
+- ``sections`` (L3): ``c_transform`` with the factorial weight and with
+  the Laguerre weight (row ``C_transform:laguerre``), ``Triangle.from_csv``,
   ``Triangle.from_json``, ``Triangle.inverse`` and ``Triangle.__matmul__``
   (its square) of ``triangle(n)``, ``QuasiRiordan.matrix(n)``,
   ``factorization_check`` at n, ``raise_order`` of ``triangle(n - 1)``
@@ -23,9 +23,9 @@ The file holds, for the checkout this script sits in:
   in {32, 48, 64}, and ``Triangle.__matmul__`` alone also at n in
   {96, 128}, where the entries pass 200 bits, each the median CPU time of
   11 calls in reference ms, with the result's digest; ``triangle(n)``
-  carries its integer columns, which ``@`` and ``factorization_check``
-  read, so both are also timed on the lazy path (``:unseeded``), where
-  each call clears the columns off the rows again;
+  carries its integer columns, which ``@`` reads, and a public
+  ``Triangle(rows)`` does not, so ``@`` is also timed on that path
+  (``:unseeded``), where each call clears the columns off the rows again;
 - ``suite`` (L4): the CPU time of one ``harness.builtin_suite()`` per row
   family, the median over fresh processes, in ms and in reference ms
   (CPU time scaled to the reference speed of ``bench/common.calibrate``),
@@ -55,7 +55,6 @@ import json
 import os
 import random
 import re
-import subprocess
 import sys
 from pathlib import Path
 from time import thread_time
@@ -152,13 +151,8 @@ def suite_point(processes: int = SUITE_PROCESSES) -> dict:
     """L4: per-family CPU of builtin_suite(), median over fresh processes."""
     env = child_env()
     env["PYTHONPATH"] += os.pathsep + str(ROOT / "bench")
-    runs = []
-    for _ in range(processes):
-        proc = subprocess.run(
-            [sys.executable, "-c", SUITE_CHILD],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    runs = [pairs.child_json("builtin_suite()", [sys.executable, "-c", SUITE_CHILD], ROOT, env)
+            for _ in range(processes)]
     rows = {}
     for name in runs[0]["rows"]:
         rows.setdefault(family(name), []).append(name)
@@ -188,8 +182,9 @@ def suite_point(processes: int = SUITE_PROCESSES) -> dict:
     return {"processes": processes, "total": total, "families": families}
 
 
-def timed(call) -> tuple[float, object]:
-    """The median CPU time of CALLS calls in reference ms, and the last result."""
+def timed_row(call, **keys) -> dict:
+    """The row: keys, then the median CPU time of CALLS calls in reference ms
+    and the last result's digest; printed as it ends."""
     before = calibrate()
     times = []
     for _ in range(CALLS):
@@ -197,7 +192,9 @@ def timed(call) -> tuple[float, object]:
         out = call()
         times.append(thread_time() - start)
     scale = 2 * CAL_REF_S / (before + calibrate())
-    return round(median(times) * scale * 1e3, 3), out
+    row = keys | {"reference_ms": round(median(times) * scale * 1e3, 3), "digest": digest(out)}
+    print(json.dumps(row), flush=True)
+    return row
 
 
 def sweep_pairs(p: int) -> dict:
@@ -212,23 +209,15 @@ def sweep_pairs(p: int) -> dict:
 
 def reciprocal_point() -> list[dict]:
     """L1: Series.reciprocal of g and of f/t for the sweep's pairs."""
-    rows = []
-    for p in PRECS:
-        for label, a in sweep_pairs(p).items():
-            for name, s in (("g", a.g), ("f/t", a.f.shift_down())):
-                ms, out = timed(s.reciprocal)
-                rows.append({"pair": label, "p": p, "series": name,
-                             "reference_ms": ms, "digest": digest(out)})
-                print(json.dumps(rows[-1]), flush=True)
-    return rows
+    return [timed_row(s.reciprocal, pair=label, p=p, series=name)
+            for p in PRECS for label, a in sweep_pairs(p).items()
+            for name, s in (("g", a.g), ("f/t", a.f.shift_down()))]
 
 
 def sections_point() -> list[dict]:
     """L3: c/C transforms, CSV/JSON reads, matrix ops and order transforms."""
     from riordan import (
-        C_transform,
         QuasiRiordan,
-        RiordanPair,
         Triangle,
         WeightSeq,
         WeightTri,
@@ -242,10 +231,6 @@ def sections_point() -> list[dict]:
         vars(t).pop("_cleared_columns", None)  # read again off the rows
         return t
 
-    class Unseeded(RiordanPair):
-        def triangle(self, n: int) -> Triangle:
-            return unseeded(super().triangle(n))
-
     rows = []
     for n in SECTION_ORDERS:
         fac, lag = WeightSeq.factorial(n), WeightTri.laguerre(n)
@@ -253,12 +238,11 @@ def sections_point() -> list[dict]:
         for label, a in sweep_pairs(n).items():
             section, below = a.triangle(n), a.triangle(n - 1)
             quasi = QuasiRiordan.of_pair(a)
-            lazy, plain = Unseeded(a.g, a.f), Triangle(section.rows)
-            lazy._vertical(n)  # its memo, as a's, is built before the timed calls
+            plain = Triangle(section.rows)
             csv, text = section.to_csv(), section.to_json()
             ops = {
                 "c_transform:factorial": lambda: c_transform(a, fac, n),
-                "C_transform:laguerre": lambda: C_transform(a, lag, n),
+                "C_transform:laguerre": lambda: c_transform(a, lag, n),
                 "Triangle.from_csv": lambda: Triangle.from_csv(csv),
                 "Triangle.from_json": lambda: Triangle.from_json(text),
                 "Triangle.inverse": section.inverse,
@@ -266,33 +250,23 @@ def sections_point() -> list[dict]:
                 "Triangle.__matmul__:unseeded": lambda: plain @ unseeded(plain),
                 "QuasiRiordan.matrix": lambda: quasi.matrix(n),
                 "factorization_check": lambda: factorization_check(a, n),
-                "factorization_check:unseeded": lambda: factorization_check(lazy, n),
                 "raise_order": lambda: raise_order(a, below),
                 "lower_order": lambda: lower_order(a, section),
             }
-            for op, call in ops.items():
-                rows.append(section_row(label, n, op, call))
+            rows += [timed_row(call, pair=label, n=n, op=op) for op, call in ops.items()]
     for n in MATMUL_ORDERS:
         for label, a in sweep_pairs(n).items():
             section = a.triangle(n)
-            rows.append(section_row(label, n, "Triangle.__matmul__", lambda: section @ section))
+            rows.append(timed_row(lambda: section @ section,
+                                  pair=label, n=n, op="Triangle.__matmul__"))
     return rows
-
-
-def section_row(label: str, n: int, op: str, call) -> dict:
-    ms, out = timed(call)
-    row = {"pair": label, "n": n, "op": op, "reference_ms": ms, "digest": digest(out)}
-    print(json.dumps(row), flush=True)
-    return row
 
 
 def workload_point(name: str) -> dict:
     """L5: the JSON line that bench/run.py prints last."""
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", name,
-           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
-    return {"command": " ".join(["python3", "bench/run.py", *cmd[2:]]),
-            **json.loads(proc.stdout.splitlines()[-1])}
+    return {"command": f"python3 bench/run.py --workload {name} --seed {SEED} "
+                       f"--seconds {SECONDS} --trace 0",
+            **pairs.bench_run(ROOT, name, SEED, SECONDS)}
 
 
 def main(argv=None) -> int:

@@ -168,13 +168,19 @@ def alternate(trees: dict[str, Path], pairs: int, run, show) -> dict[str, list]:
 
 # -- benchmark pairs -------------------------------------------------------------
 
+def child_json(label: str, cmd: list[str], cwd: Path, env: dict | None = None):
+    """The JSON value on the last stdout line of cmd, run in cwd; a nonzero
+    exit raises RuntimeError naming label, cwd, the exit code and stderr."""
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{label} in {cwd} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return child_json(" ".join(cmd), cmd, tree)
 
 
 def _fmt(x: float) -> str:
@@ -281,11 +287,7 @@ print(json.dumps(bench_point.sections_point()))
 
 
 def sections_run(tree: Path) -> list[dict]:
-    proc = subprocess.run([sys.executable, "-c", SECTIONS_CHILD], cwd=tree,
-                          capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"sections_point() in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return child_json("sections_point()", [sys.executable, "-c", SECTIONS_CHILD], tree)
 
 
 def section_verdicts(runs: dict) -> tuple[list[tuple[str, Comparison]], list[str], list[str]]:
