@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from operator import mul
 
-from .matrices import Triangle, _cleared, _fields_state
+from .matrices import Triangle, _cleared, _fields_state, _lowest
 from .series import PrecisionError, Series, SeriesError, _compose, _frac, _from_ints
 from .series import _krecip, _lagrange_powers, _lagrange_read, _powers, _times, _to_ints
 
@@ -135,11 +134,7 @@ class RiordanPair(_Pair):
             for k in range(1, n):
                 prev = cols[-1]
                 col = [sum(map(mul, f1, reversed(prev[:m]))) for m in range(1, n - k + 1)]
-                den = dens[-1] * df
-                c = gcd(den, *col)
-                if c > 1:
-                    col = [x // c for x in col]
-                    den //= c
+                col, den = _lowest(col, dens[-1] * df)
                 cols.append(col)
                 dens.append(den)
             memo = cols, dens

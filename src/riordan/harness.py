@@ -101,7 +101,9 @@ def verify(
     """Exact comparison over 0 <= n <= n_max, k per the labelled policy."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    k_range = K_POLICIES[k_policy]
+    k_range = K_POLICIES.get(k_policy)
+    if k_range is None:
+        raise ValueError(f"unknown k_policy {k_policy!r}")
     start = time.perf_counter()
 
     def report(status: str, counterexample=None, detail: str = ""):

@@ -37,6 +37,13 @@ def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den in lowest terms over a positive denominator; the input
+    itself when it is so already."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return (nums, den) if g == 1 else ([x // g for x in nums], den // g)
+
+
 def _columns(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Column k of ragged lower-triangular rows, from the diagonal down."""
     return [[row[k] for row in rows[k:]] for k in range(len(rows))]
@@ -62,12 +69,7 @@ def _solve_rows(num: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]
         c.reverse()
         y = [-sum(map(mul, c, reversed(col))) for col in cols]
         y.append(big)
-        den = big * row[i]
-        g = gcd(den, *y)
-        if den < 0:
-            g = -g
-        y = [v // g for v in y]
-        den //= g
+        y, den = _lowest(y, big * row[i])
         for col, v in zip(cols, y):
             col.append(v)
         cols.append([y[i]])
@@ -89,10 +91,7 @@ class Triangle:
         for i, row in enumerate(rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-            # Most entries are Fractions already; testing that here, as _rat
-            # does first, saves a call per entry, about a fifth of the time
-            # to build a triangle of Fractions.
-            built.append(tuple(x if type(x) is Fraction else _rat(x) for x in row))
+            built.append(tuple(map(_rat, row)))
         object.__setattr__(self, "rows", tuple(built))
         if not self.rows:
             raise ValueError("empty triangle")

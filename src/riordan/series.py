@@ -235,13 +235,11 @@ class Series:
     def from_coeffs(cls, coeffs: Sequence[Rat], prec: int) -> "Series":
         """Series from an explicit coefficient list, zero-padded to prec: the
         list is a polynomial, so the padding zeros are trusted coefficients."""
-        cs = [_rat(c) for c in coeffs]
-        if len(cs) > prec + 1:
+        if len(coeffs) > prec + 1:
             raise PrecisionError(
-                f"{len(cs)} coefficients given but precision is {prec}"
+                f"{len(coeffs)} coefficients given but precision is {prec}"
             )
-        cs.extend([Fraction(0)] * (prec + 1 - len(cs)))
-        return cls(cs)
+        return cls([*coeffs, *[Fraction(0)] * (prec + 1 - len(coeffs))])
 
     @classmethod
     def zero(cls, prec: int) -> "Series":

@@ -198,10 +198,91 @@ class TestAz:
         assert code == 0
         assert out == "A: 1, 1\nZ: 1\n"
 
-    def test_catalan(self, capsys):
-        code, out, _ = run_cli(capsys, "--prec", "6", "az", "--name", "catalan_bell")
-        assert code == 0
-        assert out == "A: 1, 1, 1, 1, 1, 1\nZ: 1, 1, 1, 1, 1, 1\n"
+
+RATIONAL = "1,1/2;0,2/3,1"  # g = 1 + t/2, f = 2t/3 + t^2
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("--prec", "6", "az", "--name", "catalan_bell"),
+         "A: 1, 1, 1, 1, 1, 1\nZ: 1, 1, 1, 1, 1, 1\n"),
+        (("--prec", "6", "inv", "--name", "catalan_bell"), "g: 1, -1\nf: 0, 1, -1\n"),
+        (("--prec", "6", "inv", "--name", RATIONAL),
+         "g: 1, -3/4, 9/4, -675/64, 7695/128, -195129/512, 5287437/2048\n"
+         "f: 0, 3/2, -27/8, 243/16, -10935/128, 137781/256, -3720087/1024\n"),
+        (("--prec", "6", "az", "--name", RATIONAL),
+         "A: 2/3, 3/2, -27/8, 243/16, -10935/128, 137781/256\n"
+         "Z: 1/2, -3/8, 9/8, -675/128, 7695/256, -195129/1024\n"),
+        # A's edges: precision 0 and 1, where A takes no dot product
+        (("--prec", "1", "az", "--name", "catalan_bell"), "A: 1\nZ: 1\n"),
+        (("--prec", "2", "az", "--name", RATIONAL), "A: 2/3, 3/2\nZ: 1/2, -3/8\n"),
+        # a rational section and its (c)-transform, whose vertical columns
+        # each sit over their own least denominator
+        (("--prec", "6", "triangle", "--name", RATIONAL, "--order", "5"),
+         "1\n1/2,2/3\n0,4/3,4/9\n0,1/2,14/9,8/27\n0,0,5/3,40/27,16/81\n"),
+        (("ctransform", "--name", RATIONAL, "--weight", "factorial", "--order", "5"),
+         "1\n1/2,2/3\n0,8/3,4/9\n0,3,14/3,8/27\n0,0,20,160/27,16/81\n"),
+        # the exponential Riordan array (1, e^t - 1): Stirling numbers of the
+        # second kind
+        (("ctransform", "--name", "1;0,1,1/2,1/6,1/24,1/120", "--weight", "factorial",
+          "--order", "6"),
+         "1\n0,1\n0,1,1\n0,1,3,1\n0,1,7,6,1\n0,1,15,25,10,1\n"),
+        # both orders; at p = 6, compose's table f^0..f^3 holds f^2 as a square
+        (("--prec", "6", "mul", "--a", "catalan_bell", "--b", RATIONAL),
+         "g: 1, 3/2, 3, 15/2, 21, 63, 198\nf: 0, 2/3, 5/3, 10/3, 25/3, 70/3, 70\n"),
+        (("--prec", "6", "mul", "--a", RATIONAL, "--b", "catalan_bell"),
+         "g: 1, 7/6, 20/9, 275/54, 1094/81, 3065/81, 27086/243\n"
+         "f: 0, 2/3, 13/9, 52/27, 377/81, 2860/243, 7982/243\n"),
+    ],
+    ids=[
+        "az-catalan_bell", "inv-catalan_bell", "inv-rational", "az-rational",
+        "az-prec1-catalan_bell", "az-prec2-rational", "triangle-rational",
+        "ctransform-rational", "ctransform-stirling2", "mul-catalan_bell-rational",
+        "mul-rational-catalan_bell",
+    ],
+)
+def test_printed_answer(capsys, argv, stdout):
+    assert run_cli(capsys, *argv) == (0, stdout, "")
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        # a decimal literal is exact: 0.5 reads as 1/2
+        (("triangle", "--name", "1,0.5;0,1", "--order", "3"), "0,1/2,1"),
+        # literals that are not canonical str(Fraction) output take the
+        # general parser: 2/4 is 1/2 and 1e1 is 10
+        (("ctransform", "--name", "pascal", "--weight", "1,2/4,1e1", "--order", "3"),
+         "10,40,1"),
+    ],
+    ids=["decimal", "noncanonical"],
+)
+def test_literal_reads_exactly(capsys, argv, last):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, last)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("az", "--name", "catalan_bell"),
+        ("inv", "--name", "catalan_bell"),
+        ("mul", "--a", "catalan_bell", "--b", "pascal"),
+        ("--prec", "1", "inv", "--name", "catalan_bell"),
+        ("--prec", "1", "mul", "--a", "catalan_bell", "--b", "pascal"),
+        ("quasi", "--name", "catalan_bell", "--order", "6"),
+        ("ctransform", "--name", "catalan_bell", "--weight", "factorial", "--order", "8"),
+        ("ctransform", "--name", "pascal", "--weight", "power:2", "--order", "5"),
+        ("ctransform", "--name", "pascal", "--weight", "1,2,4", "--order", "3"),
+    ],
+    ids=["az", "inv", "mul", "inv-prec1", "mul-prec1", "quasi", "ctransform-factorial",
+         "ctransform-power", "ctransform-list"],
+)
+def test_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 class TestCtransform:
@@ -258,6 +339,10 @@ class TestCatalogCmd:
         assert "pairs: pascal" in out
         assert "series: catalan" in out
         assert "weights: laguerre" in out
+
+    def test_unknown_action_is_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "catalog", "show")
+        assert (code, out) == (64, "")
 
 
 class TestVerifyCmd:
@@ -381,8 +466,11 @@ class TestErrors:
         [
             ("triangle", "--name", "1/0;0,1", "--order", "4"),
             ("mul", "--a", "1,1", "--b", "pascal"),
+            ("ctransform", "--name", "pascal", "--weight", "1,1/0", "--order", "4"),
+            ("ctransform", "--name", "pascal", "--weight", "1,2/-4", "--order", "2"),
         ],
-        ids=["zero-denominator", "pair-literal"],
+        ids=["zero-denominator", "pair-literal", "weight-zero-denominator",
+             "weight-negative-denominator"],
     )
     def test_malformed_literal_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -510,12 +598,34 @@ class TestErrors:
             ("triangle", "--name", "fuss_bell:", "--order", "4"),
             ("triangle", "--name", "fuss;0,1", "--order", "4"),
             ("ctransform", "--name", "pascal", "--weight", "power", "--order", "4"),
+            ("mul", "--a", "pascal:7", "--b", "pascal"),
         ],
     )
     def test_malformed_parameter_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 64
         assert "malformed" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("az", "--name", "1;0,0,1"), "order exactly 1"),
+            (("inv", "--name", "1;0,0,1"), "order exactly 1"),
+            (("mul", "--a", "catalan_bell", "--b", "fuss_bell:0"), "m >= 1"),
+            (("ctransform", "--name", "pascal", "--weight", "2,1", "--order", "2"),
+             "must start with 1"),
+            (("ctransform", "--name", "pascal", "--weight", "1,2", "--order", "4"),
+             "too short"),
+            (("ctransform", "--name", "pascal", "--weight", "1,0", "--order", "2"),
+             "zero entry"),
+        ],
+        ids=["az-order-2", "inv-order-2", "mul-domain", "weight-row-0", "weight-short",
+             "weight-zero"],
+    )
+    def test_invalid_input_is_math_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert message in err
 
     def test_parameter_out_of_domain_is_math_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--name", "fuss_bell:0", "--order", "4")

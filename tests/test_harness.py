@@ -100,8 +100,14 @@ class TestVerify:
 
         r = verify("col0", const_gen(0), EntryGenerator("boom", boom), 5, "k = 0")
         assert (r.status, r.k_policy) == ("verified", "k = 0")
-        with pytest.raises(KeyError):
-            verify("unknown", const_gen(), const_gen(), 1, "0 <= k < n")
+
+    def test_unknown_policy_label_is_refused_before_any_route_runs(self):
+        def boom(n, k):
+            raise AssertionError("a route ran")
+
+        gen = EntryGenerator("boom", boom)
+        with pytest.raises(ValueError, match="unknown k_policy '0 <= k < n'"):
+            verify("unknown", gen, gen, 3, "0 <= k < n")
 
     def test_n_max_zero(self):
         r = verify("tiny", const_gen(), const_gen(), 0)
